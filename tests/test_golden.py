@@ -79,6 +79,7 @@ SCENARIOS = {
     "ac3-rotating": lambda: _silencing_doc(True, 1, 1800.0),
     "ac5-guarded": lambda: _guarded_doc(True),
     "walking": _walking_doc,
+    "walking-tv-off": lambda: {**_walking_doc(), "defences": ["SJ"]},
 }
 
 FILES = ("events.jsonl", "traces.jsonl", "metrics.csv")
@@ -105,6 +106,15 @@ GOLDEN = {
         "metrics.csv": "132c7c4b1ca7de7848b2206f5a0cff4601f85e7beff50ef79cf87101dd550379",
     },
     "walking": {
+        "events.jsonl": "246c799b40c9dba4177def2a74482192a93cbf314f4aa5e3476c183130b87f69",
+        "traces.jsonl": "65f7ff720983091d72ca2d63fedbaaa504a3a67d31c9a8ad45ad26dc6a615415",
+        "metrics.csv": "1faf8d7975608fa0627448dfda5d95caaf5eb74dde718dc506418e94279859e3",
+    },
+    # Without TV, owner IDs resolve at any slot of the run. The walking
+    # document's replayer is pervasive and so always replays a fresh ID:
+    # these files equal the TV-on ones, and what they pin is that turning
+    # TV off changes none of A1's live coverage, A6's ID table or A2.
+    "walking-tv-off": {
         "events.jsonl": "246c799b40c9dba4177def2a74482192a93cbf314f4aa5e3476c183130b87f69",
         "traces.jsonl": "65f7ff720983091d72ca2d63fedbaaa504a3a67d31c9a8ad45ad26dc6a615415",
         "metrics.csv": "1faf8d7975608fa0627448dfda5d95caaf5eb74dde718dc506418e94279859e3",
