@@ -8,10 +8,10 @@ tell emitters apart, which is exactly what the flooding attack exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidInput
-from .model import BeaconId, ContentRef, Observation
+from .model import BeaconId, Observation
 from .radio import estimate_distance
 
 DEFAULT_PROXIMITY_THRESHOLD_M = 5.0
@@ -113,17 +113,3 @@ def proximity_decision(
     for obs in window:
         total += estimate_distance(obs.claimed_tx_power, obs.rssi, path_loss_exponent)
     return total / len(window) <= threshold_m
-
-
-def app_on_near(
-    device: UserDevice,
-    beacon_id: BeaconId,
-    resolve: Callable[[BeaconId], Optional[ContentRef]],
-) -> Optional[ContentRef]:
-    """Resolve content for an identity the device decided it is near.
-
-    Returns the content to deliver, or None for the no-action case (an
-    identity the service does not know). The simulator handles the side
-    effects: event logging, debounce, and the malicious-app upload log.
-    """
-    return resolve(beacon_id)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import CapabilityError, InvalidInput, UnknownRef
-from .ephemeral import ephemeral_id
 from .model import BeaconId, EphemeralId, StaticId
 from .threatmatrix import default_matrix
 
@@ -494,7 +493,7 @@ def _beacon_id_db(result: "RunResult", profile: AttackProfile) -> dict[BeaconId,
         elif isinstance(beacon.id_mode, EphemeralId):
             key = reference.owner_keys[beacon.ref]
             for slot in slots:
-                table[ephemeral_id(key, slot, reference.id_width)] = beacon.ref
+                table[result.schedule.id_at(key, slot)] = beacon.ref
     return table
 
 
@@ -525,7 +524,7 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         covered = 0
         live = 0
         eph = result.scenario.ephemeral
-        final_slot = eph.slot_of(result.duration)
+        live_slots = eph.window(eph.slot_of(result.duration))
         for beacon in reference.beacons:
             seen = result.broadcast_ids.get(beacon.ref, set())
             if any(BeaconId(raw) in db for raw in seen):
@@ -535,11 +534,7 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
                     live += 1
             else:
                 key = reference.owner_keys[beacon.ref]
-                fresh = (
-                    ephemeral_id(key, s, reference.id_width)
-                    for s in range(final_slot - eph.window_slots, final_slot + eph.window_slots + 1)
-                )
-                if any(fid in db for fid in fresh):
+                if any(result.schedule.id_at(key, s) in db for s in live_slots):
                     live += 1
         n = len(reference.beacons)
         metrics["coverage"] = covered / n if n else 0.0

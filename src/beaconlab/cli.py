@@ -21,6 +21,7 @@ from typing import Optional
 from .attacks import attack_metrics, delivery_correctness
 from .ephemeral import (
     EphemeralParams,
+    IdSchedule,
     build_filter,
     ephemeral_id,
     expected_fp_rate,
@@ -232,7 +233,7 @@ def cmd_ephemeral_build(args) -> int:
     params = EphemeralParams(
         slot_duration_s=args.slot_duration, window_slots=args.window, id_width=args.width,
     )
-    filt = build_filter(keys, args.slot, params, args.m, args.k, args.fp)
+    filt = build_filter(IdSchedule(keys, params), args.slot, args.m, args.k, args.fp)
     write_filter_file(args.out, filt, args.slot, params)
     print(json.dumps({
         "out": args.out, "m_bits": filt.m_bits, "k_hashes": filt.k_hashes,
@@ -248,8 +249,8 @@ def cmd_ephemeral_verify(args) -> int:
         slot = args.slot
     beacon_id = BeaconId.from_hex(args.id_hex)
     params = replace(params, id_width=len(beacon_id))
-    keys = _load_keys_file(args.keys)
-    ref = verify_and_resolve(filt, keys, beacon_id, slot, params)
+    schedule = IdSchedule(_load_keys_file(args.keys), params)
+    ref = verify_and_resolve(filt, schedule, beacon_id, slot)
     if ref is None:
         print("rejected")
         return EXIT_FINDING

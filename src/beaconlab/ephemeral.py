@@ -1,12 +1,14 @@
 """Rotating identifiers: keyed per-slot IDs with a Bloom filter verifier.
 
 A beacon with a key derives its broadcast ID for slot s as a keyed PRF of the
-slot index, truncated to the deployment id width. The resolver keeps a Bloom
-filter holding every owned key's IDs for the slots inside the acceptance
-window; a frame passes the cheap filter gate first, then an exact PRF
-recomputation pins it to one beacon. The filter alone can lie (that is its
-nature), the second stage cannot, so end-to-end false acceptance is zero and
-the filter's false positives only cost wasted exact checks.
+slot index, truncated to the deployment id width. A run keeps one
+`IdSchedule`, which derives each (key, slot) ID once and indexes every owner
+ID back to its beacon and slot. The resolver keeps a Bloom filter holding
+every owned key's IDs for the slots inside the acceptance window; a frame
+passes the cheap filter gate first, then a lookup in the schedule's reverse
+index pins it to one beacon. The filter alone can lie (that is its nature),
+the second stage cannot, so end-to-end false acceptance is zero and the
+filter's false positives only cost wasted exact checks.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ class EphemeralParams:
     def slot_of(self, t: float) -> int:
         return math.floor(t / self.slot_duration_s)
 
+    def window(self, slot: int) -> range:
+        """The slots accepted while the current slot is slot."""
+        return range(slot - self.window_slots, slot + self.window_slots + 1)
+
 
 def ephemeral_id(key: bytes, slot: int, id_width: int = DEFAULT_ID_WIDTH) -> BeaconId:
     """PRF(key, slot) truncated to id_width bytes; slot packs as signed 64-bit BE."""
@@ -54,6 +60,46 @@ def ephemeral_id(key: bytes, slot: int, id_width: int = DEFAULT_ID_WIDTH) -> Bea
         raise InvalidInput("id_width must be in 1..32 bytes")
     digest = hmac.new(key, struct.pack(">q", slot), hashlib.sha256).digest()
     return BeaconId(digest[:id_width])
+
+
+class IdSchedule:
+    """The rotating IDs of one run, each (key, slot) derived at most once.
+
+    The forward table maps (key, slot) to the ID and its hex, for owner keys
+    and personal tag keys alike. The reverse index maps an owner ID to its
+    (key order, ref, slot) entries; it never holds a tag's ID. It is filled a
+    slot at a time, when a lookup first needs that slot.
+    """
+
+    def __init__(self, owner_keys: Mapping[str, bytes], params: EphemeralParams):
+        self.owner_keys = dict(owner_keys)
+        self.params = params
+        self._ids: dict[tuple[bytes, int], tuple[BeaconId, str]] = {}
+        self._owners: dict[bytes, list[tuple[int, str, int]]] = {}
+        self._indexed: set[int] = set()
+
+    def id_at(self, key: bytes, slot: int) -> BeaconId:
+        return self.id_and_hex(key, slot)[0]
+
+    def id_and_hex(self, key: bytes, slot: int) -> tuple[BeaconId, str]:
+        """The ID and its hex; every frame of one (key, slot) shares the same string."""
+        pair = self._ids.get((key, slot))
+        if pair is None:
+            bid = ephemeral_id(key, slot, self.params.id_width)
+            pair = self._ids[key, slot] = (bid, bid.hex())
+        return pair
+
+    def owner(self, beacon_id: BeaconId, slots: range) -> Optional[str]:
+        """The first owner ref, in key order, whose ID in one of slots is beacon_id."""
+        for slot in slots:
+            if slot not in self._indexed:
+                self._indexed.add(slot)
+                for order, (ref, key) in enumerate(self.owner_keys.items()):
+                    entry = (order, ref, slot)
+                    self._owners.setdefault(self.id_at(key, slot).data, []).append(entry)
+        best = min((entry for entry in self._owners.get(beacon_id.data, ()) if entry[2] in slots),
+                   default=None)
+        return None if best is None else best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +171,8 @@ def bloom_size_for(n_items: int, fp_target: float) -> tuple[int, int]:
 
 
 def build_filter(
-    keys: Mapping[str, bytes],
+    schedule: IdSchedule,
     current_slot: int,
-    params: EphemeralParams,
     m_bits: int | None = None,
     k_hashes: int | None = None,
     fp_target: float = 0.01,
@@ -137,9 +182,10 @@ def build_filter(
     Sizing defaults to the fp_target; passing an (m, k) whose expected false
     positive rate exceeds 10% at this population is a configuration error.
     """
-    if not keys:
+    if not schedule.owner_keys:
         raise InvalidInput("no keys to build a filter from")
-    n_items = len(keys) * (2 * params.window_slots + 1)
+    slots = schedule.params.window(current_slot)
+    n_items = len(schedule.owner_keys) * len(slots)
     if m_bits is None or k_hashes is None:
         m_bits, k_hashes = bloom_size_for(n_items, fp_target)
     if expected_fp_rate(m_bits, k_hashes, n_items) > MAX_BUILD_FP:
@@ -148,35 +194,27 @@ def build_filter(
             f"rate above {MAX_BUILD_FP:.0%} for {n_items} ids"
         )
     bits = bytearray((m_bits + 7) // 8)
-    count = 0
-    for key in keys.values():
-        for slot in range(current_slot - params.window_slots, current_slot + params.window_slots + 1):
-            item = ephemeral_id(key, slot, params.id_width).data
-            for idx in _bit_indexes(item, m_bits, k_hashes):
+    for key in schedule.owner_keys.values():
+        for slot in slots:
+            for idx in _bit_indexes(schedule.id_at(key, slot).data, m_bits, k_hashes):
                 bits[idx >> 3] |= 1 << (idx & 7)
-            count += 1
-    return BloomFilter(m_bits=m_bits, k_hashes=k_hashes, bits=bytes(bits), n_inserted=count)
+    return BloomFilter(m_bits=m_bits, k_hashes=k_hashes, bits=bytes(bits), n_inserted=n_items)
 
 
 def verify_and_resolve(
     filt: BloomFilter,
-    keys: Mapping[str, bytes],
+    schedule: IdSchedule,
     beacon_id: BeaconId,
     current_slot: int,
-    params: EphemeralParams,
 ) -> Optional[str]:
-    """Two-stage check: Bloom gate, then exact recomputation over the window.
+    """Two-stage check: Bloom gate, then the schedule's exact lookup over the window.
 
     Returns the owning beacon ref, or None for a rejected frame. A filter hit
     that no key reproduces is a Bloom false positive and is still rejected.
     """
     if not bloom_contains(filt, beacon_id.data):
         return None
-    for ref, key in keys.items():
-        for slot in range(current_slot - params.window_slots, current_slot + params.window_slots + 1):
-            if ephemeral_id(key, slot, params.id_width) == beacon_id:
-                return ref
-    return None
+    return schedule.owner(beacon_id, schedule.params.window(current_slot))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +258,29 @@ def read_filter_file(path: str) -> tuple[BloomFilter, int, EphemeralParams]:
 
 
 class RotatingResolver:
-    """Per-slot filter cache plus verdict memoization for the event loop."""
+    """Owner-side lookup for the event loop: static IDs first, then the schedule.
+
+    Windowed (the TV defence), an owner ID resolves only inside the acceptance
+    window of the current slot, through that slot's Bloom filter and the
+    schedule's exact lookup. Given max_slot (TV off), an owner ID of any slot
+    the run can produce resolves, replayed IDs never expire and no filter is
+    built. Verdicts are memoized per (id, slot).
+    """
 
     def __init__(
         self,
-        keys: Mapping[str, bytes],
-        params: EphemeralParams,
+        static_ids: Mapping[BeaconId, str],
+        schedule: IdSchedule,
+        max_slot: int | None = None,
         m_bits: int | None = None,
         k_hashes: int | None = None,
         fp_target: float = 0.01,
     ):
-        self._keys = dict(keys)
-        self._params = params
+        self._static = dict(static_ids)
+        self._schedule = schedule
+        self._params = schedule.params
+        w = self._params.window_slots
+        self._any_slot = None if max_slot is None else range(-w, max_slot + w + 1)
         self._m = m_bits
         self._k = k_hashes
         self._fp = fp_target
@@ -242,33 +291,22 @@ class RotatingResolver:
     def filter_for(self, slot: int) -> BloomFilter:
         filt = self._filters.get(slot)
         if filt is None:
-            filt = build_filter(self._keys, slot, self._params, self._m, self._k, self._fp)
+            filt = build_filter(self._schedule, slot, self._m, self._k, self._fp)
             self._filters[slot] = filt
             self.filters_built += 1
         return filt
 
     def resolve(self, beacon_id: BeaconId, t: float) -> Optional[str]:
+        ref = self._static.get(beacon_id)
+        if ref is not None or not self._schedule.owner_keys:
+            return ref
         slot = self._params.slot_of(t)
         key = (beacon_id.data, slot)
         verdict = self._verdicts.get(key, _UNSEEN)
         if verdict is _UNSEEN:
-            verdict = verify_and_resolve(self.filter_for(slot), self._keys, beacon_id, slot,
-                                         self._params)
+            if self._any_slot is None:
+                verdict = verify_and_resolve(self.filter_for(slot), self._schedule, beacon_id, slot)
+            else:
+                verdict = self._schedule.owner(beacon_id, self._any_slot)
             self._verdicts[key] = verdict
         return verdict
-
-
-class AnySlotResolver:
-    """Freshness-blind resolver used when the rotation defence is disabled.
-
-    Accepts any slot the run can ever produce, so replayed IDs never expire.
-    """
-
-    def __init__(self, keys: Mapping[str, bytes], params: EphemeralParams, max_slot: int):
-        self._table: dict[bytes, str] = {}
-        for ref, key in keys.items():
-            for slot in range(-params.window_slots, max_slot + params.window_slots + 1):
-                self._table[ephemeral_id(key, slot, params.id_width).data] = ref
-
-    def resolve(self, beacon_id: BeaconId, t: float) -> Optional[str]:
-        return self._table.get(beacon_id.data)

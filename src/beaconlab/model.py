@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Union
 
 import yaml
 
@@ -164,11 +164,6 @@ class DeploymentMap:
 
     def has_ephemeral(self) -> bool:
         return any(isinstance(b.id_mode, EphemeralId) for b in self.beacons)
-
-
-def resolve_content(deployment: DeploymentMap, beacon_id: BeaconId) -> Optional[ContentRef]:
-    """Look up the content behind a broadcast ID; unknown is a value, never an error."""
-    return deployment.content_map.get(beacon_id)
 
 
 def adjacency_from_positions(deployment: DeploymentMap, radius: float) -> DeploymentMap:

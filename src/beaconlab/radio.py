@@ -14,8 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from random import Random
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidInput
 
@@ -44,19 +43,6 @@ def mean_rssi(tx_power_1m: float, distance: float, path_loss_exponent: float) ->
     if distance <= 0:
         raise InvalidInput(f"distance must be positive, got {distance}")
     return tx_power_1m - 10.0 * path_loss_exponent * math.log10(max(distance, 1.0))
-
-
-def rssi_at(
-    tx_power_1m: float,
-    distance: float,
-    params: RadioParams,
-    rng: Optional[Random] = None,
-) -> float:
-    """Sample a received signal strength; rng=None gives the noiseless mean."""
-    value = mean_rssi(tx_power_1m, distance, params.path_loss_exponent)
-    if rng is not None and params.noise_sigma > 0:
-        value += rng.gauss(0.0, params.noise_sigma)
-    return value
 
 
 def estimate_distance(claimed_tx_power: float, rssi: float, path_loss_exponent: float) -> float:

@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .actors import AppSpec, PersonalTag, UserDevice
+from .actors import (
+    DEFAULT_LOOKUP_BUDGET,
+    DEFAULT_PROXIMITY_THRESHOLD_M,
+    DEFAULT_RETRIGGER_S,
+    DEFAULT_SCAN_WINDOW_S,
+    AppSpec,
+    PersonalTag,
+    UserDevice,
+)
 from .attacks import (
     ATTACK_KINDS,
     AttackerReceiver,
@@ -116,11 +124,13 @@ def _parse_device(entry: Mapping) -> UserDevice:
         return UserDevice(
             ref=ref,
             path=path_t,
-            proximity_threshold_m=float(entry.get("proximity_threshold_m", 5.0)),
-            scan_window_s=float(entry.get("scan_window_s", 3.0)),
+            proximity_threshold_m=float(
+                entry.get("proximity_threshold_m", DEFAULT_PROXIMITY_THRESHOLD_M)
+            ),
+            scan_window_s=float(entry.get("scan_window_s", DEFAULT_SCAN_WINDOW_S)),
             apps=tuple(apps),
-            lookup_budget=int(entry.get("lookup_budget", 100)),
-            content_retrigger_s=float(entry.get("content_retrigger_s", 30.0)),
+            lookup_budget=int(entry.get("lookup_budget", DEFAULT_LOOKUP_BUDGET)),
+            content_retrigger_s=float(entry.get("content_retrigger_s", DEFAULT_RETRIGGER_S)),
         )
     except InvalidInput as exc:
         raise ValidationError(str(exc)) from exc

@@ -24,10 +24,10 @@ from typing import NamedTuple, Optional
 
 from .actors import PersonalTag, UserDevice, proximity_decision
 from .attacks import AttackerObservation, InjectedEmitter, LUNCH_TIME, drain_id, install_pending
-from .ephemeral import AnySlotResolver, RotatingResolver, ephemeral_id
+from .ephemeral import IdSchedule, RotatingResolver
 from .errors import ValidationError
 from .guardian import jam_succeeds
-from .model import BeaconConfig, BeaconId, DeploymentMap, Observation, StaticId, Trace
+from .model import BeaconId, Observation, StaticId, Trace
 from .radio import (
     BROADCAST,
     CONTENT_DELIVERED,
@@ -87,6 +87,7 @@ class RunResult:
     window_records: tuple[WindowRecord, ...]
     budget_records: tuple[BudgetRecord, ...]
     traces: tuple[Trace, ...]
+    schedule: IdSchedule
     attacker_obs: dict[int, list[AttackerObservation]] = field(default_factory=dict)
     upload_logs: dict[int, list[tuple[float, str]]] = field(default_factory=dict)
     detections: dict[int, list[tuple[float, str, float]]] = field(default_factory=dict)
@@ -108,40 +109,6 @@ class RunResult:
         }
 
 
-class _Resolver:
-    """Owner-side lookup: static table first, then the rotating verifier."""
-
-    def __init__(self, static_table, dynamic):
-        self._static = static_table
-        self._dynamic = dynamic
-
-    def resolve(self, beacon_id: BeaconId, t: float) -> Optional[str]:
-        ref = self._static.get(beacon_id)
-        if ref is not None:
-            return ref
-        if self._dynamic is None:
-            return None
-        return self._dynamic.resolve(beacon_id, t)
-
-
-def _build_resolver(scenario: Scenario, reference: DeploymentMap):
-    keys = dict(reference.owner_keys)
-    dynamic = None
-    if keys:
-        if "TV" in scenario.defences:
-            dynamic = RotatingResolver(
-                keys,
-                scenario.ephemeral,
-                m_bits=scenario.bloom_m,
-                k_hashes=scenario.bloom_k,
-                fp_target=scenario.bloom_fp_target,
-            )
-        else:
-            max_slot = scenario.ephemeral.slot_of(scenario.duration_s) + 1
-            dynamic = AnySlotResolver(keys, scenario.ephemeral, max_slot)
-    return _Resolver(reference.static_ids(), dynamic)
-
-
 @dataclass
 class _Emitter:
     """One transmitter, with what the loop works out for it before the run."""
@@ -155,7 +122,7 @@ class _Emitter:
     fixed_id: Optional[tuple[BeaconId, str]] = None  # (id, id hex) when it never changes
     key: Optional[bytes] = None  # rotating-ID key
     frame: int = 0
-    # (id, id hex) by slot for a rotating key, or by pool index for a drain
+    # (id, id hex) by pool index, for a drain
     ids: dict = field(default_factory=dict)
     # (device, ref, distance, mean rssi, buffer, trace); distance and mean rssi
     # are None when either end moves and are then worked out per frame
@@ -194,7 +161,15 @@ def run(scenario: Scenario) -> RunResult:
     eph = scenario.ephemeral
     duration = scenario.duration_s
     id_width = reference.id_width
-    resolver = _build_resolver(scenario, reference)
+    schedule = IdSchedule(reference.owner_keys, eph)
+    resolver = RotatingResolver(
+        reference.static_ids(),
+        schedule,
+        max_slot=None if "TV" in scenario.defences else eph.slot_of(duration) + 1,
+        m_bits=scenario.bloom_m,
+        k_hashes=scenario.bloom_k,
+        fp_target=scenario.bloom_fp_target,
+    )
 
     devices = scenario.devices
     device_by_ref = {d.ref: d for d in devices}
@@ -296,11 +271,7 @@ def run(scenario: Scenario) -> RunResult:
             if em.key is None:
                 bid, id_hex = em.fixed_id
             else:
-                slot = eph.slot_of(t)
-                cached = em.ids.get(slot)
-                if cached is None:
-                    cached = em.ids[slot] = _with_hex(ephemeral_id(em.key, slot, id_width))
-                bid, id_hex = cached
+                bid, id_hex = schedule.id_and_hex(em.key, eph.slot_of(t))
             pos = em.position
             if pos is None:
                 pos = device_by_ref[em.obj.carried_by].position_at(t)
@@ -537,6 +508,7 @@ def run(scenario: Scenario) -> RunResult:
         window_records=tuple(window_records),
         budget_records=tuple(budget_records),
         traces=trace_objs,
+        schedule=schedule,
         attacker_obs=attacker_obs,
         upload_logs=upload_logs,
         detections=detections,

@@ -3,12 +3,10 @@ import pytest
 from beaconlab import (
     AppSpec,
     BeaconId,
-    ContentRef,
     InvalidInput,
     Observation,
     PersonalTag,
     UserDevice,
-    app_on_near,
     proximity_decision,
 )
 from conftest import AA
@@ -108,13 +106,3 @@ class TestProximityDecision:
             proximity_decision([], 5.0, 2.0)
         with pytest.raises(InvalidInput):
             proximity_decision([obs(-59.0)], 0.0, 2.0)
-
-
-class TestAppOnNear:
-    def test_passes_through_resolution(self):
-        d = device()
-        content = ContentRef("exhibit", "app://exhibit")
-        hit = app_on_near(d, BeaconId(bytes.fromhex(AA)), lambda _: content)
-        assert hit is content
-        miss = app_on_near(d, BeaconId(bytes.fromhex(AA)), lambda _: None)
-        assert miss is None

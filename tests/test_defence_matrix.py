@@ -13,6 +13,7 @@ from beaconlab import (
     static_state_resolver,
 )
 from conftest import AA, BB, CC, KEY1, KEY2, ephemeral_beacon, static_beacon
+from test_acceptance import _STALE_AFTER_S, _replay_doc
 
 KEY3 = "33" * 16
 
@@ -43,6 +44,21 @@ def harvest_doc(rotating):
         "radio": {"seed": 8, "sigma_db": 0.0},
         "attacks": [{"kind": "A1", "sniff_mode": "lunch_time"}],
     }
+
+
+class TestRotationVsSpoofing:
+    def test_without_tv_a_stale_replay_keeps_resolving(self):
+        # without TV an owner ID of any slot resolves, so the lunch-time
+        # recording never expires; with TV it stops once its slot leaves the
+        # acceptance window
+        def late_wrong_deliveries(defences):
+            doc = {**_replay_doc(rotating=True, seed=3), "duration_s": 600.0,
+                   "defences": defences}
+            return sum(w.outcome == "delivered" and not w.correct and w.t_end > _STALE_AFTER_S
+                       for w in run_doc(doc).window_records)
+
+        assert late_wrong_deliveries(["TV"]) == 0
+        assert late_wrong_deliveries([]) > 0
 
 
 class TestRotationVsHarvesting:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from beaconlab import (
     BeaconId,
     EphemeralParams,
+    IdSchedule,
     InvalidInput,
     bloom_contains,
     bloom_insert,
@@ -18,7 +19,6 @@ from beaconlab import (
     write_filter_file,
 )
 from beaconlab.ephemeral import (
-    AnySlotResolver,
     RotatingResolver,
     bloom_empty,
     bloom_size_for,
@@ -101,7 +101,7 @@ class TestBloom:
 
 class TestBuildFilter:
     def test_population_covers_window(self):
-        filt = build_filter(KEYS, 10, PARAMS)
+        filt = build_filter(IdSchedule(KEYS, PARAMS), 10)
         assert filt.n_inserted == len(KEYS) * (2 * PARAMS.window_slots + 1)
         for slot in range(8, 13):
             for key in KEYS.values():
@@ -109,44 +109,47 @@ class TestBuildFilter:
 
     def test_rejects_hopeless_sizing(self):
         with pytest.raises(InvalidInput, match="false-positive"):
-            build_filter(KEYS, 0, PARAMS, m_bits=8, k_hashes=2)
+            build_filter(IdSchedule(KEYS, PARAMS), 0, m_bits=8, k_hashes=2)
 
     def test_needs_keys(self):
         with pytest.raises(InvalidInput):
-            build_filter({}, 0, PARAMS)
+            build_filter(IdSchedule({}, PARAMS), 0)
 
 
 class TestVerifyAndResolve:
     def test_accepts_window_rejects_outside(self):
-        filt = build_filter(KEYS, 10, PARAMS)
+        schedule = IdSchedule(KEYS, PARAMS)
+        filt = build_filter(schedule, 10)
         for slot in (8, 9, 10, 11, 12):
-            assert verify_and_resolve(filt, KEYS, ephemeral_id(K1, slot), 10, PARAMS) == "b1"
+            assert verify_and_resolve(filt, schedule, ephemeral_id(K1, slot), 10) == "b1"
         for slot in (7, 13):
-            assert verify_and_resolve(filt, KEYS, ephemeral_id(K1, slot), 10, PARAMS) is None
+            assert verify_and_resolve(filt, schedule, ephemeral_id(K1, slot), 10) is None
 
     def test_resolves_the_owning_beacon(self):
-        filt = build_filter(KEYS, 10, PARAMS)
-        assert verify_and_resolve(filt, KEYS, ephemeral_id(K2, 10), 10, PARAMS) == "b2"
+        schedule = IdSchedule(KEYS, PARAMS)
+        filt = build_filter(schedule, 10)
+        assert verify_and_resolve(filt, schedule, ephemeral_id(K2, 10), 10) == "b2"
 
     def test_zero_end_to_end_false_accepts(self):
         # generous filter abuse: tiny m forces many gate hits, the exact
         # stage must still reject every forged identity
         params = EphemeralParams(slot_duration_s=60.0, window_slots=1, id_width=20)
-        filt = build_filter(KEYS, 0, params, m_bits=64, k_hashes=1)
+        schedule = IdSchedule(KEYS, params)
+        filt = build_filter(schedule, 0, m_bits=64, k_hashes=1)
         rng = Random(5)
         gate_hits = 0
         for _ in range(20000):
             probe = BeaconId(rng.randbytes(20))
             if bloom_contains(filt, probe.data):
                 gate_hits += 1
-                assert verify_and_resolve(filt, KEYS, probe, 0, params) is None
+                assert verify_and_resolve(filt, schedule, probe, 0) is None
         assert gate_hits > 100  # the gate does lie; the exact stage does not
 
 
 class TestFilterFile:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "f.blf")
-        filt = build_filter(KEYS, 42, PARAMS)
+        filt = build_filter(IdSchedule(KEYS, PARAMS), 42)
         write_filter_file(path, filt, 42, PARAMS)
         loaded, slot, params = read_filter_file(path)
         assert slot == 42
@@ -162,9 +165,33 @@ class TestFilterFile:
             read_filter_file(str(path))
 
 
+class TestIdSchedule:
+    def test_forward_table_matches_the_prf(self):
+        schedule = IdSchedule(KEYS, PARAMS)
+        assert schedule.id_at(K1, 7) == ephemeral_id(K1, 7)
+        assert schedule.id_at(K1, 7) is schedule.id_at(K1, 7)
+
+    def test_tag_ids_never_resolve(self):
+        tag_key = bytes(range(16))
+        schedule = IdSchedule(KEYS, PARAMS)
+        tag_id = schedule.id_at(tag_key, 3)
+        assert schedule.owner(tag_id, PARAMS.window(3)) is None
+        assert schedule.owner(schedule.id_at(K2, 3), PARAMS.window(3)) == "b2"
+
+
+def _colliding_slots(params: EphemeralParams) -> tuple[int, int]:
+    """The first (s1, s2), s1 ascending, with K1@s1 == K2@s2 in one window."""
+    span = 2 * params.window_slots
+    for s1 in range(1000):
+        for s2 in range(s1 - span, s1 + span + 1):
+            if ephemeral_id(K1, s1, params.id_width) == ephemeral_id(K2, s2, params.id_width):
+                return s1, s2
+    raise AssertionError("no colliding slot pair")
+
+
 class TestResolvers:
     def test_rotating_caches_filters(self):
-        resolver = RotatingResolver(KEYS, PARAMS)
+        resolver = RotatingResolver({}, IdSchedule(KEYS, PARAMS))
         assert resolver.resolve(ephemeral_id(K1, 0), 30.0) == "b1"
         assert resolver.resolve(ephemeral_id(K1, 1), 45.0) == "b1"
         assert resolver.filters_built == 1
@@ -172,13 +199,29 @@ class TestResolvers:
         assert resolver.filters_built == 2
 
     def test_rotating_rejects_stale(self):
-        resolver = RotatingResolver(KEYS, PARAMS)
+        resolver = RotatingResolver({}, IdSchedule(KEYS, PARAMS))
         stale = ephemeral_id(K1, 0)
         assert resolver.resolve(stale, 200.0) is None  # slot 3, window 2
         assert resolver.resolve(stale, 200.0) is None  # cached verdict path
 
     def test_any_slot_accepts_everything_in_range(self):
-        resolver = AnySlotResolver(KEYS, PARAMS, max_slot=10)
+        static = {BeaconId(b"\x01" * 20): "s1"}
+        resolver = RotatingResolver(static, IdSchedule(KEYS, PARAMS), max_slot=10)
         assert resolver.resolve(ephemeral_id(K1, 0), 500.0) == "b1"
         assert resolver.resolve(ephemeral_id(K2, 9), 0.0) == "b2"
+        assert resolver.resolve(ephemeral_id(K2, 13), 0.0) is None  # past max_slot + w
+        assert resolver.resolve(BeaconId(b"\x01" * 20), 0.0) == "s1"
         assert resolver.resolve(BeaconId(b"\x00" * 20), 0.0) is None
+        assert resolver.filters_built == 0
+
+    @pytest.mark.parametrize("keys", [KEYS, {"b2": K2, "b1": K1}])
+    def test_truncated_collision_resolves_to_the_first_key(self, keys):
+        params = EphemeralParams(slot_duration_s=60.0, window_slots=2, id_width=1)
+        s1, s2 = _colliding_slots(params)
+        shared = ephemeral_id(K1, s1, 1)
+        first = next(iter(keys))
+        t = (s1 + s2) // 2 * params.slot_duration_s  # both slots inside this window
+        windowed = RotatingResolver({}, IdSchedule(keys, params))
+        any_slot = RotatingResolver({}, IdSchedule(keys, params), max_slot=max(s1, s2))
+        assert windowed.resolve(shared, t) == first
+        assert any_slot.resolve(shared, t) == first

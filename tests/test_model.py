@@ -11,7 +11,6 @@ from beaconlab import (
     ValidationError,
     adjacency_from_positions,
     load_deployment,
-    resolve_content,
 )
 from conftest import AA, BB, CC, KEY1, ephemeral_beacon, static_beacon
 
@@ -66,11 +65,6 @@ class TestLoadDeployment:
         assert dep.beacon("b2").position == (20.0, 0.0)
         with pytest.raises(KeyError):
             dep.beacon("nope")
-
-    def test_resolve_content_unknown_is_none(self, static_doc):
-        dep = load_deployment(static_doc)
-        assert resolve_content(dep, BeaconId.from_hex(AA)).locator == "app://one"
-        assert resolve_content(dep, BeaconId.from_hex(CC)) is None
 
     def test_duplicate_ref_rejected(self, static_doc):
         static_doc["beacons"].append(static_beacon("b1", 5, CC))

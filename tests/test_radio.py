@@ -1,6 +1,5 @@
 import json
 import math
-from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +11,6 @@ from beaconlab import (
     RadioParams,
     estimate_distance,
     mean_rssi,
-    rssi_at,
 )
 from beaconlab.radio import shadowing_db, uniform_draw
 
@@ -31,18 +29,6 @@ class TestPathLoss:
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(InvalidInput):
             mean_rssi(-59.0, 0.0, 2.0)
-
-    def test_monte_carlo_mean_with_shadowing(self):
-        # noisy samples recenter on the deterministic mean
-        params = RadioParams(noise_sigma=2.0)
-        rng = Random(7)
-        samples = [rssi_at(-59.0, 10.0, params, rng) for _ in range(40000)]
-        assert sum(samples) / len(samples) == pytest.approx(-79.0, abs=0.1)
-
-    def test_noiseless_sampling(self):
-        params = RadioParams(noise_sigma=0.0)
-        assert rssi_at(-59.0, 10.0, params, Random(1)) == -79.0
-        assert rssi_at(-59.0, 10.0, RadioParams()) == -79.0  # rng omitted
 
     def test_estimate_distance_worked_value(self):
         # a frame claiming -45 dBm received at -79 dBm looks ~50 m away

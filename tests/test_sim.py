@@ -8,6 +8,7 @@ from beaconlab import (
     apply_attack,
     attack_metrics,
     delivery_correctness,
+    ephemeral,
     load_scenario,
     run,
 )
@@ -20,6 +21,7 @@ from beaconlab.sim import (
     OUTCOME_FLAGGED,
 )
 from conftest import AA, BB, CC, static_beacon
+from test_golden import _walking_doc
 
 
 def doc(**overrides):
@@ -216,3 +218,22 @@ class TestTagsAndReplay:
         assert trace.device_ref == "phone"
         assert len(trace) > 0
         assert json.dumps(result.summary())  # summary is JSON-shaped
+
+
+@pytest.mark.parametrize("defences", [["TV", "SJ"], ["SJ"]])
+def test_each_rotating_id_is_derived_once_per_run(monkeypatch, defences):
+    # the walking document has a rotating beacon and a rotating tag, and A1
+    # and A6 read the run's ID table after the loop
+    derived = []
+    original = ephemeral.ephemeral_id
+
+    def counting(key, slot, id_width):
+        derived.append((key, slot))
+        return original(key, slot, id_width)
+
+    monkeypatch.setattr(ephemeral, "ephemeral_id", counting)
+    result = run(load_scenario({**_walking_doc(), "defences": defences}))
+    for i in range(len(result.scenario.attacks)):
+        attack_metrics(result, i)
+    assert derived
+    assert len(derived) == len(set(derived))
