@@ -5,17 +5,30 @@ Each scenario runs through `run` and the `storage` writers, and the sha256 of
 that two runs in one process agree; these digests also catch a change that
 moves a noise draw, a sequence number or the last digit of a float, even when
 every functional test still passes. Replace a digest only for a change that is
-meant to alter the output, and say why in CHANGES.md.
+meant to alter the output, and say why in CHANGES.md. A fixed `detect` case
+pins `verdicts.csv` the same way, through the trace reader, the state resolver
+and the scorer.
 """
 
 import hashlib
+import random
 
 import pytest
+import yaml
 
 from beaconlab import attack_metrics, delivery_correctness, load_scenario, run
+from beaconlab.cli import main
 from beaconlab.storage import metric_rows, write_events_jsonl, write_metrics_csv, write_traces_jsonl
-from conftest import AA, BB, KEY1, KEY2
-from test_acceptance import _guarded_doc, _replay_doc, _silencing_doc
+from conftest import AA, BB, CC, DD, KEY1, KEY2
+from test_acceptance import (
+    _PATH_ADJ,
+    _PATH_IDS,
+    _guarded_doc,
+    _replay_doc,
+    _silencing_doc,
+    _trace,
+    _walk,
+)
 
 
 def _shortened(doc: dict, duration: float) -> dict:
@@ -73,6 +86,32 @@ def _walking_doc() -> dict:
     }
 
 
+def _corridor_doc(attacks: list[dict]) -> dict:
+    """Four static beacons 15 m apart, one walker crossing them and back, and
+    two phones standing by the middle pair: A4 and A5 rewrite the deployment,
+    so what they change shows in who gets which content where."""
+    ids = (AA, BB, CC, DD)
+    return {
+        "beacons": [
+            {"ref": f"b{i + 1}", "x": 15.0 * i, "y": 0.0, "tx_power_1m": -59.0,
+             "adv_interval_ms": 800.0 + 100.0 * i, "id_hex": hexid}
+            for i, hexid in enumerate(ids)
+        ],
+        "content": [{"id_hex": hexid, "locator": f"app://b{i + 1}"}
+                    for i, hexid in enumerate(ids)],
+        "adjacency_radius_m": 20,
+        "devices": [
+            {"ref": "walker", "scan_window_s": 2.0,
+             "path": [[0.0, [-5.0, 1.0]], [60.0, [50.0, 1.0]], [120.0, [-5.0, -1.0]]]},
+            {"ref": "left", "path": [[0.0, [15.0, 2.0]]]},
+            {"ref": "right", "path": [[0.0, [30.0, -2.0]]], "lookup_budget": 3},
+        ],
+        "duration_s": 120.0,
+        "radio": {"seed": 11, "noise_sigma": 2.5},
+        "attacks": attacks,
+    }
+
+
 SCENARIOS = {
     "ac2-static-600s": lambda: _shortened(_replay_doc(rotating=False, seed=7), 600.0),
     "ac2-rotating-600s": lambda: _shortened(_replay_doc(rotating=True, seed=3), 600.0),
@@ -80,6 +119,12 @@ SCENARIOS = {
     "ac5-guarded": lambda: _guarded_doc(True),
     "walking": _walking_doc,
     "walking-tv-off": lambda: {**_walking_doc(), "defences": ["SJ"]},
+    "a4-reprogram": lambda: _corridor_doc(
+        [{"kind": "A4", "target_beacon": "b2", "new_id_hex": "ee" * 20}]),
+    "a5-reshuffle": lambda: {**_corridor_doc(
+        [{"kind": "A5", "action": "swap", "beacons": ["b2", "b3"]},
+         {"kind": "A5", "action": "remove", "beacon": "b4"}]),
+        "attacker": {"physical_access": True}},
 }
 
 FILES = ("events.jsonl", "traces.jsonl", "metrics.csv")
@@ -119,6 +164,16 @@ GOLDEN = {
         "traces.jsonl": "65f7ff720983091d72ca2d63fedbaaa504a3a67d31c9a8ad45ad26dc6a615415",
         "metrics.csv": "1faf8d7975608fa0627448dfda5d95caaf5eb74dde718dc506418e94279859e3",
     },
+    "a4-reprogram": {
+        "events.jsonl": "24f1b6822073ee36a155a0e9e6d9d0aea522df1b6c059c62df38378058fbe43f",
+        "traces.jsonl": "e97ca7890d090fffd460626aeaee7def1651998d90bef7fe94655c175b7a9477",
+        "metrics.csv": "321870bef56797fb781d13bb900183ebf3c8befcc84d9e12137887d5c0aee165",
+    },
+    "a5-reshuffle": {
+        "events.jsonl": "ccbabcfc7c6cbc59caa50950483808b83e320d712e64e1847614c75f38095a39",
+        "traces.jsonl": "4843232a0454643fe2ed834e996ec4ef2265d10be8b6a047c2d32aa7a155b8de",
+        "metrics.csv": "c5da391228ab306b2469a4e36d64f047b20fb57d72e658f1f0c1bdae74748a11",
+    },
 }
 
 
@@ -135,3 +190,55 @@ def _digests(doc: dict, out_dir) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_outputs_match_pinned_digests(name, tmp_path):
     assert _digests(SCENARIOS[name](), tmp_path) == GOLDEN[name]
+
+
+def _detect_inputs(tmp_path) -> list[str]:
+    """A fixed `detect` case on the four-beacon path of AC-4: 30 clean
+    calibration walks, then 12 clean walks, 4 with a jump to a beacon that is
+    not adjacent (A2), 4 with a sighting of an ID the deployment does not own
+    (A4), 4 with b2 and b3 swapped (A5) and one walk too short to judge."""
+    rng = random.Random(2024)
+    deployment = tmp_path / "deployment.yaml"
+    deployment.write_text(yaml.safe_dump({
+        "beacons": [{"ref": ref, "x": 20.0 * i, "y": 0.0, "tx_power_1m": -59.0,
+                     "adv_interval_ms": 1000.0, "id_hex": hexid}
+                    for i, (ref, hexid) in enumerate(_PATH_IDS.items())],
+        "content": [{"id_hex": hexid, "locator": f"app://{ref}"}
+                    for ref, hexid in _PATH_IDS.items()],
+        "adjacency": [["b1", "b2"], ["b2", "b3"], ["b3", "b4"]],
+    }))
+    calibration = tmp_path / "calibration.jsonl"
+    write_traces_jsonl(str(calibration),
+                       [_trace(_walk(rng), f"cal{k}") for k in range(30)])
+
+    def jump(walk):
+        i = rng.randrange(1, len(walk) - 1)
+        far = [u for u in _PATH_ADJ if u != walk[i] and u not in _PATH_ADJ[walk[i]]]
+        return walk[: i + 1] + [rng.choice(far)] + walk[i + 1:]
+
+    def unknown(walk):
+        out = list(walk)
+        out[rng.randrange(len(out))] = "??"
+        return out
+
+    swap = {"b2": "b3", "b3": "b2"}
+    walks = [(f"clean{k}", _walk(rng)) for k in range(12)]
+    for kind, mutate in (("a2", jump), ("a4", unknown),
+                         ("a5", lambda w: [swap.get(s, s) for s in w])):
+        walks += [(f"{kind}-{k}", mutate(_walk(rng))) for k in range(4)]
+    walks.append(("short", ["b1", "b2"]))
+    traces = tmp_path / "traces.jsonl"
+    write_traces_jsonl(str(traces), [_trace(states, ref) for ref, states in walks])
+    return ["detect", "--deployment", str(deployment), "--traces", str(traces),
+            "--calibration", str(calibration), "--alpha", "0.1"]
+
+
+# sha256 of verdicts.csv for the fixed detect case, taken before the trace
+# reader and the state resolver were rewritten for speed.
+DETECT_VERDICTS = "d6ca1db1aad8a8a3959ab954a39895efeffadaac5dd544cac9ea255d1a73f130"
+
+
+def test_detect_verdicts_match_pinned_digest(tmp_path):
+    out = tmp_path / "verdicts.csv"
+    assert main(_detect_inputs(tmp_path) + ["--out", str(out)]) == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DETECT_VERDICTS
