@@ -183,13 +183,22 @@ def adjacency_from_positions(deployment: DeploymentMap, radius: float) -> Deploy
 # ---------------------------------------------------------------------------
 # document loading
 
+# libyaml's parser where PyYAML was built with it: the same safe documents as
+# yaml.SafeLoader, parsed about eight times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(text):
+    """yaml.safe_load with libyaml when available; errors are yaml.YAMLError."""
+    return yaml.load(text, Loader=_YAML_LOADER)
+
 
 def _parse_document(document) -> dict:
     if isinstance(document, Mapping):
         return dict(document)
     if isinstance(document, (str, bytes)):
         try:
-            parsed = yaml.safe_load(document)
+            parsed = _load_yaml(document)
         except yaml.YAMLError as exc:
             raise SchemaError(f"unparseable document: {exc}") from exc
         if not isinstance(parsed, Mapping):

@@ -129,10 +129,11 @@ def build_markov(
 
 def static_state_resolver(deployment: DeploymentMap) -> StateResolver:
     """Map observations to beacon refs through the deployment's fixed IDs."""
-    table = deployment.static_ids()
+    # keyed on the raw bytes: hashing them skips BeaconId's generated __hash__
+    table = {beacon_id.data: ref for beacon_id, ref in deployment.static_ids().items()}
 
     def resolve(obs: Observation) -> Optional[str]:
-        return table.get(obs.id)
+        return table.get(obs.id.data)
 
     return resolve
 

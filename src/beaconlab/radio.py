@@ -91,6 +91,28 @@ FLAGGED = "Flagged"
 
 EVENT_KINDS = (BROADCAST, RECEIVE, CONTENT_DELIVERED, NO_ACTION, JAMMED, FLAGGED)
 
+# json.dumps(obj, sort_keys=True) builds a fresh encoder on every call; this
+# one has exactly its options, so it renders the same bytes.
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """`json.loads(line)`, without its per-call wrappers on the common path.
+
+    A line that `raw_decode` rejects or does not consume whole (surrounding
+    whitespace, a byte-order mark, extra data) goes through `json.loads`, so
+    it parses or fails exactly as it would there.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if end != len(line):
+        return json.loads(line)
+    return value
+
 
 class Event(NamedTuple):
     time: float
@@ -99,15 +121,12 @@ class Event(NamedTuple):
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"t": self.time, "seq": self.seq, "kind": self.kind, "data": self.data},
-            sort_keys=True,
-        )
+        return _dumps_sorted({"t": self.time, "seq": self.seq, "kind": self.kind, "data": self.data})
 
     @classmethod
     def from_json(cls, line: str) -> "Event":
-        raw = json.loads(line)
-        return cls(time=raw["t"], seq=raw["seq"], kind=raw["kind"], data=raw["data"])
+        raw = _decode_line(line)
+        return cls(raw["t"], raw["seq"], raw["kind"], raw["data"])
 
 
 @dataclass

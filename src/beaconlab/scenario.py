@@ -8,6 +8,7 @@ and tracks how many declared profiles have been materialized so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -88,6 +89,17 @@ def _parse_position(raw, where: str) -> tuple[float, float]:
         return (float(raw[0]), float(raw[1]))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: position coordinates must be numbers") from exc
+
+
+def _parse_duration(raw) -> float:
+    """duration_s as a positive finite float: `run` loops until it is reached."""
+    try:
+        duration = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"duration_s must be a number, got {raw!r}") from exc
+    if not math.isfinite(duration) or duration <= 0:
+        raise ValidationError(f"duration_s must be positive and finite, got {raw!r}")
+    return duration
 
 
 def _parse_device(entry: Mapping) -> UserDevice:
@@ -305,7 +317,7 @@ def load_scenario(document) -> Scenario:
         bloom_k=int(bloom_k) if bloom_k is not None else None,
         defences=frozenset(defences),
         attacker_caps=frozenset(caps),
-        duration_s=float(doc.get("duration_s", 60.0)),
+        duration_s=_parse_duration(doc.get("duration_s", 60.0)),
     )
 
     raw_guardian = doc.get("guardian")
@@ -325,9 +337,6 @@ def load_scenario(document) -> Scenario:
         except InvalidInput as exc:
             raise ValidationError(f"guardian: {exc}") from exc
         scenario = apply_guardian(scenario, config)
-
-    if scenario.duration_s <= 0:
-        raise ValidationError("duration_s must be positive")
     return scenario
 
 

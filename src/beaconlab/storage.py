@@ -2,7 +2,18 @@
 
 Every format carries a version tag on its first line so readers can refuse
 files they do not understand instead of misparsing them. Writers are
-deterministic: equal inputs produce byte-identical files.
+deterministic: equal inputs produce byte-identical files. Every JSON line is
+rendered by one shared encoder, `radio._dumps_sorted`, whose options are
+exactly those of `json.dumps(..., sort_keys=True)`.
+
+Readers decode each line through `radio._decode_line`, with the semantics of
+`json.loads(line)`: surrounding whitespace is allowed, NaN and Infinity are
+accepted, and a line holding anything beyond one JSON value (or a byte-order
+mark) fails with the error `json.loads` gives. The common line is decoded by
+one `raw_decode` call; only a line that call rejects or does not consume whole
+takes the `json.loads` path. The trace reader interns beacon IDs per file, so
+every observation of one `id_hex` shares one `BeaconId`: a file names a few
+dozen IDs across tens of thousands of lines.
 """
 
 from __future__ import annotations
@@ -11,9 +22,9 @@ import csv
 import json
 from typing import Iterable, Optional
 
-from .errors import SchemaError
+from .errors import InvalidInput, SchemaError
 from .model import BeaconId, Observation, Trace
-from .radio import Event, EventLog
+from .radio import Event, EventLog, _decode_line, _dumps_sorted
 
 FORMAT_VERSION = 1
 EVENTS_FORMAT = "beaconlab.events"
@@ -35,12 +46,12 @@ HEADLINE = {
 
 
 def _header_line(fmt: str) -> str:
-    return json.dumps({"format": fmt, "version": FORMAT_VERSION}, sort_keys=True)
+    return _dumps_sorted({"format": fmt, "version": FORMAT_VERSION})
 
 
 def _check_header(line: str, fmt: str, path: str) -> None:
     try:
-        head = json.loads(line)
+        head = _decode_line(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: missing format header") from exc
     if not isinstance(head, dict) or head.get("format") != fmt:
@@ -71,43 +82,55 @@ def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
         for trace in traces:
             for obs in trace.observations:
                 fh.write(
-                    json.dumps(
+                    _dumps_sorted(
                         {
                             "t": obs.time,
                             "device": obs.receiver_ref,
                             "id_hex": obs.id.hex(),
                             "rssi": obs.rssi,
                             "claimed_tx": obs.claimed_tx_power,
-                        },
-                        sort_keys=True,
+                        }
                     )
                     + "\n"
                 )
 
 
 def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
-    """Rebuild traces, grouped by device in order of first appearance."""
+    """Rebuild traces, grouped by device in order of first appearance.
+
+    A line that is not one JSON object with the five trace fields, or whose
+    `id_hex` is not a non-empty hex string, raises SchemaError naming the
+    file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file")
     _check_header(lines[0], TRACES_FORMAT, path)
+    ids: dict[str, BeaconId] = {}
     grouped: dict[str, list[Observation]] = {}
     for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
-            raw = json.loads(line)
-            obs = Observation(
-                time=float(raw["t"]),
-                receiver_ref=str(raw["device"]),
-                id=BeaconId.from_hex(raw["id_hex"]),
-                rssi=float(raw["rssi"]),
-                claimed_tx_power=float(raw["claimed_tx"]),
-            )
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            raw = _decode_line(line)
+            t = float(raw["t"])
+            device = str(raw["device"])
+            id_hex = raw["id_hex"]
+            try:
+                beacon_id = ids[id_hex]
+            except (KeyError, TypeError):
+                # from_hex raises for anything that is not a hex string,
+                # unhashable values included, before it can be stored
+                beacon_id = ids[id_hex] = BeaconId.from_hex(id_hex)
+            obs = Observation(t, device, beacon_id, float(raw["rssi"]), float(raw["claimed_tx"]))
+        except (KeyError, ValueError, TypeError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc
-        grouped.setdefault(obs.receiver_ref, []).append(obs)
+        obs_list = grouped.get(device)
+        if obs_list is None:
+            grouped[device] = [obs]
+        else:
+            obs_list.append(obs)
     return tuple(Trace(ref, tuple(obs_list)) for ref, obs_list in grouped.items())
 
 
@@ -136,7 +159,7 @@ def metric_rows(
                 "sniff_mode": metrics.get("sniff_mode", ""),
                 "metric": headline,
                 "value": _fmt_value(metrics.get(headline)),
-                "detail": json.dumps(detail, sort_keys=True),
+                "detail": _dumps_sorted(detail),
             }
         )
     rows.append(
@@ -146,7 +169,7 @@ def metric_rows(
             "sniff_mode": "",
             "metric": "delivery_correctness",
             "value": _fmt_value(delivery_rate),
-            "detail": json.dumps({"n_deliveries": n_deliveries}, sort_keys=True),
+            "detail": _dumps_sorted({"n_deliveries": n_deliveries}),
         }
     )
     return rows

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 import yaml
 
 from .errors import InvalidInput, SchemaError, UnknownRef, ValidationError
+from .model import _load_yaml
 
 GOALS = ("C", "I", "A", "P")  # confidentiality, integrity, availability, privacy
 GOAL_NAMES = {
@@ -265,7 +266,7 @@ def load_matrix(document) -> ThreatMatrix:
     """
     if isinstance(document, (str, bytes)):
         try:
-            parsed = yaml.safe_load(document)
+            parsed = _load_yaml(document)
         except yaml.YAMLError as exc:
             raise SchemaError(f"unparseable matrix document: {exc}") from exc
     else:

@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from beaconlab import (
     BeaconId,
@@ -11,7 +12,10 @@ from beaconlab import (
     ValidationError,
     adjacency_from_positions,
     load_deployment,
+    load_matrix,
+    load_scenario,
 )
+from beaconlab.model import _parse_document
 from conftest import AA, BB, CC, KEY1, ephemeral_beacon, static_beacon
 
 
@@ -172,3 +176,55 @@ def test_static_id_mode_carries_the_id(static_doc):
     mode = dep.beacon("b1").id_mode
     assert isinstance(mode, StaticId)
     assert mode.id == BeaconId.from_hex(AA)
+
+
+_HAND_WRITTEN = """
+# anchors, flow style, YAML 1.1 scalars and comments
+base: &b {x: 0.0, y: -1.5e1, tx_power_1m: -59, adv_interval_ms: 0x3E8}
+beacons:
+  - {<<: *b, ref: b1, id_hex: "%s"}
+  - <<: *b
+    ref: b2
+    id_mode: ephemeral
+    key_hex: '%s'
+flags: [yes, no, on, off, ~, .inf, -.inf, .nan, 1_000, 2001-12-14]
+text: |
+  two
+  lines
+""" % (AA, KEY1)
+
+
+def _yaml_texts():
+    from test_golden import SCENARIOS  # the golden documents
+
+    docs = [doc() for doc in SCENARIOS.values()]
+    texts = [yaml.safe_dump(doc) for doc in docs]
+    texts += [yaml.safe_dump(doc, default_flow_style=True) for doc in docs]
+    return texts + [_HAND_WRITTEN]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestYamlLoader:
+    """Documents parse through libyaml; it must read them as yaml.SafeLoader does."""
+
+    def test_libyaml_and_pure_loaders_agree(self, static_doc, ephemeral_doc):
+        texts = _yaml_texts() + [yaml.safe_dump(static_doc), yaml.safe_dump(ephemeral_doc)]
+        for text in texts:
+            pure = yaml.load(text, Loader=yaml.SafeLoader)
+            # repr, because .nan never equals itself
+            assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(pure)
+            assert repr(_parse_document(text)) == repr(pure)
+            assert repr(_parse_document(text.encode())) == repr(pure)
+
+    @pytest.mark.parametrize("text", [
+        "beacons: [1,", "\tbeacons: 1", "a: *missing", "--- 1\n--- 2", "a: \x07",
+        b"a: \xc3\x28", "!!python/object:os.system {}", "[" * 5000,
+    ], ids=["unclosed", "tab", "alias", "two-docs", "control-char", "bad-utf8",
+            "python-tag", "deep-nesting"])
+    def test_unparseable_text_is_a_schema_error(self, text):
+        with pytest.raises(SchemaError, match="unparseable"):
+            load_deployment(text)
+        with pytest.raises(SchemaError, match="unparseable"):
+            load_scenario(text)
+        with pytest.raises(SchemaError, match="unparseable"):
+            load_matrix(text)

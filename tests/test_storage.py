@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beaconlab import (
     BeaconId,
+    Event,
+    InvalidInput,
     Observation,
     SchemaError,
     Trace,
@@ -18,6 +22,8 @@ from beaconlab import (
 from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, EventLog, RECEIVE
 from beaconlab.storage import metric_rows
 from conftest import AA, BB
+
+TRACES_HEADER = '{"format": "beaconlab.traces", "version": 1}'
 
 
 def sample_log():
@@ -96,6 +102,166 @@ class TestTracesJsonl:
         )
         with pytest.raises(SchemaError, match=":2:"):
             read_traces_jsonl(str(path))
+
+    @pytest.mark.parametrize("id_hex", ["zz", ""])
+    def test_bad_id_hex_is_reported_with_its_number(self, tmp_path, id_hex):
+        path = tmp_path / "traces.jsonl"
+        good = _line(device="phone", id_hex=AA)
+        path.write_text("\n".join([TRACES_HEADER, good, _line(id_hex=id_hex), good]) + "\n")
+        with pytest.raises(SchemaError, match=r"traces\.jsonl:3: bad trace line"):
+            read_traces_jsonl(str(path))
+
+    def test_equal_id_hex_shares_one_beacon_id(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        path.write_text("\n".join([
+            TRACES_HEADER,
+            _line(t=0.0, device="phone", id_hex=AA),
+            _line(t=1.0, device="tablet", id_hex=BB),
+            _line(t=2.0, device="tablet", id_hex=AA),
+            _line(t=3.0, device="phone", id_hex=AA),
+        ]) + "\n")
+        phone, tablet = read_traces_jsonl(str(path))
+        first, again = phone.observations
+        assert first.id is again.id is tablet.observations[1].id
+        assert first.id == BeaconId.from_hex(AA)
+        assert tablet.observations[0].id != first.id
+
+
+def _line(**fields) -> str:
+    obs = {"t": 0.0, "device": "dev", "id_hex": AA, "rssi": -60.0, "claimed_tx": -59.0}
+    return json.dumps({**obs, **fields}, sort_keys=True)
+
+
+def _reference_read(path: str):
+    """The trace reader spelled out with one json.loads per line.
+
+    Returns the traces, or the number of the first line that must raise
+    SchemaError; an error that is not about one line propagates.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    grouped: dict[str, list[Observation]] = {}
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+            obs = Observation(
+                time=float(raw["t"]),
+                receiver_ref=str(raw["device"]),
+                id=BeaconId.from_hex(raw["id_hex"]),
+                rssi=float(raw["rssi"]),
+                claimed_tx_power=float(raw["claimed_tx"]),
+            )
+        except (KeyError, ValueError, TypeError, InvalidInput):
+            return n
+        grouped.setdefault(obs.receiver_ref, []).append(obs)
+    return tuple(Trace(ref, tuple(obs_list)) for ref, obs_list in grouped.items())
+
+
+def _comparable(traces):
+    # repr, because NaN never equals NaN
+    return [
+        (t.device_ref, [(repr(o.time), o.receiver_ref, o.id.data, repr(o.rssi),
+                         repr(o.claimed_tx_power)) for o in t.observations])
+        for t in traces
+    ]
+
+
+_ID_HEX = st.sampled_from([AA, BB, AA.upper(), "aa bb", "", "zz", "a"])
+_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10, max_value=10),
+    st.sampled_from(["dev", "phone", "1.5", "x", "", True, False, None, [1.0], {"a": 1}]),
+    _ID_HEX,
+)
+_FIELDS = st.dictionaries(
+    st.sampled_from(["t", "device", "id_hex", "rssi", "claimed_tx", "extra"]), _VALUE,
+)
+_OBS = st.fixed_dictionaries(
+    {"t": st.floats(min_value=0.0, max_value=5.0), "device": st.sampled_from(["dev", "phone"]),
+     "id_hex": _ID_HEX, "rssi": st.floats(-90.0, -40.0), "claimed_tx": st.just(-59.0)},
+)
+_PAD = st.text(alphabet=" \t", max_size=2)
+
+
+def _render(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
+_LINE = st.one_of(
+    st.builds(_render, _OBS),
+    st.builds(lambda a, b, c: a + _render(c) + b, _PAD, _PAD, _OBS),
+    st.builds(lambda a, b: _render(a) + _render(b), _OBS, _OBS),
+    st.builds(_render, _FIELDS),
+    st.builds(lambda obs: _render(obs).replace("-59.0", "NaN"), _OBS),
+    st.sampled_from(["", "[1, 2]", "5", '"x"', "null", "NaN", "{", "\ufeff{}", "{} x"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, max_size=6))
+def test_reader_matches_a_json_loads_reference(tmp_path_factory, lines):
+    path = str(tmp_path_factory.mktemp("traces") / "traces.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([TRACES_HEADER] + lines) + "\n")
+    try:
+        expected = _reference_read(path)
+    except InvalidInput as exc:  # a trace out of time order
+        with pytest.raises(InvalidInput, match=str(exc)):
+            read_traces_jsonl(path)
+        return
+    if isinstance(expected, int):
+        with pytest.raises(SchemaError, match=f"traces\\.jsonl:{expected}: "):
+            read_traces_jsonl(path)
+    else:
+        assert _comparable(read_traces_jsonl(path)) == _comparable(expected)
+
+
+class TestSharedEncoder:
+    """Writers render through one encoder; it must equal json.dumps(sort_keys)."""
+
+    ODD_DATA = {"ref": "caf\u00e9 \u6771\u4eac", "rssi": math.nan, "far": -math.inf,
+                "correct": True, "seen": False, "ids": [AA, 1, 2.5, None],
+                "nested": {"z": [True], "a": "\u00fc"}}
+
+    def test_event_line_equals_json_dumps(self):
+        event = Event(1.25, 7, "Receive", self.ODD_DATA)
+        expected = json.dumps({"t": 1.25, "seq": 7, "kind": "Receive", "data": self.ODD_DATA},
+                              sort_keys=True)
+        assert event.to_json() == expected
+
+    @given(data=st.dictionaries(
+        st.text(max_size=4),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=8,
+        ),
+        max_size=4,
+    ))
+    def test_any_event_data_renders_as_json_dumps(self, data):
+        event = Event(0.5, 1, "Broadcast", data)
+        expected = json.dumps({"t": 0.5, "seq": 1, "kind": "Broadcast", "data": data},
+                              sort_keys=True)
+        assert event.to_json() == expected
+
+    def test_trace_lines_equal_json_dumps(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        observations = (
+            Observation(0.0, "t\u00e9l\u00e9phone", BeaconId.from_hex(AA), math.nan, -59.0),
+            Observation(math.inf, "t\u00e9l\u00e9phone", BeaconId.from_hex(BB), -61.5, True),
+        )
+        write_traces_jsonl(str(path), [Trace("t\u00e9l\u00e9phone", observations)])
+        expected = [json.dumps({"format": "beaconlab.traces", "version": 1}, sort_keys=True)]
+        expected += [
+            json.dumps({"t": o.time, "device": o.receiver_ref, "id_hex": o.id.hex(),
+                        "rssi": o.rssi, "claimed_tx": o.claimed_tx_power}, sort_keys=True)
+            for o in observations
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 class TestMetricsCsv:
