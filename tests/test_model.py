@@ -17,6 +17,7 @@ from beaconlab import (
 )
 from beaconlab.model import _parse_document
 from conftest import AA, BB, CC, KEY1, ephemeral_beacon, static_beacon
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 
 def obs(t, id_hex=AA, rssi=-60.0):
@@ -195,9 +196,7 @@ text: |
 
 
 def _yaml_texts():
-    from test_golden import SCENARIOS  # the golden documents
-
-    docs = [doc() for doc in SCENARIOS.values()]
+    docs = [doc() for doc in GOLDEN_SCENARIOS.values()]
     texts = [yaml.safe_dump(doc) for doc in docs]
     texts += [yaml.safe_dump(doc, default_flow_style=True) for doc in docs]
     return texts + [_HAND_WRITTEN]
