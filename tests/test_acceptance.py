@@ -266,7 +266,7 @@ def _guarded_doc(with_guardian: bool) -> dict:
     }
     if with_guardian:
         doc["guardian"] = {"protected_tag": "fob", "jam_radius_m": 10.0,
-                           "reliability": 1.0, "authorized": ["dave"]}
+                           "reaction_reliability": 1.0, "authorized": ["dave"]}
     return doc
 
 

@@ -30,7 +30,7 @@ def doc(**overrides):
         "adjacency_radius_m": 25,
         "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}],
         "duration_s": 30.0,
-        "radio": {"seed": 1, "sigma_db": 0.0},
+        "radio": {"seed": 1, "noise_sigma": 0.0},
     }
     base.update(overrides)
     return base

@@ -24,7 +24,7 @@ def manifest_doc(**overrides):
         "adjacency_radius_m": 25,
         "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}],
         "duration_s": 10.0,
-        "radio": {"seed": 4, "sigma_db": 0.0},
+        "radio": {"seed": 4, "noise_sigma": 0.0},
     }
     base.update(overrides)
     return base
@@ -104,7 +104,7 @@ class TestSimulate:
         assert summary["n_windows"] > 0
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
-        manifest = write_manifest(tmp_path / "s.yaml", radio={"sigma_db": 0.0})
+        manifest = write_manifest(tmp_path / "s.yaml", radio={"noise_sigma": 0.0})
         monkeypatch.setenv("BEACONLAB_SEED", "77")
         main(["simulate", manifest, "--out", str(tmp_path / "a")])
         assert json.loads(capsys.readouterr().out)["seed"] == 77

@@ -41,7 +41,7 @@ def harvest_doc(rotating):
         "adjacency_radius_m": 70,
         "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}],
         "duration_s": 300.0,
-        "radio": {"seed": 8, "sigma_db": 0.0},
+        "radio": {"seed": 8, "noise_sigma": 0.0},
         "attacks": [{"kind": "A1", "sniff_mode": "lunch_time"}],
     }
 
@@ -82,7 +82,7 @@ class TestRotationVsHarvesting:
                     "apps": [{"ref": "mole", "authorized": True, "malicious": True}],
                 }],
                 "duration_s": 300.0,
-                "radio": {"seed": 8, "sigma_db": 0.0},
+                "radio": {"seed": 8, "noise_sigma": 0.0},
                 "attacks": [{"kind": "A6", "sniff_mode": "lunch_time",
                              "target_device": "phone"}],
             }
@@ -105,7 +105,7 @@ class TestRotationVsHarvesting:
                 "tags": [{"ref": "fob", "carried_by": "alice",
                           "adv_interval_ms": 1000.0, **identity}],
                 "duration_s": 60.0,
-                "radio": {"seed": 8, "sigma_db": 0.0},
+                "radio": {"seed": 8, "noise_sigma": 0.0},
                 "attacks": [{"kind": "A7", "target_tag": "fob",
                              "surveillance_positions": [[0.0, 0.0]]}],
             }
@@ -133,7 +133,7 @@ class TestRotationVsFlooding:
                 "adjacency_radius_m": 25,
                 "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}],
                 "duration_s": 600.0,
-                "radio": {"seed": 8, "sigma_db": 0.0},
+                "radio": {"seed": 8, "noise_sigma": 0.0},
                 "attacks": [{"kind": "A3", "target_beacon": "b1"}],
             }
 
@@ -157,7 +157,7 @@ class TestOutlierVsTampering:
             "devices": [{"ref": "phone",
                          "path": [[0.0, [0.0, 1.0]], [120.0, [40.0, 1.0]]]}],
             "duration_s": 120.0,
-            "radio": {"seed": 8, "sigma_db": 0.0, "max_range_m": 15.0},
+            "radio": {"seed": 8, "noise_sigma": 0.0, "max_range_m": 15.0},
         }
 
     def detect_trace(self, result):

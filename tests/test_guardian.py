@@ -31,7 +31,7 @@ def tag_scenario_doc():
              "id_hex": BB},
         ],
         "duration_s": 30.0,
-        "radio": {"seed": 3, "sigma_db": 0.0},
+        "radio": {"seed": 3, "noise_sigma": 0.0},
     }
 
 

@@ -34,7 +34,7 @@ def doc(**overrides):
         "adjacency_radius_m": 25,
         "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}],
         "duration_s": 12.0,
-        "radio": {"seed": 11, "sigma_db": 0.0},
+        "radio": {"seed": 11, "noise_sigma": 0.0},
     }
     base.update(overrides)
     return base
@@ -46,11 +46,11 @@ def event_lines(result):
 
 class TestDeterminism:
     def test_equal_seeds_are_byte_identical(self):
-        d = doc(radio={"seed": 5, "sigma_db": 2.0})
+        d = doc(radio={"seed": 5, "noise_sigma": 2.0})
         assert event_lines(run(load_scenario(d))) == event_lines(run(load_scenario(d)))
 
     def test_different_seeds_differ(self):
-        noisy = {"sigma_db": 2.0}
+        noisy = {"noise_sigma": 2.0}
         a = run(load_scenario(doc(radio={"seed": 5, **noisy})))
         b = run(load_scenario(doc(radio={"seed": 6, **noisy})))
         assert event_lines(a) != event_lines(b)
@@ -74,7 +74,7 @@ class TestDeterminism:
 
 class TestEventStream:
     def test_every_receive_has_a_matching_broadcast(self):
-        result = run(load_scenario(doc(radio={"seed": 2, "sigma_db": 2.0})))
+        result = run(load_scenario(doc(radio={"seed": 2, "noise_sigma": 2.0})))
         live = set()
         for event in result.events:
             if event.kind == BROADCAST:
@@ -91,7 +91,7 @@ class TestEventStream:
     def test_max_range_cuts_reception(self):
         far = doc(
             devices=[{"ref": "phone", "path": [[0.0, [200.0, 0.0]]]}],
-            radio={"seed": 2, "sigma_db": 0.0, "max_range_m": 50.0},
+            radio={"seed": 2, "noise_sigma": 0.0, "max_range_m": 50.0},
         )
         result = run(load_scenario(far))
         assert not [e for e in result.events if e.kind == RECEIVE]
