@@ -79,7 +79,7 @@ class PersonalTag:
 
     ref: str
     carried_by: str
-    adv_interval_ms: float
+    adv_interval_ms: float = 1000.0
     tx_power_1m: float = -59.0
     static_id: Optional[BeaconId] = None
     key: Optional[bytes] = None

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import CapabilityError, InvalidInput, UnknownRef
 from .model import BeaconId, EphemeralId, StaticId
+from .model import _beacon_id, _integer, _number, _position, _positions
 from .threatmatrix import default_matrix
 
 if TYPE_CHECKING:
@@ -69,6 +70,11 @@ _MATRIX = default_matrix()
 def normalize_kind(kind: str) -> str:
     text = kind.strip().lower().replace("-", "_").replace(" ", "_")
     return _KIND_ALIASES.get(text, kind.strip().upper())
+
+
+def normalize_sniff_mode(mode: str) -> str:
+    text = mode.strip().lower().replace("-", "_")
+    return LUNCH_TIME if text in ("lunchtime", "lunch") else text
 
 
 def required_capabilities(kind: str) -> frozenset[str]:
@@ -226,17 +232,17 @@ def _need(profile: AttackProfile, key: str):
     return value
 
 
+def _param(profile: AttackProfile, key: str, default):
+    """A numeric param, or default when the profile does not give it."""
+    value = profile.params.get(key)
+    return default if value is None else _number(value, f"{profile.kind} {key}")
+
+
 def _beacon_or_raise(scenario: "Scenario", ref: str, kind: str):
     try:
         return scenario.deployment.beacon(str(ref))
     except KeyError:
         raise UnknownRef(f"{kind}: no beacon named {ref!r}") from None
-
-
-def _position(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InvalidInput(f"{where}: expected [x, y], got {value!r}")
-    return (float(value[0]), float(value[1]))
 
 
 def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scenario":
@@ -271,8 +277,6 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
         source = _beacon_or_raise(scenario, _need(profile, "source_beacon"), kind)
         fake_pos = _position(_need(profile, "fake_position"), "A2 fake_position")
         add_receivers(profile.attacker_positions or (source.position,))
-        tx = params.get("emitter_tx_power_1m")
-        interval = params.get("interval_ms")
         injected.append(
             InjectedEmitter(
                 ref=f"atk{index}.fake",
@@ -280,8 +284,8 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
                 mode="fake",
                 x=fake_pos[0],
                 y=fake_pos[1],
-                tx_power_1m=float(tx) if tx is not None else source.tx_power_1m,
-                interval_ms=float(interval) if interval is not None else source.adv_interval_ms,
+                tx_power_1m=_param(profile, "emitter_tx_power_1m", source.tx_power_1m),
+                interval_ms=_param(profile, "interval_ms", source.adv_interval_ms),
                 claimed_tx_power=None,
                 source_ref=source.ref,
             )
@@ -289,14 +293,13 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
 
     elif kind == "A3":
         target = _beacon_or_raise(scenario, _need(profile, "target_beacon"), kind)
-        claimed = params.get("claimed_tx_power")
-        claimed = float(claimed) if claimed is not None else target.tx_power_1m + SILENCE_TX_BOOST_DB
-        flood = params.get("flood_interval_ms")
-        flood = float(flood) if flood is not None else target.adv_interval_ms / SILENCE_FLOOD_DIVISOR
+        claimed = _param(profile, "claimed_tx_power", target.tx_power_1m + SILENCE_TX_BOOST_DB)
+        flood = _param(
+            profile, "flood_interval_ms", target.adv_interval_ms / SILENCE_FLOOD_DIVISOR
+        )
         if flood <= 0:
             raise InvalidInput("A3: flood_interval_ms must be positive")
-        tx = params.get("emitter_tx_power_1m")
-        tx = float(tx) if tx is not None else target.tx_power_1m - SILENCE_PHYS_DROP_DB
+        tx = _param(profile, "emitter_tx_power_1m", target.tx_power_1m - SILENCE_PHYS_DROP_DB)
         pos = params.get("emitter_position")
         pos = _position(pos, "A3 emitter_position") if pos is not None else target.position
         add_receivers(profile.attacker_positions or (target.position,))
@@ -321,7 +324,7 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
                 ["C4"],
                 f"A4: beacon {target.ref!r} requires authenticated re-programming (C4)",
             )
-        new_id = BeaconId.from_hex(str(_need(profile, "new_id_hex")))
+        new_id = _beacon_id(_need(profile, "new_id_hex"), "A4 new_id_hex")
         if len(new_id) != deployment.id_width:
             raise InvalidInput(
                 f"A4: new id is {len(new_id)} bytes, deployment width is {deployment.id_width}"
@@ -375,17 +378,16 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
         ref = str(_need(profile, "target_tag"))
         if all(t.ref != ref for t in scenario.tags):
             raise UnknownRef(f"A7: no tag named {ref!r}")
-        raw_positions = _need(profile, "surveillance_positions")
-        if not isinstance(raw_positions, (list, tuple)) or not raw_positions:
+        positions = _positions(_need(profile, "surveillance_positions"), "A7 positions")
+        if not positions:
             raise InvalidInput("A7: surveillance_positions must be a non-empty list")
-        positions = tuple(_position(p, "A7 surveillance position") for p in raw_positions)
         add_receivers(positions, role="surveillance")
 
     elif kind == "A8":
-        n_ids = int(_need(profile, "n_ids"))
+        n_ids = _integer(_need(profile, "n_ids"), "A8 n_ids")
         if n_ids < 1:
             raise InvalidInput("A8: n_ids must be at least 1")
-        interval = float(params.get("interval_ms", 100.0))
+        interval = _param(profile, "interval_ms", 100.0)
         if interval <= 0:
             raise InvalidInput("A8: interval_ms must be positive")
         pos = params.get("position")
@@ -395,7 +397,6 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
             pos = scenario.devices[0].path[0][1]
         else:
             pos = (0.0, 0.0)
-        claimed = params.get("claimed_tx_power")
         injected.append(
             InjectedEmitter(
                 ref=f"atk{index}.drain",
@@ -405,7 +406,7 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
                 y=pos[1],
                 tx_power_1m=-59.0,
                 interval_ms=interval,
-                claimed_tx_power=float(claimed) if claimed is not None else None,
+                claimed_tx_power=_param(profile, "claimed_tx_power", None),
                 n_ids=n_ids,
             )
         )
@@ -635,7 +636,7 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
 
     elif kind == "A7":
         detections = result.detections.get(profile_index, [])
-        gap = float(profile.params.get("presence_gap_s", 30.0))
+        gap = _param(profile, "presence_gap_s", 30.0)
         times = [t for t, _, _ in detections]
         metrics["detection_count"] = len(detections)
         metrics["presence_intervals"] = _merge_intervals(times, gap)

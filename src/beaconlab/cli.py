@@ -20,6 +20,7 @@ from typing import Optional
 
 from .attacks import attack_metrics, delivery_correctness
 from .ephemeral import (
+    DEFAULT_FP_TARGET,
     EphemeralParams,
     IdSchedule,
     build_filter,
@@ -29,8 +30,9 @@ from .ephemeral import (
     verify_and_resolve,
     write_filter_file,
 )
-from .errors import BeaconLabError, InvalidInput, SchemaError, TooShort
-from .model import BeaconId, load_deployment, _parse_document
+from .errors import BeaconLabError, SchemaError, TooShort
+from .model import DEFAULT_ID_WIDTH, BeaconId, load_deployment
+from .model import _hex, _integer, _mapping, _parse_document
 from .outlier import (
     DetectorParams,
     build_markov,
@@ -78,16 +80,10 @@ def _read_text(path: str) -> str:
 
 def _load_keys_file(path: str) -> dict[str, bytes]:
     doc = _parse_document(_read_text(path))
-    raw = doc.get("keys", doc)
-    if not isinstance(raw, dict) or not raw:
+    raw = _mapping(doc.get("keys", doc), f"{path}: keys")
+    if not raw:
         raise SchemaError(f"{path}: expected a mapping of ref to key_hex")
-    keys = {}
-    for ref, key_hex in raw.items():
-        try:
-            keys[str(ref)] = bytes.fromhex(str(key_hex))
-        except ValueError as exc:
-            raise SchemaError(f"{path}: bad key hex for {ref!r}") from exc
-    return keys
+    return {str(ref): _hex(key_hex, f"{path}: key for {ref!r}") for ref, key_hex in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +91,12 @@ def _load_keys_file(path: str) -> dict[str, bytes]:
 
 
 def _resolve_seed(doc: dict, override: Optional[int]) -> dict:
-    radio = dict(doc.get("radio") or {})
+    radio = doc.get("radio")
+    radio = {} if radio is None else dict(_mapping(radio, "radio"))
     if override is not None:
         radio["seed"] = override
     elif "seed" not in radio and os.environ.get(SEED_ENV):
-        radio["seed"] = int(os.environ[SEED_ENV])
+        radio["seed"] = _integer(os.environ[SEED_ENV], SEED_ENV)
     doc = dict(doc)
     doc["radio"] = radio
     return doc
@@ -337,18 +334,20 @@ def build_parser() -> _Parser:
     g = esub.add_parser("generate", help="derive the ID for (key, slot)")
     g.add_argument("--key-hex", required=True)
     g.add_argument("--slot", type=int, required=True)
-    g.add_argument("--width", type=int, default=20)
+    g.add_argument("--width", type=int, default=DEFAULT_ID_WIDTH)
     g.set_defaults(func=cmd_ephemeral_generate)
 
     b = esub.add_parser("build", help="build a verifier filter file")
     b.add_argument("--keys", required=True, help="mapping file: ref -> key_hex")
     b.add_argument("--slot", type=int, required=True)
-    b.add_argument("--window", type=int, default=2)
-    b.add_argument("--slot-duration", type=float, default=60.0, dest="slot_duration")
-    b.add_argument("--width", type=int, default=20)
+    b.add_argument("--window", type=int, default=EphemeralParams.window_slots)
+    b.add_argument("--slot-duration", type=float, default=EphemeralParams.slot_duration_s,
+                   dest="slot_duration")
+    b.add_argument("--width", type=int, default=DEFAULT_ID_WIDTH)
     b.add_argument("--m", type=int, default=None, help="filter bits (default: sized from --fp)")
     b.add_argument("--k", type=int, default=None, help="hash count")
-    b.add_argument("--fp", type=float, default=0.01, help="target false-positive rate")
+    b.add_argument("--fp", type=float, default=DEFAULT_FP_TARGET,
+                   help="target false-positive rate")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_ephemeral_build)
 
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BeaconLabError, InvalidInput, ValueError) as exc:
+    except (BeaconLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

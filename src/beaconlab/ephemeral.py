@@ -25,6 +25,7 @@ from .model import BeaconId, DEFAULT_ID_WIDTH
 
 MIN_KEY_BYTES = 16
 MAX_BUILD_FP = 0.10
+DEFAULT_FP_TARGET = 0.01  # Bloom false-positive rate a filter is sized for
 
 _FILTER_MAGIC = b"BLF1"
 _UNSEEN = object()  # verdict cache miss; None is a cached rejection
@@ -175,7 +176,7 @@ def build_filter(
     current_slot: int,
     m_bits: int | None = None,
     k_hashes: int | None = None,
-    fp_target: float = 0.01,
+    fp_target: float = DEFAULT_FP_TARGET,
 ) -> BloomFilter:
     """Insert every owned key's IDs for the acceptance window around current_slot.
 
@@ -188,6 +189,8 @@ def build_filter(
     n_items = len(schedule.owner_keys) * len(slots)
     if m_bits is None or k_hashes is None:
         m_bits, k_hashes = bloom_size_for(n_items, fp_target)
+    if m_bits <= 0 or k_hashes <= 0:
+        raise InvalidInput("bloom filter needs positive m and k")
     if expected_fp_rate(m_bits, k_hashes, n_items) > MAX_BUILD_FP:
         raise InvalidInput(
             f"bloom sizing m={m_bits} k={k_hashes} gives expected false-positive "
@@ -274,7 +277,7 @@ class RotatingResolver:
         max_slot: int | None = None,
         m_bits: int | None = None,
         k_hashes: int | None = None,
-        fp_target: float = 0.01,
+        fp_target: float = DEFAULT_FP_TARGET,
     ):
         self._static = dict(static_ids)
         self._schedule = schedule

@@ -20,11 +20,14 @@ if TYPE_CHECKING:  # only for annotations; scenario imports this module
     from .scenario import Scenario
 
 
+DEFAULT_GUARDIAN_REF = "guardian"
+
+
 @dataclass(frozen=True)
 class GuardianConfig:
     ref: str
     protected_tag: str
-    jam_radius_m: float
+    jam_radius_m: float = 10.0
     authorized: frozenset[str] = frozenset()
     reaction_reliability: float = 1.0
 

@@ -119,7 +119,8 @@ class Trace:
 
     def __post_init__(self) -> None:
         times = [o.time for o in self.observations]
-        if any(b < a for a, b in zip(times, times[1:])):
+        # `not a <= b` also holds when either time is NaN
+        if any(not a <= b for a, b in zip(times, times[1:])):
             raise InvalidInput(f"trace for {self.device_ref} is not time-ordered")
 
     def __len__(self) -> int:
@@ -182,82 +183,175 @@ def adjacency_from_positions(deployment: DeploymentMap, radius: float) -> Deploy
 
 # ---------------------------------------------------------------------------
 # document loading
+#
+# Every document field goes through a reader below: reader(raw, where) returns
+# the typed value, or raises SchemaError for a wrong type and ValidationError
+# for a value no run can use. Only the keys a block gives reach the dataclass,
+# so each default lives on the dataclass alone.
 
 # libyaml's parser where PyYAML was built with it: the same safe documents as
 # yaml.SafeLoader, parsed about eight times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-
-def _load_yaml(text):
-    """yaml.safe_load with libyaml when available; errors are yaml.YAMLError."""
-    return yaml.load(text, Loader=_YAML_LOADER)
+# the top-level keys load_deployment reads; it ignores all others
+DEPLOYMENT_KEYS = ("id_width", "beacons", "content", "adjacency", "adjacency_radius_m")
 
 
 def _parse_document(document) -> dict:
     if isinstance(document, Mapping):
         return dict(document)
-    if isinstance(document, (str, bytes)):
-        try:
-            parsed = _load_yaml(document)
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"unparseable document: {exc}") from exc
-        if not isinstance(parsed, Mapping):
-            raise SchemaError("document root must be a mapping")
-        return dict(parsed)
-    raise SchemaError(f"unsupported document type {type(document).__name__}")
+    if not isinstance(document, (str, bytes)):
+        raise SchemaError(f"unsupported document type {type(document).__name__}")
+    try:
+        parsed = yaml.load(document, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, RecursionError) as exc:
+        # the pure-Python loader recurses once per nesting level
+        raise SchemaError(f"unparseable document: {exc}") from exc
+    return dict(_mapping(parsed, "document root"))
 
 
-def _require(entry: Mapping, key: str, where: str):
-    if key not in entry:
-        raise SchemaError(f"{where}: missing required key {key!r}")
-    return entry[key]
+def _mapping(raw, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"{where} must be a mapping, got {raw!r}")
+    return raw
 
 
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+def _list(raw, where: str) -> list:
+    """A list; null reads as an empty one."""
+    if raw is None:
+        return []
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError(f"{where} must be a list, got {raw!r}")
+    return raw
 
 
-def _parse_beacon(entry: Mapping, id_width: int) -> tuple[BeaconConfig, bytes | None]:
-    if not isinstance(entry, Mapping):
-        raise SchemaError(f"beacon entry must be a mapping, got {entry!r}")
-    ref = str(_require(entry, "ref", "beacon"))
-    where = f"beacon {ref}"
-    mode = str(entry.get("id_mode", "static")).lower()
-    key: bytes | None = None
-    id_mode: IdMode
+def _check_keys(entry: Mapping, where: str, known) -> None:
+    """A misspelled key raises, so it never leaves a default in its place unnoticed."""
+    for key in entry:
+        if key not in known:
+            raise SchemaError(f"{where}: unknown key {key!r}; known keys: {', '.join(known)}")
+
+
+def _fields(raw, where: str, readers: Mapping, required=()) -> dict:
+    """Read each key a block gives through its reader; null counts as not given."""
+    entry = _mapping({} if raw is None else raw, where)
+    _check_keys(entry, where, readers)
+    for key in required:
+        if entry.get(key) is None:
+            raise SchemaError(f"{where}: missing required key {key!r}")
+    return {
+        key: readers[key](value, f"{where}: {key}")
+        for key, value in entry.items()
+        if value is not None
+    }
+
+
+def _number(raw, where: str) -> float:
+    """A finite float. A numeric string reads as its number; a bool is not one."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise SchemaError(f"{where} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except (ValueError, OverflowError):  # not numeric, or an int beyond the float range
+        raise SchemaError(f"{where} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {raw!r}")
+    return value
+
+
+def _integer(raw, where: str) -> int:
+    """An int. A float or a numeric string reads only when it is whole."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    value = _number(raw, where)
+    if not value.is_integer():
+        raise SchemaError(f"{where} must be a whole number, got {raw!r}")
+    return int(value)
+
+
+def _flag(raw, where: str) -> bool:
+    """A YAML bool: the string 'false' is not false."""
+    if not isinstance(raw, bool):
+        raise SchemaError(f"{where} must be true or false, got {raw!r}")
+    return raw
+
+
+def _text(raw, where: str) -> str:
+    """A name or label: a string, or a number written without quotes."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+        raise SchemaError(f"{where} must be a string, got {raw!r}")
+    return str(raw)
+
+
+def _names(raw, where: str) -> frozenset[str]:
+    return frozenset(_text(item, where) for item in _list(raw, where))
+
+
+def _hex(raw, where: str) -> bytes:
+    """Non-empty bytes written as a hex string."""
+    try:
+        data = bytes.fromhex(raw) if isinstance(raw, str) else b""
+    except ValueError:
+        data = b""
+    if not data:
+        raise SchemaError(f"{where} must be a non-empty hex string, got {raw!r}")
+    return data
+
+
+def _beacon_id(raw, where: str) -> BeaconId:
+    return BeaconId(_hex(raw, where))
+
+
+def _position(raw, where: str) -> tuple[float, float]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise SchemaError(f"{where} must be [x, y], got {raw!r}")
+    return (_number(raw[0], where), _number(raw[1], where))
+
+
+def _positions(raw, where: str) -> tuple[tuple[float, float], ...]:
+    return tuple(_position(p, where) for p in _list(raw, where))
+
+
+def _build(cls, where: str, **fields):
+    """cls(**fields), its InvalidInput raised again as a ValidationError at where."""
+    try:
+        return cls(**fields)
+    except InvalidInput as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+_BEACON_READERS = {
+    "ref": _text, "x": _number, "y": _number, "tx_power_1m": _number, "adv_interval_ms": _number,
+    "id_mode": _text, "id_hex": _beacon_id, "key_hex": _hex, "auth_protected": _flag,
+}
+_BEACON_REQUIRED = ("ref", "x", "y", "tx_power_1m", "adv_interval_ms")
+
+
+def _parse_beacon(raw, where: str, id_width: int) -> tuple[BeaconConfig, bytes | None]:
+    fields = _fields(raw, where, _BEACON_READERS, _BEACON_REQUIRED)
+    mode = fields.pop("id_mode", "static").lower()
+    beacon_id = fields.pop("id_hex", None)
+    key = fields.pop("key_hex", None)
     if mode == "static":
-        beacon_id = BeaconId.from_hex(str(_require(entry, "id_hex", where)))
+        if beacon_id is None:
+            raise SchemaError(f"{where}: missing required key 'id_hex'")
         if len(beacon_id) != id_width:
             raise ValidationError(
                 f"{where}: id is {len(beacon_id)} bytes, deployment id width is {id_width}"
             )
-        id_mode = StaticId(beacon_id)
+        id_mode: IdMode = StaticId(beacon_id)
     elif mode == "ephemeral":
-        key_hex = str(_require(entry, "key_hex", where))
-        try:
-            key = bytes.fromhex(key_hex)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: bad key_hex") from exc
+        if key is None:
+            raise SchemaError(f"{where}: missing required key 'key_hex'")
         if len(key) < 16:
             raise ValidationError(f"{where}: ephemeral key must be at least 16 bytes")
-        id_mode = EphemeralId(key_ref=ref)
+        id_mode = EphemeralId(key_ref=fields["ref"])
     else:
         raise SchemaError(f"{where}: unknown id_mode {mode!r}")
-    try:
-        config = BeaconConfig(
-            ref=ref,
-            x=_as_float(_require(entry, "x", where), where),
-            y=_as_float(_require(entry, "y", where), where),
-            tx_power_1m=_as_float(_require(entry, "tx_power_1m", where), where),
-            adv_interval_ms=_as_float(_require(entry, "adv_interval_ms", where), where),
-            id_mode=id_mode,
-            auth_protected=bool(entry.get("auth_protected", False)),
-        )
-    except InvalidInput as exc:
-        raise ValidationError(str(exc)) from exc
-    return config, key
+    return _build(BeaconConfig, where, id_mode=id_mode, **fields), key
+
+
+_CONTENT_READERS = {"locator": _text, "label": _text, "id_hex": _beacon_id, "ref": _text}
 
 
 def load_deployment(document) -> DeploymentMap:
@@ -268,20 +362,22 @@ def load_deployment(document) -> DeploymentMap:
     offending entity, for semantic problems.
     """
     doc = _parse_document(document)
-    id_width = int(doc.get("id_width", DEFAULT_ID_WIDTH))
+    id_width = DEFAULT_ID_WIDTH
+    if doc.get("id_width") is not None:
+        id_width = _integer(doc["id_width"], "id_width")
     if id_width <= 0:
         raise ValidationError("id_width must be positive")
 
-    raw_beacons = doc.get("beacons")
-    if not isinstance(raw_beacons, list) or not raw_beacons:
+    raw_beacons = _list(doc.get("beacons"), "beacons")
+    if not raw_beacons:
         raise SchemaError("document needs a non-empty 'beacons' list")
 
     beacons: list[BeaconConfig] = []
     owner_keys: dict[str, bytes] = {}
     seen_refs: set[str] = set()
     seen_ids: dict[BeaconId, str] = {}
-    for entry in raw_beacons:
-        config, key = _parse_beacon(entry, id_width)
+    for i, entry in enumerate(raw_beacons):
+        config, key = _parse_beacon(entry, f"beacons[{i}]", id_width)
         if config.ref in seen_refs:
             raise ValidationError(f"duplicate beacon ref {config.ref!r}")
         seen_refs.add(config.ref)
@@ -299,27 +395,24 @@ def load_deployment(document) -> DeploymentMap:
 
     content_map: dict[BeaconId, ContentRef] = {}
     content_by_ref: dict[str, ContentRef] = {}
-    for entry in doc.get("content", []) or []:
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"content entry must be a mapping, got {entry!r}")
-        content = ContentRef(
-            locator=str(_require(entry, "locator", "content entry")),
-            label=str(entry.get("label", "")),
-        )
-        if "id_hex" in entry:
-            cid = BeaconId.from_hex(str(entry["id_hex"]))
+    for i, entry in enumerate(_list(doc.get("content"), "content")):
+        where = f"content[{i}]"
+        fields = _fields(entry, where, _CONTENT_READERS, ("locator",))
+        cid = fields.pop("id_hex", None)
+        ref = fields.pop("ref", None)
+        if (cid is None) == (ref is None):
+            raise SchemaError(f"{where}: needs one of 'id_hex' or 'ref'")
+        content = _build(ContentRef, where, **fields)
+        if cid is not None:
             if cid in content_map:
                 raise ValidationError(f"duplicate content entry for id {cid.hex()}")
             content_map[cid] = content
-        elif "ref" in entry:
-            ref = str(entry["ref"])
+        else:
             if ref not in seen_refs:
                 raise ValidationError(f"content entry references unknown beacon {ref!r}")
             if ref in content_by_ref:
                 raise ValidationError(f"duplicate content entry for beacon {ref!r}")
             content_by_ref[ref] = content
-        else:
-            raise SchemaError("content entry needs 'id_hex' or 'ref'")
 
     # static beacons are reachable by both id and ref lookups
     for b in beacons:
@@ -343,29 +436,23 @@ def load_deployment(document) -> DeploymentMap:
     )
 
     radius = doc.get("adjacency_radius_m")
-    edges = doc.get("adjacency")
+    edges = _list(doc.get("adjacency"), "adjacency")
     if radius is not None and edges:
         raise SchemaError("give either 'adjacency' or 'adjacency_radius_m', not both")
     if radius is not None:
-        deployment = adjacency_from_positions(deployment, _as_float(radius, "adjacency_radius_m"))
-    elif edges:
-        if not isinstance(edges, list):
-            raise SchemaError("'adjacency' must be a list of ref pairs")
-        built: dict[str, set[str]] = {b.ref: set() for b in beacons}
-        for pair in edges:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise SchemaError(f"adjacency entry {pair!r} is not a pair")
-            a, b = str(pair[0]), str(pair[1])
-            for end in (a, b):
-                if end not in seen_refs:
-                    raise ValidationError(
-                        f"adjacency edge ({a}, {b}) references unknown beacon {end!r}"
-                    )
-            if a == b:
-                raise ValidationError(f"adjacency edge ({a}, {b}) is a self-loop")
-            built[a].add(b)
-            built[b].add(a)
-        deployment = replace(
-            deployment, adjacency={ref: frozenset(nbrs) for ref, nbrs in built.items()}
-        )
-    return deployment
+        return adjacency_from_positions(deployment, _number(radius, "adjacency_radius_m"))
+    built: dict[str, set[str]] = {b.ref: set() for b in beacons}
+    for pair in edges:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SchemaError(f"adjacency entry {pair!r} is not a pair")
+        a, b = (_text(end, "adjacency") for end in pair)
+        for end in (a, b):
+            if end not in seen_refs:
+                raise ValidationError(
+                    f"adjacency edge ({a}, {b}) references unknown beacon {end!r}"
+                )
+        if a == b:
+            raise ValidationError(f"adjacency edge ({a}, {b}) is a self-loop")
+        built[a].add(b)
+        built[b].add(a)
+    return replace(deployment, adjacency={ref: frozenset(nbrs) for ref, nbrs in built.items()})

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+from math import isfinite
 from typing import Iterable, Optional
 
 from .errors import InvalidInput, SchemaError
@@ -98,9 +99,9 @@ def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
 def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
     """Rebuild traces, grouped by device in order of first appearance.
 
-    A line that is not one JSON object with the five trace fields, or whose
-    `id_hex` is not a non-empty hex string, raises SchemaError naming the
-    file and line.
+    A line that is not one JSON object with the five trace fields, whose `t`
+    is not finite, or whose `id_hex` is not a non-empty hex string, raises
+    SchemaError naming the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -115,6 +116,8 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
         try:
             raw = _decode_line(line)
             t = float(raw["t"])
+            if not isfinite(t):
+                raise ValueError(f"t must be finite, got {t!r}")
             device = str(raw["device"])
             id_hex = raw["id_hex"]
             try:

@@ -12,13 +12,11 @@ capabilities from here when gating what a scenario's adversary may do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import yaml
-
 from .errors import InvalidInput, SchemaError, UnknownRef, ValidationError
-from .model import _load_yaml
+from .model import _build, _fields, _list, _mapping, _names, _parse_document, _text
 
 GOALS = ("C", "I", "A", "P")  # confidentiality, integrity, availability, privacy
 GOAL_NAMES = {
@@ -40,8 +38,8 @@ SKILL_ORDER = {"L": 0, "M": 1, "H": 2}
 @dataclass(frozen=True)
 class Capability:
     id: str
-    description: str
-    skill: str  # L / M / H
+    description: str = ""
+    skill: str = "L"  # L / M / H
 
     def __post_init__(self) -> None:
         if self.skill not in SKILL_ORDER:
@@ -65,12 +63,12 @@ class Impact:
 class AttackEntry:
     id: str
     name: str
-    motives: frozenset[str]
-    goals: frozenset[str]
-    target: str
-    required_caps: frozenset[str]
-    impacts: tuple[Impact, ...]
-    defences: frozenset[str]
+    motives: frozenset[str] = frozenset()
+    goals: frozenset[str] = frozenset()
+    target: str = TARGET_OWNER
+    required_caps: frozenset[str] = frozenset()
+    impacts: tuple[Impact, ...] = ()
+    defences: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -258,73 +256,63 @@ def _validate_matrix(matrix: ThreatMatrix) -> None:
                 raise ValidationError(f"{where}: unknown defence {d!r}")
 
 
+def _texts(raw, where: str) -> dict[str, str]:
+    return {_text(k, where): _text(v, f"{where}: {k}") for k, v in _mapping(raw, where).items()}
+
+
+_CAPABILITY_READERS = {"description": _text, "skill": _text}
+
+
+def _capabilities(raw, where: str) -> dict[str, Capability]:
+    out = {}
+    for cid, entry in _mapping(raw, where).items():
+        cid = _text(cid, where)
+        fields = _fields(entry, f"{where}: {cid}", _CAPABILITY_READERS)
+        out[cid] = _build(Capability, f"{where}: {cid}", id=cid, **fields)
+    return out
+
+
+_IMPACT_READERS = {"description": _text, "level": _text, "party": _text}
+
+
+def _impacts(raw, where: str) -> tuple[Impact, ...]:
+    impacts = []
+    for j, entry in enumerate(_list(raw, where)):
+        fields = _fields(entry, f"{where}[{j}]", _IMPACT_READERS, tuple(_IMPACT_READERS))
+        impacts.append(_build(Impact, f"{where}[{j}]", **fields))
+    return tuple(impacts)
+
+
+_ATTACK_READERS = {
+    "id": _text, "name": _text, "motives": _names, "goals": _names, "target": _text,
+    "required_caps": _names, "impacts": _impacts, "defences": _names,
+}
+_MATRIX_READERS = {
+    "motives": _texts, "capabilities": _capabilities, "defences": _texts, "attacks": _list,
+}
+
+
 def load_matrix(document) -> ThreatMatrix:
     """Parse a matrix override document (same config dialect as scenarios).
 
     Motives, capabilities and defences default to the canonical vocabulary and
     may be extended; the attacks list replaces the canonical one entirely.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            parsed = _load_yaml(document)
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"unparseable matrix document: {exc}") from exc
-    else:
-        parsed = document
-    if not isinstance(parsed, Mapping):
-        raise SchemaError("matrix document root must be a mapping")
-
-    motives = dict(MOTIVES)
-    for mid, text in (parsed.get("motives") or {}).items():
-        motives[str(mid)] = str(text)
-    capabilities = dict(CAPABILITIES)
-    for cid, entry in (parsed.get("capabilities") or {}).items():
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"capability {cid}: entry must be a mapping")
-        capabilities[str(cid)] = Capability(
-            id=str(cid),
-            description=str(entry.get("description", "")),
-            skill=str(entry.get("skill", "L")),
-        )
-    defences = dict(DEFENCES)
-    for did, text in (parsed.get("defences") or {}).items():
-        defences[str(did)] = str(text)
-
-    raw_attacks = parsed.get("attacks")
-    if not isinstance(raw_attacks, list) or not raw_attacks:
+    doc = _fields(_parse_document(document), "matrix", _MATRIX_READERS)
+    if not doc.get("attacks"):
         raise SchemaError("matrix document needs a non-empty 'attacks' list")
     attacks: dict[str, AttackEntry] = {}
-    for entry in raw_attacks:
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"attack entry must be a mapping, got {entry!r}")
-        if "id" not in entry:
-            raise SchemaError("attack entry missing 'id'")
-        aid = str(entry["id"])
-        if aid in attacks:
-            raise ValidationError(f"duplicate attack id {aid!r}")
-        impacts = []
-        for imp in entry.get("impacts", []):
-            if not isinstance(imp, Mapping):
-                raise SchemaError(f"attack {aid}: impact entries must be mappings")
-            impacts.append(
-                Impact(
-                    description=str(imp.get("description", "")),
-                    level=str(imp.get("level", "")),
-                    party=str(imp.get("party", "")),
-                )
-            )
-        attacks[aid] = AttackEntry(
-            id=aid,
-            name=str(entry.get("name", aid)),
-            motives=frozenset(str(m) for m in entry.get("motives", [])),
-            goals=frozenset(str(g) for g in entry.get("goals", [])),
-            target=str(entry.get("target", TARGET_OWNER)),
-            required_caps=frozenset(str(c) for c in entry.get("required_caps", [])),
-            impacts=tuple(impacts),
-            defences=frozenset(str(d) for d in entry.get("defences", [])),
-        )
+    for i, raw in enumerate(doc["attacks"]):
+        fields = _fields(raw, f"attacks[{i}]", _ATTACK_READERS, ("id",))
+        entry = AttackEntry(**{"name": fields["id"], **fields})
+        if entry.id in attacks:
+            raise ValidationError(f"duplicate attack id {entry.id!r}")
+        attacks[entry.id] = entry
     matrix = ThreatMatrix(
-        attacks=attacks, capabilities=capabilities, motives=motives, defences=defences
+        attacks=attacks,
+        capabilities={**CAPABILITIES, **doc.get("capabilities", {})},
+        motives={**MOTIVES, **doc.get("motives", {})},
+        defences={**DEFENCES, **doc.get("defences", {})},
     )
     _validate_matrix(matrix)
     return matrix

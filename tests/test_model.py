@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import yaml
 
@@ -15,6 +17,7 @@ from beaconlab import (
     load_matrix,
     load_scenario,
 )
+from beaconlab import model
 from beaconlab.model import _parse_document
 from conftest import AA, BB, CC, KEY1, ephemeral_beacon, static_beacon
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
@@ -48,6 +51,9 @@ def test_content_ref_requires_locator():
 def test_trace_must_be_time_ordered():
     with pytest.raises(InvalidInput):
         Trace("dev", (obs(2.0), obs(1.0)))
+    for times in ((math.nan, 1.0), (1.0, math.nan), (0.0, math.nan, 2.0)):
+        with pytest.raises(InvalidInput, match="time-ordered"):
+            Trace("dev", tuple(obs(t) for t in times))
     # equal timestamps are legitimate: two frames in the same loop step
     Trace("dev", (obs(1.0), obs(1.0)))
 
@@ -227,3 +233,11 @@ class TestYamlLoader:
             load_scenario(text)
         with pytest.raises(SchemaError, match="unparseable"):
             load_matrix(text)
+
+
+def test_deep_nesting_without_libyaml_is_a_schema_error(monkeypatch):
+    # the pure-Python loader recurses once per level and runs out of stack
+    monkeypatch.setattr(model, "_YAML_LOADER", yaml.SafeLoader)
+    for load in (load_deployment, load_matrix):
+        with pytest.raises(SchemaError, match="unparseable"):
+            load("[" * 5000)

@@ -1,10 +1,28 @@
 """Scenario loading: every malformed document ends in a typed error."""
 
+import copy
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beaconlab import BeaconLabError, SchemaError, ValidationError, load_scenario
-from conftest import AA, static_beacon
+from beaconlab import (
+    BeaconLabError,
+    EphemeralParams,
+    GuardianConfig,
+    PersonalTag,
+    RadioParams,
+    Scenario,
+    SchemaError,
+    ValidationError,
+    load_matrix,
+    load_scenario,
+)
+from beaconlab.cli import main
+from beaconlab.ephemeral import DEFAULT_FP_TARGET
+from beaconlab.scenario import DEFAULT_ATTACKER_CAPS
+from conftest import AA, BB, KEY1, KEY2, ephemeral_beacon, static_beacon
 
 
 def _doc_text(duration: str) -> str:
@@ -35,3 +53,199 @@ class TestDuration:
     @pytest.mark.parametrize("text, expected", [("12.5", 12.5), ("30", 30.0), ("'45'", 45.0)])
     def test_finite_positive_values_load(self, text, expected):
         assert load_scenario(_doc_text(text)).duration_s == expected
+
+
+def _rich_doc() -> dict:
+    """A valid scenario that gives every block and most keys the loader reads."""
+    return {
+        "id_width": 20,
+        "beacons": [
+            static_beacon("b1", 0, AA, auth_protected=False),
+            ephemeral_beacon("b2", 20, KEY1),
+        ],
+        "content": [
+            {"id_hex": AA, "locator": "app://one", "label": "one"},
+            {"ref": "b2", "locator": "app://two"},
+        ],
+        "adjacency": [["b1", "b2"]],
+        "devices": [
+            {"ref": "phone", "path": [[0.0, [0.0, 1.0]], [10.0, [20.0, 1.0]]],
+             "proximity_threshold_m": 5.0, "scan_window_s": 3.0, "lookup_budget": 100,
+             "content_retrigger_s": 30.0,
+             "apps": [{"ref": "mapper", "authorized": True, "malicious": True}]},
+            {"ref": "dave", "x": 1.0, "y": 2.0},
+        ],
+        "tags": [
+            {"ref": "fob", "carried_by": "phone", "id_hex": BB, "adv_interval_ms": 1000.0,
+             "tx_power_1m": -59.0},
+            {"ref": "key", "carried_by": "dave", "key_hex": KEY2},
+        ],
+        "attacks": [
+            {"kind": "A2", "sniff_mode": "lunch-time", "attacker_positions": [[0.0, 0.0]],
+             "harvest_window_s": 60.0, "max_range_m": 30.0,
+             "source_beacon": "b1", "fake_position": [40.0, 0.0]},
+            {"kind": "A7", "target_tag": "fob", "surveillance_positions": [[3.0, 0.0]]},
+        ],
+        "radio": {"path_loss_exponent": 2.0, "noise_sigma": 1.0, "max_range_m": 50.0,
+                  "seed": 3},
+        "ephemeral": {"slot_duration_s": 60.0, "window_slots": 2, "bloom_fp_target": 0.01,
+                      "bloom_m": 512, "bloom_k": 4},
+        "attacker": {"capabilities": ["C1", "C2", "C3", "C6", "C7"],
+                     "physical_access": False, "firmware_access": True},
+        "defences": ["TV", "SJ"],
+        "guardian": {"ref": "g", "protected_tag": "fob", "jam_radius_m": 10.0,
+                     "authorized": ["dave"], "reaction_reliability": 1.0},
+        "duration_s": 30.0,
+    }
+
+
+def _paths(node, prefix=()):
+    """Every field, block and list entry below node, as key/index paths."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_ANY_VALUE = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(min_value=-3, max_value=2**70),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+        st.sampled_from(["false", "true", "1.5", "A2", "lunch", AA, KEY1, "b1", "phone"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _loads_or_typed_error(load, doc):
+    try:
+        load(doc)
+    except BeaconLabError:
+        pass
+
+
+_MATRIX_DOC = {
+    "motives": {"M6": "Vandalism"},
+    "capabilities": {"C8": {"description": "Ladder", "skill": "L"}},
+    "defences": {"FW": "Firmware signing"},
+    "attacks": [
+        {"id": "X1", "name": "Test attack", "motives": ["M6"], "goals": ["C"],
+         "target": "Owner", "required_caps": ["C8"], "defences": ["FW"],
+         "impacts": [{"description": "something", "level": "L", "party": "U"}]},
+    ],
+}
+
+
+class TestAnyOneFieldReplaced:
+    """Whatever one field, block or entry holds, loading returns or raises BeaconLabError."""
+
+    def test_rich_doc_loads(self):
+        scenario = load_scenario(_rich_doc())
+        assert scenario.attacker_caps == frozenset({"C1", "C2", "C3", "C4", "C6", "C7"})
+        assert scenario.guardian is not None and scenario.bloom_m == 512
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(_paths(_rich_doc()))), _ANY_VALUE)
+    def test_scenario(self, path, value):
+        _loads_or_typed_error(load_scenario, _replaced(_rich_doc(), path, value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(_paths(_MATRIX_DOC))), _ANY_VALUE)
+    def test_matrix(self, path, value):
+        _loads_or_typed_error(load_matrix, _replaced(_MATRIX_DOC, path, value))
+
+
+def test_matrix_doc_loads():
+    assert set(load_matrix(_MATRIX_DOC).attacks) == {"X1"}
+
+
+# Each of these loaded with a wrong meaning, or failed with an untyped error.
+_REPROS = {
+    "physical-access-string": (("attacker", "physical_access"), "false"),
+    "auth-protected-string": (("beacons", 0, "auth_protected"), "false"),
+    "fractional-lookup-budget": (("devices", 0, "lookup_budget"), 2.5),
+    "scan-window-list": (("devices", 0, "scan_window_s"), [1]),
+    "attacks-not-a-list": (("attacks",), 5),
+    "radio-seed-string": (("radio", "seed"), "x"),
+    "id-width-string": (("id_width",), "x"),
+    "misspelled-radio-key": (("radio", "sigma_db"), 0.0),
+    "misspelled-guardian-key": (("guardian", "reliability"), 1.0),
+    "unknown-top-level-key": (("durations",), 30.0),
+    "unknown-device-key": (("devices", 0, "scan_s"), 3.0),
+    "unknown-app-key": (("devices", 0, "apps", 0, "trusted"), True),
+    "unknown-tag-key": (("tags", 0, "interval_ms"), 100.0),
+    "unknown-ephemeral-key": (("ephemeral", "slot_s"), 30.0),
+    "unknown-attacker-key": (("attacker", "firmware"), False),
+    "authorized-app-string": (("devices", 0, "apps", 0, "authorized"), "no"),
+    "tag-key-unquoted-number": (("tags", 1, "key_hex"), int(KEY1)),
+}
+
+
+@pytest.mark.parametrize("path, value", list(_REPROS.values()), ids=list(_REPROS))
+def test_repro_raises_a_schema_error_naming_the_key(path, value):
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    with pytest.raises(SchemaError, match=key):
+        load_scenario(_replaced(_rich_doc(), path, value))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("devices", 0, "apps", 0, "authorized"), False),
+    (("beacons", 0, "auth_protected"), True),
+    (("devices", 0, "lookup_budget"), 2.0),
+    (("radio", "seed"), "7"),
+])
+def test_well_typed_values_still_load(path, value):
+    load_scenario(_replaced(_rich_doc(), path, value))
+
+
+def test_only_given_keys_reach_the_dataclasses():
+    doc = _rich_doc()
+    for block in ("radio", "ephemeral", "attacker", "guardian", "defences", "duration_s"):
+        del doc[block]
+    doc["tags"] = [{"ref": "fob", "carried_by": "phone", "id_hex": BB}]
+    doc["guardian"] = {"protected_tag": "fob"}
+    scenario = load_scenario(doc)
+    assert scenario.radio == RadioParams()
+    assert scenario.ephemeral == EphemeralParams()
+    assert scenario.duration_s == Scenario.duration_s
+    assert scenario.bloom_fp_target == DEFAULT_FP_TARGET
+    assert scenario.tags[0].adv_interval_ms == PersonalTag.adv_interval_ms
+    assert scenario.guardian.jam_radius_m == GuardianConfig.jam_radius_m
+    assert scenario.attacker_caps == DEFAULT_ATTACKER_CAPS | {"C4"}
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]], "scan_window_s": [1]}]},
+     "scan_window_s"),
+    ({"attacks": 5}, "attacks"),
+    ({"radio": {"seed": "x"}}, "seed"),
+    ({"attacks": [{"kind": "A8", "n_ids": "many"}]}, "n_ids"),  # read when installed
+])
+def test_simulate_on_a_bad_manifest_exits_1_without_a_traceback(tmp_path, capsys, manifest,
+                                                                 message):
+    doc = {
+        "beacons": [static_beacon("b1", 0, AA)],
+        "content": [{"id_hex": AA, "locator": "app://one"}],
+        "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}],
+        "duration_s": 5.0,
+        **manifest,
+    }
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err

@@ -111,6 +111,14 @@ class TestTracesJsonl:
         with pytest.raises(SchemaError, match=r"traces\.jsonl:3: bad trace line"):
             read_traces_jsonl(str(path))
 
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    def test_time_that_is_not_finite_is_reported_with_its_number(self, tmp_path, t):
+        path = tmp_path / "traces.jsonl"
+        bad = _line(device="phone").replace('"t": 0.0', f'"t": {t}')
+        path.write_text("\n".join([TRACES_HEADER, _line(device="phone"), bad]) + "\n")
+        with pytest.raises(SchemaError, match=r"traces\.jsonl:3: .*t must be finite"):
+            read_traces_jsonl(str(path))
+
     def test_equal_id_hex_shares_one_beacon_id(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         path.write_text("\n".join([
@@ -146,6 +154,8 @@ def _reference_read(path: str):
             continue
         try:
             raw = json.loads(line)
+            if not math.isfinite(float(raw["t"])):
+                return n
             obs = Observation(
                 time=float(raw["t"]),
                 receiver_ref=str(raw["device"]),
