@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidInput
-from .model import BeaconId, Observation
+from .model import BeaconId, Observation, _check_tx_power
 from .radio import estimate_distance
 
 DEFAULT_PROXIMITY_THRESHOLD_M = 5.0
@@ -89,6 +89,7 @@ class PersonalTag:
             raise InvalidInput("tag ref must be non-empty")
         if self.adv_interval_ms <= 0:
             raise InvalidInput(f"tag {self.ref}: adv_interval_ms must be positive")
+        _check_tx_power(f"tag {self.ref}: tx_power_1m", self.tx_power_1m)
         if (self.static_id is None) == (self.key is None):
             raise InvalidInput(f"tag {self.ref}: give exactly one of static_id or key")
         if self.key is not None and len(self.key) < 16:

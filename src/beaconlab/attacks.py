@@ -16,21 +16,21 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
-from .errors import CapabilityError, InvalidInput, UnknownRef
+from .errors import CapabilityError, InvalidInput, SchemaError, UnknownRef
 from .model import BeaconId, EphemeralId, StaticId
-from .model import _beacon_id, _integer, _number, _position, _positions
+from .model import _beacon_id, _check_tx_power, _integer, _list, _number, _position, _positions
+from .model import _text
 from .threatmatrix import default_matrix
 
 if TYPE_CHECKING:
+    from .ephemeral import EphemeralParams
     from .scenario import Scenario
     from .sim import RunResult
 
 LUNCH_TIME = "lunch_time"  # one harvest pass, then the recording goes stale
 PERVASIVE = "pervasive"  # continuous eavesdropping for the whole run
-
-ATTACK_KINDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8")
 
 _KIND_ALIASES = {
     "a1": "A1", "piggyback": "A1", "piggybacking": "A1",
@@ -47,24 +47,103 @@ SILENCE_TX_BOOST_DB = 14.0  # default claimed power above the target's
 SILENCE_PHYS_DROP_DB = 20.0  # default physical power below the target's
 SILENCE_FLOOD_DIVISOR = 10.0  # default flood interval = adv_interval / 10
 
-_ALLOWED_PARAMS = {
-    "A1": set(),
-    "A2": {"source_beacon", "fake_position", "interval_ms", "emitter_tx_power_1m"},
-    "A3": {
-        "target_beacon",
-        "claimed_tx_power",
-        "flood_interval_ms",
-        "emitter_tx_power_1m",
-        "emitter_position",
-    },
-    "A4": {"target_beacon", "new_id_hex"},
-    "A5": {"action", "beacons", "beacon"},
-    "A6": {"target_device"},
-    "A7": {"target_tag", "surveillance_positions", "presence_gap_s"},
-    "A8": {"n_ids", "interval_ms", "position", "claimed_tx_power"},
-}
-
 _MATRIX = default_matrix()
+
+
+# ---------------------------------------------------------------------------
+# params
+#
+# Each param is read once, when the profile is made, by reader(raw, where):
+# the reader returns the typed value, raises SchemaError for a wrong type and
+# InvalidInput for a value outside its range. What needs the scenario (which
+# beacon, device or tag a name means, the capability gates, A4's ID width)
+# is checked at install.
+
+
+def _checked(read, holds, rule: str):
+    """A reader: read, then raise InvalidInput unless holds(value), as rule says."""
+    def reader(raw, where: str):
+        value = read(raw, where)
+        if not holds(value):
+            raise InvalidInput(f"{where} {rule}, got {value!r}")
+        return value
+    return reader
+
+
+_positive = _checked(_number, lambda v: v > 0, "must be positive")
+_non_negative = _checked(_number, lambda v: v >= 0, "cannot be negative")
+_count = _checked(_integer, lambda v: v >= 1, "must be at least 1")
+_some_positions = _checked(_positions, bool, "must be a non-empty list")
+# a frame's claimed power at 1 m is one signed byte
+_claimed_power = _checked(_number, lambda v: -128 <= v <= 127, "must lie in [-128, 127] dBm")
+_action = _checked(
+    lambda raw, where: _text(raw, where).lower(), lambda v: v in ("swap", "remove"),
+    "must be swap or remove",
+)
+
+
+def _tx_power(raw, where: str) -> float:
+    value = _number(raw, where)
+    _check_tx_power(where, value)
+    return value
+
+
+def _two_refs(raw, where: str) -> tuple[str, str]:
+    refs = tuple(_text(ref, where) for ref in _list(raw, where))
+    if len(refs) != 2:
+        raise SchemaError(f"{where} must name exactly two beacons, got {raw!r}")
+    if refs[0] == refs[1]:
+        raise InvalidInput(f"{where}: the two beacons must differ")
+    return refs
+
+
+_REQUIRED = object()  # the default of a param the profile must give
+
+
+class KindSpec(NamedTuple):
+    """One attack kind: the metric metrics.csv reports for it, and its params.
+
+    params maps each name to (reader, default). A default of None stands for
+    a value worked out at install from the scenario, as noted beside it.
+    """
+
+    headline: str
+    params: Mapping[str, tuple[Callable, object]]
+
+
+KINDS = {
+    "A1": KindSpec("live_coverage", {}),
+    "A2": KindSpec("wrong_content_rate_near_fake", {
+        "source_beacon": (_text, _REQUIRED), "fake_position": (_position, _REQUIRED),
+        # the source beacon's own
+        "interval_ms": (_positive, None), "emitter_tx_power_1m": (_tx_power, None),
+    }),
+    "A3": KindSpec("suppression_rate", {
+        "target_beacon": (_text, _REQUIRED),
+        # worked out from the target beacon with the SILENCE_* constants
+        "claimed_tx_power": (_claimed_power, None), "flood_interval_ms": (_positive, None),
+        "emitter_tx_power_1m": (_tx_power, None),
+        "emitter_position": (_position, None),  # the target's position
+    }),
+    "A4": KindSpec("unavailability", {
+        "target_beacon": (_text, _REQUIRED), "new_id_hex": (_beacon_id, _REQUIRED),
+    }),
+    # swap needs beacons, remove needs beacon
+    "A5": KindSpec("unavailability", {
+        "action": (_action, _REQUIRED), "beacons": (_two_refs, None), "beacon": (_text, None),
+    }),
+    "A6": KindSpec("localization_fraction", {"target_device": (_text, _REQUIRED)}),
+    "A7": KindSpec("detection_count", {
+        "target_tag": (_text, _REQUIRED), "surveillance_positions": (_some_positions, _REQUIRED),
+        "presence_gap_s": (_non_negative, 30.0),
+    }),
+    "A8": KindSpec("mean_budget_utilization", {
+        "n_ids": (_count, _REQUIRED), "interval_ms": (_positive, 100.0),
+        "position": (_position, None),  # the first device's first waypoint, else the origin
+        "claimed_tx_power": (_claimed_power, None),  # the drain's physical power
+    }),
+}
+ATTACK_KINDS = tuple(KINDS)
 
 
 def normalize_kind(kind: str) -> str:
@@ -86,6 +165,11 @@ def required_capabilities(kind: str) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class AttackProfile:
+    """One attack, with every param of its kind read once into params.
+
+    A param the profile is not given holds its default from KINDS.
+    """
+
     kind: str
     sniff_mode: str = LUNCH_TIME
     attacker_positions: tuple[tuple[float, float], ...] = ()
@@ -94,13 +178,32 @@ class AttackProfile:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
+        spec = KINDS.get(self.kind)
+        if spec is None:
             raise InvalidInput(f"unknown attack kind {self.kind!r}")
         if self.sniff_mode not in (LUNCH_TIME, PERVASIVE):
             raise InvalidInput(f"unknown sniff mode {self.sniff_mode!r}")
-        unknown = set(self.params) - _ALLOWED_PARAMS[self.kind]
+        unknown = set(self.params) - set(spec.params)
         if unknown:
             raise InvalidInput(f"{self.kind} profile has unknown params: {sorted(unknown)}")
+        typed = {}
+        for key, (read, default) in spec.params.items():
+            raw = self.params.get(key)
+            if raw is None and default is _REQUIRED:
+                raise InvalidInput(f"{self.kind} profile requires param {key!r}")
+            typed[key] = default if raw is None else read(raw, f"{self.kind} {key}")
+        if self.kind == "A5":
+            needed = "beacons" if typed["action"] == "swap" else "beacon"
+            if typed[needed] is None:
+                raise InvalidInput(f"A5 {typed['action']} requires param {needed!r}")
+        object.__setattr__(self, "params", typed)
+
+
+def harvest_window(profile: AttackProfile, eph: "EphemeralParams") -> float:
+    """When a lunch-time harvest ends: the profile's window, else one ID slot."""
+    if profile.harvest_window_s is not None:
+        return profile.harvest_window_s
+    return eph.slot_duration_s
 
 
 @dataclass(frozen=True)
@@ -131,81 +234,6 @@ class AttackerReceiver:
     max_range: Optional[float] = None
 
 
-class AttackerObservation(NamedTuple):
-    time: float
-    receiver_ref: str
-    receiver_pos: tuple[float, float]
-    id: BeaconId
-    rssi: float
-    claimed_tx_power: float
-
-
-@dataclass(frozen=True)
-class HarvestEntry:
-    position_estimate: tuple[float, float]
-    first_seen: float
-    last_seen: float
-    claimed_tx_power: float
-    mean_rssi: float
-
-
-@dataclass(frozen=True)
-class HarvestedDb:
-    entries: Mapping[BeaconId, HarvestEntry]
-
-    def __contains__(self, beacon_id: BeaconId) -> bool:
-        return beacon_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def harvest(
-    observations: Iterable[AttackerObservation],
-    sniff_mode: str,
-    harvest_window_s: float,
-) -> HarvestedDb:
-    """Condense sniffer observations into the adversary's ID database.
-
-    Lunch-time mode only keeps frames from [0, harvest_window). The position
-    estimate for an ID is the recording receiver with the strongest mean RSSI.
-    """
-    if sniff_mode not in (LUNCH_TIME, PERVASIVE):
-        raise InvalidInput(f"unknown sniff mode {sniff_mode!r}")
-    acc: dict[BeaconId, dict] = {}
-    for obs in observations:
-        if sniff_mode == LUNCH_TIME and obs.time >= harvest_window_s:
-            continue
-        slot = acc.get(obs.id)
-        if slot is None:
-            slot = acc[obs.id] = {
-                "first": obs.time,
-                "last": obs.time,
-                "claimed": obs.claimed_tx_power,
-                "rx": {},
-            }
-        slot["first"] = min(slot["first"], obs.time)
-        if obs.time >= slot["last"]:
-            slot["last"] = obs.time
-            slot["claimed"] = obs.claimed_tx_power
-        total, count, pos = slot["rx"].get(obs.receiver_ref, (0.0, 0, obs.receiver_pos))
-        slot["rx"][obs.receiver_ref] = (total + obs.rssi, count + 1, obs.receiver_pos)
-    entries = {}
-    for bid, slot in acc.items():
-        best_ref = max(
-            slot["rx"], key=lambda ref: (slot["rx"][ref][0] / slot["rx"][ref][1], ref)
-        )
-        total, count, pos = slot["rx"][best_ref]
-        entries[bid] = HarvestEntry(
-            position_estimate=pos,
-            first_seen=slot["first"],
-            last_seen=slot["last"],
-            claimed_tx_power=slot["claimed"],
-            mean_rssi=total / count,
-        )
-    return HarvestedDb(entries=entries)
-
-
 def drain_id(profile_index: int, i: int, id_width: int) -> BeaconId:
     """Deterministic synthetic identity for the resource-draining pool."""
     digest = hashlib.sha256(f"beaconlab.drain.{profile_index}.{i}".encode()).digest()
@@ -225,24 +253,23 @@ def _gate(scenario: "Scenario", profile: AttackProfile) -> None:
         )
 
 
-def _need(profile: AttackProfile, key: str):
-    value = profile.params.get(key)
-    if value is None:
-        raise InvalidInput(f"{profile.kind} profile requires param {key!r}")
-    return value
+def _named(kind: str, what: str, items, ref: str):
+    for item in items:
+        if item.ref == ref:
+            return item
+    raise UnknownRef(f"{kind}: no {what} named {ref!r}")
 
 
-def _param(profile: AttackProfile, key: str, default):
-    """A numeric param, or default when the profile does not give it."""
-    value = profile.params.get(key)
-    return default if value is None else _number(value, f"{profile.kind} {key}")
+def _given(value, default):
+    return default if value is None else value
 
 
-def _beacon_or_raise(scenario: "Scenario", ref: str, kind: str):
-    try:
-        return scenario.deployment.beacon(str(ref))
-    except KeyError:
-        raise UnknownRef(f"{kind}: no beacon named {ref!r}") from None
+def _rewired(deployment, changes: Mapping[str, dict]):
+    """deployment, each beacon named in changes replaced by a copy with those fields."""
+    beacons = tuple(
+        replace(b, **changes[b.ref]) if b.ref in changes else b for b in deployment.beacons
+    )
+    return replace(deployment, beacons=beacons)
 
 
 def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scenario":
@@ -254,162 +281,88 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
     uploads = list(scenario.upload_targets)
     deployment = scenario.deployment
 
+    def beacon(ref):
+        return _named(kind, "beacon", scenario.deployment.beacons, ref)
+
     def add_receivers(positions, role="harvest"):
-        for j, pos in enumerate(positions):
-            receivers.append(
-                AttackerReceiver(
-                    ref=f"atk{index}.rx{j}",
-                    profile_index=index,
-                    x=pos[0],
-                    y=pos[1],
-                    role=role,
-                    max_range=profile.max_range,
-                )
-            )
+        receivers.extend(
+            AttackerReceiver(f"atk{index}.rx{j}", index, x, y, role, profile.max_range)
+            for j, (x, y) in enumerate(positions)
+        )
 
     if kind == "A1":
-        positions = profile.attacker_positions or tuple(
-            b.position for b in deployment.beacons
-        )
-        add_receivers(positions)
+        add_receivers(profile.attacker_positions or tuple(b.position for b in deployment.beacons))
 
     elif kind == "A2":
-        source = _beacon_or_raise(scenario, _need(profile, "source_beacon"), kind)
-        fake_pos = _position(_need(profile, "fake_position"), "A2 fake_position")
+        source = beacon(params["source_beacon"])
         add_receivers(profile.attacker_positions or (source.position,))
-        injected.append(
-            InjectedEmitter(
-                ref=f"atk{index}.fake",
-                profile_index=index,
-                mode="fake",
-                x=fake_pos[0],
-                y=fake_pos[1],
-                tx_power_1m=_param(profile, "emitter_tx_power_1m", source.tx_power_1m),
-                interval_ms=_param(profile, "interval_ms", source.adv_interval_ms),
-                claimed_tx_power=None,
-                source_ref=source.ref,
-            )
-        )
+        x, y = params["fake_position"]
+        injected.append(InjectedEmitter(
+            f"atk{index}.fake", index, "fake", x, y,
+            tx_power_1m=_given(params["emitter_tx_power_1m"], source.tx_power_1m),
+            interval_ms=_given(params["interval_ms"], source.adv_interval_ms),
+            source_ref=source.ref,
+        ))
 
     elif kind == "A3":
-        target = _beacon_or_raise(scenario, _need(profile, "target_beacon"), kind)
-        claimed = _param(profile, "claimed_tx_power", target.tx_power_1m + SILENCE_TX_BOOST_DB)
-        flood = _param(
-            profile, "flood_interval_ms", target.adv_interval_ms / SILENCE_FLOOD_DIVISOR
-        )
-        if flood <= 0:
-            raise InvalidInput("A3: flood_interval_ms must be positive")
-        tx = _param(profile, "emitter_tx_power_1m", target.tx_power_1m - SILENCE_PHYS_DROP_DB)
-        pos = params.get("emitter_position")
-        pos = _position(pos, "A3 emitter_position") if pos is not None else target.position
+        target = beacon(params["target_beacon"])
         add_receivers(profile.attacker_positions or (target.position,))
-        injected.append(
-            InjectedEmitter(
-                ref=f"atk{index}.flood",
-                profile_index=index,
-                mode="flood",
-                x=pos[0],
-                y=pos[1],
-                tx_power_1m=tx,
-                interval_ms=flood,
-                claimed_tx_power=claimed,
-                source_ref=target.ref,
-            )
-        )
+        x, y = _given(params["emitter_position"], target.position)
+        tx, interval = target.tx_power_1m, target.adv_interval_ms
+        injected.append(InjectedEmitter(
+            f"atk{index}.flood", index, "flood", x, y,
+            tx_power_1m=_given(params["emitter_tx_power_1m"], tx - SILENCE_PHYS_DROP_DB),
+            interval_ms=_given(params["flood_interval_ms"], interval / SILENCE_FLOOD_DIVISOR),
+            claimed_tx_power=_given(params["claimed_tx_power"], tx + SILENCE_TX_BOOST_DB),
+            source_ref=target.ref,
+        ))
 
     elif kind == "A4":
-        target = _beacon_or_raise(scenario, _need(profile, "target_beacon"), kind)
+        target = beacon(params["target_beacon"])
         if target.auth_protected:
             raise CapabilityError(
                 ["C4"],
                 f"A4: beacon {target.ref!r} requires authenticated re-programming (C4)",
             )
-        new_id = _beacon_id(_need(profile, "new_id_hex"), "A4 new_id_hex")
+        new_id = params["new_id_hex"]
         if len(new_id) != deployment.id_width:
             raise InvalidInput(
                 f"A4: new id is {len(new_id)} bytes, deployment width is {deployment.id_width}"
             )
-        beacons = tuple(
-            replace(b, id_mode=StaticId(new_id)) if b.ref == target.ref else b
-            for b in deployment.beacons
-        )
-        deployment = replace(deployment, beacons=beacons)
+        deployment = _rewired(deployment, {target.ref: {"id_mode": StaticId(new_id)}})
+
+    elif kind == "A5" and params["action"] == "swap":
+        first, second = (beacon(ref) for ref in params["beacons"])
+        deployment = _rewired(deployment, {
+            first.ref: {"x": second.x, "y": second.y}, second.ref: {"x": first.x, "y": first.y},
+        })
 
     elif kind == "A5":
-        action = str(_need(profile, "action")).lower()
-        if action == "swap":
-            pair = _need(profile, "beacons")
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InvalidInput("A5 swap: 'beacons' must name exactly two beacons")
-            first = _beacon_or_raise(scenario, pair[0], kind)
-            second = _beacon_or_raise(scenario, pair[1], kind)
-            if first.ref == second.ref:
-                raise InvalidInput("A5 swap: the two beacons must differ")
-            beacons = []
-            for b in deployment.beacons:
-                if b.ref == first.ref:
-                    beacons.append(replace(b, x=second.x, y=second.y))
-                elif b.ref == second.ref:
-                    beacons.append(replace(b, x=first.x, y=first.y))
-                else:
-                    beacons.append(b)
-            deployment = replace(deployment, beacons=tuple(beacons))
-        elif action == "remove":
-            target = _beacon_or_raise(scenario, _need(profile, "beacon"), kind)
-            beacons = tuple(b for b in deployment.beacons if b.ref != target.ref)
-            deployment = replace(deployment, beacons=beacons)
-        else:
-            raise InvalidInput(f"A5: unknown action {action!r} (swap or remove)")
+        target = beacon(params["beacon"])
+        beacons = tuple(b for b in deployment.beacons if b.ref != target.ref)
+        deployment = replace(deployment, beacons=beacons)
 
     elif kind == "A6":
-        ref = str(_need(profile, "target_device"))
-        try:
-            device = scenario.device(ref)
-        except KeyError:
-            raise UnknownRef(f"A6: no device named {ref!r}") from None
+        device = _named(kind, "device", scenario.devices, params["target_device"])
         if not device.has_malicious_authorized_app():
             raise CapabilityError(
                 ["C7"],
-                f"A6: device {ref!r} has no authorized malicious app installed (C7)",
+                f"A6: device {device.ref!r} has no authorized malicious app installed (C7)",
             )
-        uploads.append((index, ref))
+        uploads.append((index, device.ref))
 
     elif kind == "A7":
-        ref = str(_need(profile, "target_tag"))
-        if all(t.ref != ref for t in scenario.tags):
-            raise UnknownRef(f"A7: no tag named {ref!r}")
-        positions = _positions(_need(profile, "surveillance_positions"), "A7 positions")
-        if not positions:
-            raise InvalidInput("A7: surveillance_positions must be a non-empty list")
-        add_receivers(positions, role="surveillance")
+        _named(kind, "tag", scenario.tags, params["target_tag"])
+        add_receivers(params["surveillance_positions"], role="surveillance")
 
     elif kind == "A8":
-        n_ids = _integer(_need(profile, "n_ids"), "A8 n_ids")
-        if n_ids < 1:
-            raise InvalidInput("A8: n_ids must be at least 1")
-        interval = _param(profile, "interval_ms", 100.0)
-        if interval <= 0:
-            raise InvalidInput("A8: interval_ms must be positive")
-        pos = params.get("position")
-        if pos is not None:
-            pos = _position(pos, "A8 position")
-        elif scenario.devices:
-            pos = scenario.devices[0].path[0][1]
-        else:
-            pos = (0.0, 0.0)
-        injected.append(
-            InjectedEmitter(
-                ref=f"atk{index}.drain",
-                profile_index=index,
-                mode="drain",
-                x=pos[0],
-                y=pos[1],
-                tx_power_1m=-59.0,
-                interval_ms=interval,
-                claimed_tx_power=_param(profile, "claimed_tx_power", None),
-                n_ids=n_ids,
-            )
-        )
+        first_stop = scenario.devices[0].path[0][1] if scenario.devices else (0.0, 0.0)
+        x, y = _given(params["position"], first_stop)
+        injected.append(InjectedEmitter(
+            f"atk{index}.drain", index, "drain", x, y, tx_power_1m=-59.0,
+            interval_ms=params["interval_ms"], claimed_tx_power=params["claimed_tx_power"],
+            n_ids=params["n_ids"],
+        ))
 
     reference = scenario.reference_deployment
     if reference is None and deployment is not scenario.deployment:
@@ -458,12 +411,6 @@ def _device_map(result: "RunResult"):
     return {d.ref: d for d in result.scenario.devices}
 
 
-def _profile_harvest_window(result: "RunResult", profile: AttackProfile) -> float:
-    if profile.harvest_window_s is not None:
-        return profile.harvest_window_s
-    return result.scenario.ephemeral.slot_duration_s
-
-
 def _merge_intervals(times: list[float], gap: float) -> list[tuple[float, float]]:
     if not times:
         return []
@@ -477,36 +424,24 @@ def _merge_intervals(times: list[float], gap: float) -> list[tuple[float, float]
     return [(a, b) for a, b in merged]
 
 
-def _beacon_id_db(result: "RunResult", profile: AttackProfile) -> dict[BeaconId, str]:
+def _beacon_id_db(result: "RunResult", profile: AttackProfile) -> dict[bytes, str]:
     """The adversary's ID-to-beacon knowledge for profiling-style attacks."""
     reference = result.scenario.reference
     eph = result.scenario.ephemeral
     if profile.sniff_mode == PERVASIVE:
-        last = eph.slot_of(result.duration)
-        slots = range(0, last + 1)
-    else:
-        hw = _profile_harvest_window(result, profile)
-        slots = range(0, eph.slot_of(max(hw - 1e-9, 0.0)) + 1)
-    table: dict[BeaconId, str] = {}
+        end = result.duration
+    else:  # no frame is sent after the run ends, however long the window
+        end = max(min(harvest_window(profile, eph), result.duration) - 1e-9, 0.0)
+    slots = range(0, eph.slot_of(end) + 1)
+    table: dict[bytes, str] = {}
     for beacon in reference.beacons:
         if isinstance(beacon.id_mode, StaticId):
-            table[beacon.id_mode.id] = beacon.ref
+            table[beacon.id_mode.id.data] = beacon.ref
         elif isinstance(beacon.id_mode, EphemeralId):
             key = reference.owner_keys[beacon.ref]
             for slot in slots:
-                table[result.schedule.id_at(key, slot)] = beacon.ref
+                table[result.schedule.id_at(key, slot).data] = beacon.ref
     return table
-
-
-def _nearest_beacon(reference, pos) -> Optional[str]:
-    best = None
-    best_d = math.inf
-    for beacon in reference.beacons:
-        d = math.dist(pos, beacon.position)
-        if d < best_d:
-            best_d = d
-            best = beacon.ref
-    return best
 
 
 def attack_metrics(result: "RunResult", profile_index: int) -> dict:
@@ -517,37 +452,33 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
     metrics: dict = {"kind": kind, "sniff_mode": profile.sniff_mode}
 
     if kind == "A1":
-        db = harvest(
-            result.attacker_obs.get(profile_index, []),
-            profile.sniff_mode,
-            _profile_harvest_window(result, profile),
-        )
+        # every ID the profile's sniffers learned, from whichever emitter
+        learned = {raw for ids in result.knowledge.get(profile_index, {}).values() for raw in ids}
         covered = 0
         live = 0
         eph = result.scenario.ephemeral
         live_slots = eph.window(eph.slot_of(result.duration))
         for beacon in reference.beacons:
-            seen = result.broadcast_ids.get(beacon.ref, set())
-            if any(BeaconId(raw) in db for raw in seen):
+            if not learned.isdisjoint(result.broadcast_ids.get(beacon.ref, ())):
                 covered += 1
             if isinstance(beacon.id_mode, StaticId):
-                if beacon.id_mode.id in db:
+                if beacon.id_mode.id.data in learned:
                     live += 1
             else:
                 key = reference.owner_keys[beacon.ref]
-                if any(result.schedule.id_at(key, s) in db for s in live_slots):
+                if any(result.schedule.id_at(key, s).data in learned for s in live_slots):
                     live += 1
         n = len(reference.beacons)
         metrics["coverage"] = covered / n if n else 0.0
         metrics["live_coverage"] = live / n if n else 0.0
-        metrics["n_harvested"] = len(db)
+        metrics["n_harvested"] = len(learned)
         metrics["rival_content"] = {
-            bid.hex(): f"rival://{bid.hex()[:8]}" for bid in db.entries
+            raw.hex(): f"rival://{raw.hex()[:8]}" for raw in sorted(learned)
         }
 
     elif kind == "A2":
         devices = _device_map(result)
-        fake_pos = _position(profile.params["fake_position"], "A2 fake_position")
+        fake_pos = profile.params["fake_position"]
         delivered = [w for w in result.window_records if w.outcome == "delivered"]
         wrong = [w for w in delivered if not w.correct]
         metrics["n_deliveries"] = len(delivered)
@@ -566,7 +497,7 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
 
     elif kind == "A3":
         devices = _device_map(result)
-        target_ref = str(profile.params["target_beacon"])
+        target_ref = profile.params["target_beacon"]
         target_pos = reference.beacon(target_ref).position
         expected = 0
         missed = 0
@@ -583,14 +514,13 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         metrics["suppression_rate"] = missed / expected if expected else 0.0
 
     elif kind in ("A4", "A5"):
+        params = profile.params
         if kind == "A4":
-            affected = [str(profile.params["target_beacon"])]
+            affected = [params["target_beacon"]]
+        elif params["action"] == "swap":
+            affected = params["beacons"]
         else:
-            action = str(profile.params["action"]).lower()
-            if action == "swap":
-                affected = [str(r) for r in profile.params["beacons"]]
-            else:
-                affected = [str(profile.params["beacon"])]
+            affected = [params["beacon"]]
         positions = [reference.beacon(ref).position for ref in affected]
         served_keys = {
             (w.device_ref, w.t_end)
@@ -618,17 +548,16 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
 
     elif kind == "A6":
         devices = _device_map(result)
-        target = devices[str(profile.params["target_device"])]
+        target = devices[profile.params["target_device"]]
         table = _beacon_id_db(result, profile)
         uploads = result.upload_logs.get(profile_index, [])
         hits = 0
         for t, id_hex in uploads:
-            ref = table.get(BeaconId(bytes.fromhex(id_hex)))
+            ref = table.get(bytes.fromhex(id_hex))
             if ref is None:
                 continue
-            nearest = _nearest_beacon(reference, target.position_at(t))
-            if nearest is None:
-                continue
+            pos = target.position_at(t)
+            nearest = min(reference.beacons, key=lambda b: math.dist(pos, b.position)).ref
             if ref == nearest or ref in reference.neighbors(nearest):
                 hits += 1
         metrics["n_uploads"] = len(uploads)
@@ -636,17 +565,16 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
 
     elif kind == "A7":
         detections = result.detections.get(profile_index, [])
-        gap = _param(profile, "presence_gap_s", 30.0)
+        gap = profile.params["presence_gap_s"]
         times = [t for t, _, _ in detections]
         metrics["detection_count"] = len(detections)
         metrics["presence_intervals"] = _merge_intervals(times, gap)
 
     elif kind == "A8":
         records = result.budget_records
-        if records:
-            metrics["mean_budget_utilization"] = sum(r.utilization for r in records) / len(records)
-        else:
-            metrics["mean_budget_utilization"] = 0.0
-        metrics["n_ids"] = int(profile.params["n_ids"])
+        metrics["mean_budget_utilization"] = (
+            sum(r.utilization for r in records) / len(records) if records else 0.0
+        )
+        metrics["n_ids"] = profile.params["n_ids"]
 
     return metrics

@@ -34,6 +34,7 @@ from .errors import BeaconLabError, SchemaError, TooShort
 from .model import DEFAULT_ID_WIDTH, BeaconId, load_deployment
 from .model import _hex, _integer, _mapping, _parse_document
 from .outlier import (
+    DEFAULT_P_STAY,
     DetectorParams,
     build_markov,
     calibrate_threshold,
@@ -320,10 +321,11 @@ def build_parser() -> _Parser:
     p.add_argument("--traces", required=True, help="traces.jsonl to score")
     p.add_argument("--calibration", default=None, help="known-clean traces.jsonl")
     p.add_argument("--threshold", type=float, default=None, help="precomputed threshold")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--p-stay", type=float, default=0.3, dest="p_stay")
+    p.add_argument("--alpha", type=float, default=DetectorParams.alpha)
+    p.add_argument("--p-stay", type=float, default=DEFAULT_P_STAY, dest="p_stay")
     p.add_argument("--weighting", choices=(UNIFORM, INVERSE_DISTANCE), default=UNIFORM)
-    p.add_argument("--min-transitions", type=int, default=3, dest="min_transitions")
+    p.add_argument("--min-transitions", type=int, default=DetectorParams.min_transitions,
+                   dest="min_transitions")
     p.add_argument("--no-debounce", action="store_true")
     p.add_argument("--out", default=None, help="verdict CSV path (default: stdout)")
     p.set_defaults(func=cmd_detect)

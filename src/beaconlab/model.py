@@ -75,6 +75,12 @@ class EphemeralId:
 IdMode = Union[StaticId, EphemeralId]
 
 
+def _check_tx_power(where: str, tx_power_1m: float) -> None:
+    """A transmitter's power at 1 m must lie in [-100, 0] dBm."""
+    if not (-100.0 <= tx_power_1m <= 0.0):
+        raise InvalidInput(f"{where} {tx_power_1m} outside [-100, 0] dBm")
+
+
 @dataclass(frozen=True)
 class BeaconConfig:
     ref: str
@@ -88,10 +94,7 @@ class BeaconConfig:
     def __post_init__(self) -> None:
         if not self.ref:
             raise InvalidInput("beacon ref must be non-empty")
-        if not (-100.0 <= self.tx_power_1m <= 0.0):
-            raise InvalidInput(
-                f"beacon {self.ref}: tx_power_1m {self.tx_power_1m} outside [-100, 0] dBm"
-            )
+        _check_tx_power(f"beacon {self.ref}: tx_power_1m", self.tx_power_1m)
         if self.adv_interval_ms <= 0:
             raise InvalidInput(f"beacon {self.ref}: adv_interval_ms must be positive")
 
@@ -299,7 +302,8 @@ def _hex(raw, where: str) -> bytes:
 
 
 def _beacon_id(raw, where: str) -> BeaconId:
-    return BeaconId(_hex(raw, where))
+    """A hex string, or a BeaconId already read: dataclasses.replace passes one back."""
+    return raw if isinstance(raw, BeaconId) else BeaconId(_hex(raw, where))
 
 
 def _position(raw, where: str) -> tuple[float, float]:

@@ -32,6 +32,8 @@ INVERSE_DISTANCE = "inverse_distance"
 
 MIN_CALIBRATION_TRACES = 20
 
+DEFAULT_P_STAY = 0.3  # a model's self-transition probability
+
 StateResolver = Callable[[Observation], Optional[str]]
 
 
@@ -86,7 +88,7 @@ class Verdict:
 
 def build_markov(
     deployment: DeploymentMap,
-    p_stay: float = 0.3,
+    p_stay: float = DEFAULT_P_STAY,
     weighting: str = UNIFORM,
 ) -> MarkovModel:
     """Derive the mobility model from mounting positions and adjacency.
@@ -163,7 +165,7 @@ def trace_transitions(
 def score_trace(
     model: MarkovModel,
     transitions: Sequence[tuple[str, str]],
-    min_transitions: int = 3,
+    min_transitions: int = DetectorParams.min_transitions,
 ) -> TraceScore:
     """Average negative log likelihood plus hard flags.
 
@@ -197,9 +199,9 @@ def calibrate_threshold(
     model: MarkovModel,
     clean_traces: Iterable[Trace],
     resolver: StateResolver,
-    alpha: float = 0.05,
-    debounce: bool = True,
-    min_transitions: int = 3,
+    alpha: float = DetectorParams.alpha,
+    debounce: bool = DetectorParams.debounce,
+    min_transitions: int = DetectorParams.min_transitions,
 ) -> float:
     """Empirical (1 - alpha) quantile of scores over known-clean traces.
 

@@ -138,9 +138,6 @@ class EventLog:
             raise InvalidInput(f"unknown event kind {kind!r}")
         self.events.append(Event(time, seq, kind, data))
 
-    def of_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 

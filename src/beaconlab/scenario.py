@@ -141,7 +141,7 @@ _ATTACK_READERS = {
 
 
 def _parse_attack(raw, where: str) -> AttackProfile:
-    # every other key is a kind-specific param, which AttackProfile checks
+    # every other key is a param of the kind, which AttackProfile reads through its table
     entry = _mapping(raw, where)
     params = {k: v for k, v in entry.items() if k not in _ATTACK_READERS}
     fields = _fields(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .actors import PersonalTag, UserDevice, proximity_decision
-from .attacks import AttackerObservation, InjectedEmitter, LUNCH_TIME, drain_id, install_pending
+from .attacks import InjectedEmitter, LUNCH_TIME, drain_id, harvest_window, install_pending
 from .ephemeral import IdSchedule, RotatingResolver
 from .errors import ValidationError
 from .guardian import jam_succeeds
@@ -88,7 +88,9 @@ class RunResult:
     budget_records: tuple[BudgetRecord, ...]
     traces: tuple[Trace, ...]
     schedule: IdSchedule
-    attacker_obs: dict[int, list[AttackerObservation]] = field(default_factory=dict)
+    # profile index -> true emitter ref -> ID -> what the profile's harvest
+    # sniffers learned of it: the adversary's one ID database
+    knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = field(default_factory=dict)
     upload_logs: dict[int, list[tuple[float, str]]] = field(default_factory=dict)
     detections: dict[int, list[tuple[float, str, float]]] = field(default_factory=dict)
     broadcast_ids: dict[str, set[bytes]] = field(default_factory=dict)
@@ -182,14 +184,11 @@ def run(scenario: Scenario) -> RunResult:
     protected_tag = guardian.protected_tag if guardian is not None else None
 
     profiles = scenario.attacks
-    lunch_cutoff = {}
-    for i, profile in enumerate(profiles):
-        if profile.sniff_mode == LUNCH_TIME:
-            lunch_cutoff[i] = (
-                profile.harvest_window_s
-                if profile.harvest_window_s is not None
-                else eph.slot_duration_s
-            )
+    lunch_cutoff = {
+        i: harvest_window(profile, eph)
+        for i, profile in enumerate(profiles)
+        if profile.sniff_mode == LUNCH_TIME
+    }
 
     emitters: list[_Emitter] = []
     for b in effective.beacons:
@@ -216,7 +215,6 @@ def run(scenario: Scenario) -> RunResult:
     traces: dict[str, list[Observation]] = {d.ref: [] for d in devices}
     window_records: list[WindowRecord] = []
     budget_records: list[BudgetRecord] = []
-    attacker_obs: dict[int, list[AttackerObservation]] = {}
     upload_logs: dict[int, list[tuple[float, str]]] = {}
     detections: dict[int, list[tuple[float, str, float]]] = {}
     broadcast_ids: dict[str, set[bytes]] = {}
@@ -230,7 +228,7 @@ def run(scenario: Scenario) -> RunResult:
     surveillance_targets: dict[int, Optional[BeaconId]] = {}
     for i, profile in enumerate(profiles):
         if profile.kind == "A7":
-            tag = scenario.tag(str(profile.params["target_tag"]))
+            tag = scenario.tag(profile.params["target_tag"])
             surveillance_targets[i] = tag.static_id
             detections.setdefault(i, [])
 
@@ -341,9 +339,6 @@ def run(scenario: Scenario) -> RunResult:
             rssi += shadowing_db(seed, em_ref, n, ref, sigma)
             log_append(t, next(seq), RECEIVE, receiver=ref, emitter=em_ref, id=id_hex, rssi=rssi,
                        claimed_tx=claimed)
-            attacker_obs.setdefault(rx.profile_index, []).append(
-                AttackerObservation(t, ref, rx_pos, bid, rssi, claimed)
-            )
             if rx.role == "surveillance":
                 target = surveillance_targets.get(rx.profile_index)
                 if target is not None and bid == target:
@@ -509,7 +504,7 @@ def run(scenario: Scenario) -> RunResult:
         budget_records=tuple(budget_records),
         traces=trace_objs,
         schedule=schedule,
-        attacker_obs=attacker_obs,
+        knowledge=knowledge,
         upload_logs=upload_logs,
         detections=detections,
         broadcast_ids=broadcast_ids,

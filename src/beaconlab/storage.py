@@ -23,6 +23,7 @@ import json
 from math import isfinite
 from typing import Iterable, Optional
 
+from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
 from .model import BeaconId, Observation, Trace
 from .radio import Event, EventLog, _decode_line, _dumps_sorted
@@ -32,18 +33,6 @@ EVENTS_FORMAT = "beaconlab.events"
 TRACES_FORMAT = "beaconlab.traces"
 METRICS_TAG = "beaconlab.metrics.v1"
 DETECT_TAG = "beaconlab.detect.v1"
-
-# headline effect metric reported per attack kind in metrics.csv
-HEADLINE = {
-    "A1": "live_coverage",
-    "A2": "wrong_content_rate_near_fake",
-    "A3": "suppression_rate",
-    "A4": "unavailability",
-    "A5": "unavailability",
-    "A6": "localization_fraction",
-    "A7": "detection_count",
-    "A8": "mean_budget_utilization",
-}
 
 
 def _header_line(fmt: str) -> str:
@@ -150,7 +139,7 @@ def metric_rows(
     rows = []
     for i, metrics in enumerate(attack_metrics_list):
         kind = metrics["kind"]
-        headline = HEADLINE[kind]
+        headline = KINDS[kind].headline
         detail = {
             k: v for k, v in metrics.items()
             if isinstance(v, (int, float, str)) and k not in ("kind", "sniff_mode")

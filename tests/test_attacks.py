@@ -1,23 +1,25 @@
+from dataclasses import replace
+
 import pytest
 
 from beaconlab import (
-    AttackerObservation,
     AttackProfile,
-    BeaconId,
+    BeaconLabError,
     CapabilityError,
     InvalidInput,
     StaticId,
     UnknownRef,
     apply_attack,
+    attack_metrics,
     drain_id,
-    harvest,
     install_pending,
     load_scenario,
     normalize_kind,
     required_capabilities,
+    run,
 )
-from beaconlab.attacks import LUNCH_TIME, PERVASIVE
-from conftest import AA, BB, CC, static_beacon
+from beaconlab.attacks import PERVASIVE
+from conftest import AA, BB, CC, KEY1, ephemeral_beacon, static_beacon
 
 
 def doc(**overrides):
@@ -34,10 +36,6 @@ def doc(**overrides):
     }
     base.update(overrides)
     return base
-
-
-def obs(t, rx, pos, id_hex=AA, rssi=-60.0, claimed=-59.0):
-    return AttackerObservation(t, rx, pos, BeaconId(bytes.fromhex(id_hex)), rssi, claimed)
 
 
 class TestKinds:
@@ -64,36 +62,77 @@ class TestKinds:
             AttackProfile(kind="A1", params={"target_beacon": "b1"})
 
 
-class TestHarvest:
-    def test_lunch_window_is_half_open(self):
-        frames = [obs(0.0, "rx0", (0, 0)), obs(59.9, "rx0", (0, 0)), obs(60.0, "rx0", (0, 0))]
-        db = harvest(frames, LUNCH_TIME, 60.0)
-        entry = db.entries[BeaconId(bytes.fromhex(AA))]
-        assert entry.first_seen == 0.0
-        assert entry.last_seen == 59.9
+def rotating_doc(attack):
+    """One beacon whose ID changes every 60 s, sending once a second for 300 s."""
+    return doc(
+        beacons=[ephemeral_beacon("b1", 0, KEY1)],
+        content=[{"ref": "b1", "locator": "app://one"}],
+        ephemeral={"slot_duration_s": 60.0},
+        duration_s=300.0,
+        attacks=[{"kind": "A1", **attack}],
+    )
 
-    def test_pervasive_keeps_everything(self):
-        frames = [obs(0.0, "rx0", (0, 0)), obs(500.0, "rx0", (0, 0))]
-        db = harvest(frames, PERVASIVE, 60.0)
-        assert db.entries[BeaconId(bytes.fromhex(AA))].last_seen == 500.0
 
-    def test_position_estimate_prefers_strongest_receiver(self):
-        frames = [
-            obs(0.0, "rx0", (0.0, 0.0), rssi=-60.0),
-            obs(1.0, "rx1", (5.0, 0.0), rssi=-50.0),
-            obs(2.0, "rx0", (0.0, 0.0), rssi=-60.0),
-        ]
-        db = harvest(frames, PERVASIVE, 0.0)
-        assert db.entries[BeaconId(bytes.fromhex(AA))].position_estimate == (5.0, 0.0)
+def slot_ids(result, slots):
+    return {result.schedule.id_at(bytes.fromhex(KEY1), s).data for s in slots}
 
-    def test_claimed_power_tracks_the_latest_frame(self):
-        frames = [obs(0.0, "rx0", (0, 0), claimed=-59.0), obs(9.0, "rx0", (0, 0), claimed=-45.0)]
-        db = harvest(frames, PERVASIVE, 0.0)
-        assert db.entries[BeaconId(bytes.fromhex(AA))].claimed_tx_power == -45.0
 
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidInput):
-            harvest([], "wiretap", 0.0)
+class TestSniffedIds:
+    @pytest.mark.parametrize("window", [{}, {"harvest_window_s": 60.0}], ids=["slot", "given"])
+    def test_lunch_time_cutoff_is_half_open(self, window):
+        # the frame sent at 60 s, the cutoff, is the first to carry slot 1's ID
+        result = run(load_scenario(rotating_doc(window)))
+        learned = result.knowledge[0]["b1"]
+        assert set(learned) == slot_ids(result, [0])
+        entry = learned[next(iter(learned))]
+        assert (entry.last_seen, entry.n) == (59.0, 60)
+        assert attack_metrics(result, 0)["n_harvested"] == 1
+
+    def test_pervasive_learns_ids_from_every_slot(self):
+        result = run(load_scenario(rotating_doc({"sniff_mode": "pervasive"})))
+        assert set(result.knowledge[0]["b1"]) == slot_ids(result, range(5))
+        assert attack_metrics(result, 0)["n_harvested"] == 5
+
+
+def test_a6_window_past_the_run_end_changes_nothing():
+    # the ID table once covered every slot of the window, here about 10^10 of them
+    base = rotating_doc({})
+    base["devices"][0]["apps"] = [{"ref": "spy", "authorized": True, "malicious": True}]
+    metrics = [
+        attack_metrics(run(load_scenario(
+            {**base, "attacks": [{"kind": "A6", "target_device": "phone", "harvest_window_s": w}]}
+        )), 0)
+        for w in (300.0, 1e12)
+    ]
+    assert metrics[0] == metrics[1] and metrics[0]["localization_fraction"] == 1.0
+
+
+class TestParams:
+    def test_read_once_typed_and_defaulted(self):
+        profile = AttackProfile(kind="A8", params={"n_ids": "7", "position": ["1", 2]})
+        assert profile.params == {
+            "n_ids": 7, "interval_ms": 100.0, "position": (1.0, 2.0), "claimed_tx_power": None,
+        }
+
+    def test_a_made_profile_can_be_made_again(self):
+        profile = AttackProfile(kind="A4", params={"target_beacon": "b1", "new_id_hex": CC})
+        again = replace(profile, sniff_mode=PERVASIVE)
+        assert again.params == profile.params and again.sniff_mode == PERVASIVE
+
+    @pytest.mark.parametrize("kind, params, key", [
+        # each of these overflowed the distance estimate in the run
+        ("A3", {"target_beacon": "b1", "claimed_tx_power": 1e308}, "claimed_tx_power"),
+        ("A2", {"source_beacon": "b1", "fake_position": [0, 1], "emitter_tx_power_1m": -1e308},
+         "emitter_tx_power_1m"),
+        ("A8", {"n_ids": 2, "interval_ms": 0}, "interval_ms"),
+        ("A7", {"target_tag": "fob", "surveillance_positions": [[0, 0]], "presence_gap_s": -1},
+         "presence_gap_s"),
+        ("A5", {"action": "swap", "beacons": ["b1"]}, "beacons"),
+        ("A5", {"action": "remove"}, "beacon"),
+    ], ids=["claim", "power", "interval", "gap", "one-ref", "no-ref"])
+    def test_out_of_range_values_raise_when_the_profile_is_made(self, kind, params, key):
+        with pytest.raises(BeaconLabError, match=key):
+            AttackProfile(kind=kind, params=params)
 
 
 class TestDrainIds:

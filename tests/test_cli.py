@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -5,12 +6,16 @@ import yaml
 
 from beaconlab import (
     BeaconId,
+    DetectorParams,
     Observation,
     Trace,
+    build_markov,
+    calibrate_threshold,
     ephemeral_id,
+    score_trace,
     write_traces_jsonl,
 )
-from beaconlab.cli import main
+from beaconlab.cli import build_parser, main
 from conftest import AA, BB, CC, KEY1, KEY2, static_beacon
 
 
@@ -174,6 +179,20 @@ class TestDetect:
         dep = deployment_file(tmp_path)
         traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB, AA, BB])])
         assert main(["detect", "--deployment", dep, "--traces", traces]) == 1
+
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["detect", "--deployment", "d", "--traces", "t"])
+        library = DetectorParams()
+        assert args.alpha == library.alpha
+        assert args.min_transitions == library.min_transitions
+        assert args.no_debounce is not library.debounce
+        assert args.p_stay == inspect.signature(build_markov).parameters["p_stay"].default
+        calibrate = inspect.signature(calibrate_threshold).parameters
+        assert calibrate["alpha"].default == library.alpha
+        assert calibrate["debounce"].default == library.debounce
+        assert calibrate["min_transitions"].default == library.min_transitions
+        score = inspect.signature(score_trace).parameters
+        assert score["min_transitions"].default == library.min_transitions
 
 
 class TestEphemeral:

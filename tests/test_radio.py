@@ -99,7 +99,6 @@ class TestEventLog:
         log.append(0.0, 1, "Receive", receiver="phone")
         assert len(log) == 2
         assert [e.kind for e in log] == ["Broadcast", "Receive"]
-        assert len(log.of_kind("Receive")) == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInput):
