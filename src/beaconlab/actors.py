@@ -7,6 +7,7 @@ tell emitters apart, which is exactly what the flooding attack exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,7 +111,15 @@ def proximity_decision(
         raise InvalidInput("proximity decision needs at least one observation")
     if threshold_m <= 0:
         raise InvalidInput("threshold must be positive")
+    return mean_distance(window, path_loss_exponent) <= threshold_m
+
+
+def mean_distance(frames: Sequence[Observation], path_loss_exponent: float) -> float:
+    """Mean of the frames' distance estimates; inf when an estimate overflows."""
     total = 0.0
-    for obs in window:
-        total += estimate_distance(obs.claimed_tx_power, obs.rssi, path_loss_exponent)
-    return total / len(window) <= threshold_m
+    for obs in frames:
+        try:
+            total += estimate_distance(obs.claimed_tx_power, obs.rssi, path_loss_exponent)
+        except OverflowError:  # farther than any float: no estimate can pull it back
+            return math.inf
+    return total / len(frames)

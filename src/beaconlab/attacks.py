@@ -522,24 +522,15 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         else:
             affected = [params["beacon"]]
         positions = [reference.beacon(ref).position for ref in affected]
-        served_keys = {
-            (w.device_ref, w.t_end)
-            for w in result.window_records
-            if w.outcome in ("delivered", "debounced")
-        }
+        devices = _device_map(result)
         relevant = 0
         served = 0
-        for device in result.scenario.devices:
-            window = device.scan_window_s
-            k = 1
-            while k * window <= result.duration:
-                t_end = k * window
-                pos = device.position_at(t_end)
-                if any(math.dist(pos, p) <= device.proximity_threshold_m for p in positions):
-                    relevant += 1
-                    if (device.ref, t_end) in served_keys:
-                        served += 1
-                k += 1
+        for w in result.window_records:
+            device = devices[w.device_ref]
+            pos = device.position_at(w.t_end)
+            if any(math.dist(pos, p) <= device.proximity_threshold_m for p in positions):
+                relevant += 1
+                served += w.outcome in ("delivered", "debounced")
         metrics["relevant_windows"] = relevant
         metrics["unavailability"] = 1.0 - served / relevant if relevant else 0.0
         rate, n = delivery_correctness(result)
@@ -552,8 +543,8 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         table = _beacon_id_db(result, profile)
         uploads = result.upload_logs.get(profile_index, [])
         hits = 0
-        for t, id_hex in uploads:
-            ref = table.get(bytes.fromhex(id_hex))
+        for t, raw in uploads:
+            ref = table.get(raw)
             if ref is None:
                 continue
             pos = target.position_at(t)
@@ -571,10 +562,13 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         metrics["presence_intervals"] = _merge_intervals(times, gap)
 
     elif kind == "A8":
-        records = result.budget_records
-        metrics["mean_budget_utilization"] = (
-            sum(r.utilization for r in records) / len(records) if records else 0.0
-        )
+        devices = _device_map(result)
+        shares = []  # of the lookup budget, in each window that heard an ID
+        for w in result.window_records:
+            if w.n_ids:
+                budget = devices[w.device_ref].lookup_budget
+                shares.append(min(w.n_ids, budget) / budget)
+        metrics["mean_budget_utilization"] = sum(shares) / len(shares) if shares else 0.0
         metrics["n_ids"] = profile.params["n_ids"]
 
     return metrics

@@ -133,10 +133,12 @@ class Event(NamedTuple):
 class EventLog:
     events: list[Event] = field(default_factory=list)
 
-    def append(self, time: float, seq: int, kind: str, **data) -> None:
+    def append(self, time: float, kind: str, **data) -> None:
+        """Record an event; its seq is its 0-based position in the log."""
         if kind not in EVENT_KINDS:
             raise InvalidInput(f"unknown event kind {kind!r}")
-        self.events.append(Event(time, seq, kind, data))
+        events = self.events
+        events.append(Event(time, len(events), kind, data))
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)

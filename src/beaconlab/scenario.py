@@ -59,17 +59,15 @@ class Scenario:
         # `run` loops until duration_s is reached
         if not 0.0 < self.duration_s < math.inf:
             raise InvalidInput(f"duration_s must be positive and finite, got {self.duration_s!r}")
+        devices = {d.ref for d in self.devices}
+        for tag in self.tags:
+            if tag.carried_by not in devices:
+                raise InvalidInput(f"tag {tag.ref!r}: carrier {tag.carried_by!r} is not a device")
 
     @property
     def reference(self) -> DeploymentMap:
         """Ground-truth deployment: what the owner set up, pre-attack."""
         return self.reference_deployment or self.deployment
-
-    def device(self, ref: str) -> UserDevice:
-        for d in self.devices:
-            if d.ref == ref:
-                return d
-        raise KeyError(ref)
 
     def tag(self, ref: str) -> PersonalTag:
         for t in self.tags:
@@ -195,8 +193,6 @@ def load_scenario(document) -> Scenario:
         tag = _parse_tag(entry, f"tags[{i}]", deployment.id_width)
         if tag.ref in tag_refs or tag.ref in seen:
             raise ValidationError(f"duplicate ref {tag.ref!r}")
-        if tag.carried_by not in seen:
-            raise ValidationError(f"tag {tag.ref!r}: carrier {tag.carried_by!r} is not a device")
         tag_refs.add(tag.ref)
         tags.append(tag)
 

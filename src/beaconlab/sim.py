@@ -19,13 +19,14 @@ import heapq
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .actors import PersonalTag, UserDevice, proximity_decision
-from .attacks import InjectedEmitter, LUNCH_TIME, drain_id, harvest_window, install_pending
+from .actors import UserDevice, mean_distance, proximity_decision
+from .attacks import InjectedEmitter, LUNCH_TIME, delivery_correctness, drain_id, harvest_window
+from .attacks import install_pending
 from .ephemeral import IdSchedule, RotatingResolver
-from .errors import ValidationError
 from .guardian import jam_succeeds
 from .model import BeaconId, Observation, StaticId, Trace
 from .radio import (
@@ -59,6 +60,7 @@ class WindowRecord(NamedTuple):
     device_ref: str
     t_end: float
     n_frames: int
+    n_ids: int  # distinct IDs heard
     n_rejected: int
     emitters: frozenset[str]  # true frame origins, for analysis only
     near: bool
@@ -68,46 +70,31 @@ class WindowRecord(NamedTuple):
     correct: bool = True
 
 
-class BudgetRecord(NamedTuple):
-    device_ref: str
-    t_end: float
-    used: int
-    budget: int
-
-    @property
-    def utilization(self) -> float:
-        return self.used / self.budget
-
-
 @dataclass
 class RunResult:
     scenario: Scenario
     duration: float
     events: EventLog
     window_records: tuple[WindowRecord, ...]
-    budget_records: tuple[BudgetRecord, ...]
     traces: tuple[Trace, ...]
     schedule: IdSchedule
     # profile index -> true emitter ref -> ID -> what the profile's harvest
     # sniffers learned of it: the adversary's one ID database
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = field(default_factory=dict)
-    upload_logs: dict[int, list[tuple[float, str]]] = field(default_factory=dict)
+    upload_logs: dict[int, list[tuple[float, bytes]]] = field(default_factory=dict)
     detections: dict[int, list[tuple[float, str, float]]] = field(default_factory=dict)
     broadcast_ids: dict[str, set[bytes]] = field(default_factory=dict)
 
     def summary(self) -> dict:
-        delivered = [w for w in self.window_records if w.outcome == OUTCOME_DELIVERED]
-        correct = sum(1 for w in delivered if w.correct)
-        outcomes: dict[str, int] = {}
-        for w in self.window_records:
-            outcomes[w.outcome] = outcomes.get(w.outcome, 0) + 1
+        rate, n_deliveries = delivery_correctness(self)
+        outcomes = Counter(w.outcome for w in self.window_records)
         return {
             "duration_s": self.duration,
             "n_events": len(self.events),
             "n_windows": len(self.window_records),
             "outcomes": dict(sorted(outcomes.items())),
-            "n_deliveries": len(delivered),
-            "correct_delivery_rate": correct / len(delivered) if delivered else None,
+            "n_deliveries": n_deliveries,
+            "correct_delivery_rate": rate,
         }
 
 
@@ -126,11 +113,9 @@ class _Emitter:
     frame: int = 0
     # (id, id hex) by pool index, for a drain
     ids: dict = field(default_factory=dict)
-    # (device, ref, distance, mean rssi, buffer, trace); distance and mean rssi
-    # are None when either end moves and are then worked out per frame
-    device_links: list = field(default_factory=list)
-    # (receiver, ref, position, reach, distance, mean rssi), as above
-    receiver_links: list = field(default_factory=list)
+    # (role, ref, position, device, reach, jam exempt, distance, mean rssi,
+    # sink), one per receiver that can hear it; see `run`
+    links: list = field(default_factory=list)
 
 
 @dataclass
@@ -144,6 +129,7 @@ class _Knowledge:
 
 
 _EMIT, _WINDOW = 0, 1
+_PHONE = "phone"  # a receiver role beside the sniffers' harvest and surveillance
 
 
 def _fixed_position(device: UserDevice) -> Optional[tuple[float, float]]:
@@ -175,10 +161,6 @@ def run(scenario: Scenario) -> RunResult:
 
     devices = scenario.devices
     device_by_ref = {d.ref: d for d in devices}
-    for tag in scenario.tags:
-        if tag.carried_by not in device_by_ref:
-            raise ValidationError(f"tag {tag.ref!r}: carrier {tag.carried_by!r} is not a device")
-    carried = {d.ref: frozenset(t.ref for t in scenario.tags if t.carried_by == d.ref) for d in devices}
 
     guardian = scenario.guardian if "SJ" in scenario.defences else None
     protected_tag = guardian.protected_tag if guardian is not None else None
@@ -210,13 +192,13 @@ def run(scenario: Scenario) -> RunResult:
 
     log = EventLog()
     log_append = log.append
-    seq = itertools.count()
     buffers: dict[str, list[tuple[Observation, str]]] = {d.ref: [] for d in devices}
     traces: dict[str, list[Observation]] = {d.ref: [] for d in devices}
     window_records: list[WindowRecord] = []
-    budget_records: list[BudgetRecord] = []
-    upload_logs: dict[int, list[tuple[float, str]]] = {}
-    detections: dict[int, list[tuple[float, str, float]]] = {}
+    upload_logs: dict[int, list[tuple[float, bytes]]] = {}
+    detections: dict[int, list[tuple[float, str, float]]] = {
+        i: [] for i, profile in enumerate(profiles) if profile.kind == "A7"
+    }
     broadcast_ids: dict[str, set[bytes]] = {}
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = {}
     delivered_at: dict[tuple[str, str], float] = {}
@@ -225,43 +207,46 @@ def run(scenario: Scenario) -> RunResult:
         upload_for.setdefault(ref, []).append(idx)
         upload_logs.setdefault(idx, [])
 
-    surveillance_targets: dict[int, Optional[BeaconId]] = {}
-    for i, profile in enumerate(profiles):
-        if profile.kind == "A7":
-            tag = scenario.tag(profile.params["target_tag"])
-            surveillance_targets[i] = tag.static_id
-            detections.setdefault(i, [])
-
     max_range = radio.max_range
     exponent = radio.path_loss_exponent
     seed = radio.seed
     sigma = radio.noise_sigma
 
-    # Links whose two ends both stand still keep one distance for the whole
-    # run: work it out once, and drop the pairs that are out of range.
+    # Every receiver as (role, ref, position, device, reach, jam exempt, sink):
+    # the phones first, then the sniffers in install order, which fixes the
+    # event order. The position is None for a phone that moves. Only a phone
+    # the guardian authorized is exempt from its jamming. The sink is where a
+    # reception goes: (buffer, trace) for a phone, (target ID, detections) for
+    # a surveillance sniffer, (lunch-time cutoff, profile index) for a harvest
+    # sniffer.
+    receivers = [
+        (_PHONE, d.ref, _fixed_position(d), d, max_range,
+         guardian is not None and d.ref in guardian.authorized, (buffers[d.ref], traces[d.ref]))
+        for d in devices
+    ]
+    for rx in scenario.extra_receivers:
+        i = rx.profile_index
+        if rx.role == "surveillance":
+            sink = (scenario.tag(profiles[i].params["target_tag"]).static_id, detections[i])
+        else:
+            sink = (lunch_cutoff.get(i), i)
+        reach = rx.max_range if rx.max_range is not None else max_range
+        receivers.append((rx.role, rx.ref, (rx.x, rx.y), None, reach, False, sink))
+
+    # A link whose two ends both stand still keeps one distance for the whole
+    # run: work it out once, and drop the pairs that are out of range. The
+    # distance and mean rssi of any other link are worked out per frame.
     for em in emitters:
-        for device in devices:
-            if em.family == "tag" and em.ref in carried[device.ref]:
+        for role, ref, rx_pos, device, reach, exempt, sink in receivers:
+            if role == _PHONE and em.family == "tag" and em.obj.carried_by == ref:
                 continue  # a phone ignores its own paired accessory
             d = rssi = None
-            rx_pos = _fixed_position(device)
             if em.position is not None and rx_pos is not None:
-                d = math.dist(em.position, rx_pos)
-                if d > max_range:
-                    continue
-                rssi = mean_rssi(em.tx_power_1m, max(d, 1.0), exponent)
-            em.device_links.append((device, device.ref, d, rssi, buffers[device.ref],
-                                    traces[device.ref]))
-        for rx in scenario.extra_receivers:
-            rx_pos = (rx.x, rx.y)
-            reach = rx.max_range if rx.max_range is not None else max_range
-            d = rssi = None
-            if em.position is not None:
                 d = math.dist(em.position, rx_pos)
                 if d > reach:
                     continue
                 rssi = mean_rssi(em.tx_power_1m, max(d, 1.0), exponent)
-            em.receiver_links.append((rx, rx.ref, rx_pos, reach, d, rssi))
+            em.links.append((role, ref, rx_pos, device, reach, exempt, d, rssi, sink))
 
     def emitter_frame(em: _Emitter, t: float):
         """(position, id, id hex, claimed_tx) for this tick, or None when silent."""
@@ -301,7 +286,7 @@ def run(scenario: Scenario) -> RunResult:
         em_ref = em.ref
         n = em.frame
         tx = em.tx_power_1m
-        log_append(t, next(seq), BROADCAST, emitter=em_ref, id=id_hex, frame=n, claimed_tx=claimed)
+        log_append(t, BROADCAST, emitter=em_ref, id=id_hex, frame=n, claimed_tx=claimed)
         broadcast_ids.setdefault(em_ref, set()).add(bid.data)
 
         jammed = False
@@ -309,45 +294,33 @@ def run(scenario: Scenario) -> RunResult:
             jammed = jam_succeeds(seed, guardian, n)
         blocked: list[str] = []
 
-        for device, ref, d, rssi, buffer, trace in em.device_links:
+        for role, ref, rx_pos, device, reach, exempt, d, rssi, sink in em.links:
             if d is None:
-                d = math.dist(pos, device.position_at(t))
-                if d > max_range:
-                    continue
-            if jammed and d <= guardian.jam_radius_m and ref not in guardian.authorized:
-                blocked.append(ref)
-                continue
-            if rssi is None:
-                rssi = mean_rssi(tx, max(d, 1.0), exponent)
-            rssi += shadowing_db(seed, em_ref, n, ref, sigma)
-            log_append(t, next(seq), RECEIVE, receiver=ref, emitter=em_ref, id=id_hex, rssi=rssi,
-                       claimed_tx=claimed)
-            obs = Observation(t, ref, bid, rssi, claimed)
-            buffer.append((obs, em_ref))
-            trace.append(obs)
-
-        for rx, ref, rx_pos, reach, d, rssi in em.receiver_links:
-            if d is None:
-                d = math.dist(pos, rx_pos)
+                d = math.dist(pos, device.position_at(t) if rx_pos is None else rx_pos)
                 if d > reach:
                     continue
-            if jammed and d <= guardian.jam_radius_m:
+            if jammed and d <= guardian.jam_radius_m and not exempt:
                 blocked.append(ref)
                 continue
             if rssi is None:
                 rssi = mean_rssi(tx, max(d, 1.0), exponent)
             rssi += shadowing_db(seed, em_ref, n, ref, sigma)
-            log_append(t, next(seq), RECEIVE, receiver=ref, emitter=em_ref, id=id_hex, rssi=rssi,
+            log_append(t, RECEIVE, receiver=ref, emitter=em_ref, id=id_hex, rssi=rssi,
                        claimed_tx=claimed)
-            if rx.role == "surveillance":
-                target = surveillance_targets.get(rx.profile_index)
+            if role == _PHONE:
+                buffer, trace = sink
+                obs = Observation(t, ref, bid, rssi, claimed)
+                buffer.append((obs, em_ref))
+                trace.append(obs)
+            elif role == "surveillance":
+                target, found = sink
                 if target is not None and bid == target:
-                    detections[rx.profile_index].append((t, ref, rssi))
+                    found.append((t, ref, rssi))
             else:
-                cutoff = lunch_cutoff.get(rx.profile_index)
+                cutoff, i = sink
                 if cutoff is not None and t >= cutoff:
                     continue
-                store = knowledge.setdefault(rx.profile_index, {}).setdefault(em_ref, {})
+                store = knowledge.setdefault(i, {}).setdefault(em_ref, {})
                 entry = store.get(bid.data)
                 if entry is None:
                     store[bid.data] = _Knowledge(t, rssi, 1, claimed)
@@ -359,7 +332,7 @@ def run(scenario: Scenario) -> RunResult:
                         entry.claimed = claimed
 
         if jammed:
-            log_append(t, next(seq), JAMMED, tag=em_ref, frame=n, blocked=sorted(blocked))
+            log_append(t, JAMMED, tag=em_ref, frame=n, blocked=sorted(blocked))
 
     def expected_content(device: UserDevice, t_end: float) -> set[str]:
         pos = device.position_at(t_end)
@@ -371,12 +344,6 @@ def run(scenario: Scenario) -> RunResult:
                     out.add(content.locator)
         return out
 
-    def pooled_distance(frames: list[Observation]) -> float:
-        total = 0.0
-        for o in frames:
-            total += 10.0 ** ((o.claimed_tx_power - o.rssi) / (10.0 * exponent))
-        return total / len(frames)
-
     def process_window(t_end: float, device: UserDevice) -> None:
         dev = device.ref
         # the buffer is time-ordered: the window is the prefix before t_end
@@ -386,8 +353,9 @@ def run(scenario: Scenario) -> RunResult:
         while n_frames and buffer[n_frames - 1][0].time >= cutoff:
             n_frames -= 1
         if not n_frames:
-            window_records.append(WindowRecord(dev, t_end, 0, 0, frozenset(), False, OUTCOME_EMPTY))
-            log_append(t_end, next(seq), NO_ACTION, device=dev, reason=OUTCOME_EMPTY)
+            window_records.append(WindowRecord(dev, t_end, 0, 0, 0, frozenset(), False,
+                                               OUTCOME_EMPTY))
+            log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_EMPTY)
             return
         window = buffer[:n_frames]
         del buffer[:n_frames]
@@ -400,10 +368,10 @@ def run(scenario: Scenario) -> RunResult:
                 by_id[obs.id.data] = [obs]
             else:
                 frames.append(obs)
+        n_ids = len(by_id)
         budget = device.lookup_budget
-        budget_records.append(BudgetRecord(dev, t_end, min(len(by_id), budget), budget))
         for idx in upload_for.get(dev, ()):
-            upload_logs[idx].extend((t_end, raw.hex()) for raw in by_id)
+            upload_logs[idx].extend((t_end, raw) for raw in by_id)
 
         groups: dict[str, list[Observation]] = {}
         n_rejected = 0
@@ -413,51 +381,48 @@ def run(scenario: Scenario) -> RunResult:
                 n_rejected += len(frames)
             else:
                 groups.setdefault(ref, []).extend(frames)
+        heard = (dev, t_end, n_frames, n_ids, n_rejected, true_emitters)
 
         if not groups:
-            outcome = OUTCOME_BUDGET if len(by_id) > budget else OUTCOME_FLAGGED
-            window_records.append(WindowRecord(dev, t_end, n_frames, n_rejected, true_emitters,
-                                               False, outcome))
-            log_append(t_end, next(seq), FLAGGED, device=dev,
+            outcome = OUTCOME_BUDGET if n_ids > budget else OUTCOME_FLAGGED
+            window_records.append(WindowRecord(*heard, False, outcome))
+            log_append(t_end, FLAGGED, device=dev,
                        n_frames=n_frames, n_rejected=n_rejected, reason=outcome)
             return
 
         if len(groups) == 1:
             ref, frames = next(iter(groups.items()))
         else:
-            ref = min(groups, key=lambda r: (pooled_distance(groups[r]), r))
+            ref = min(groups, key=lambda r: (mean_distance(groups[r], exponent), r))
             frames = groups[ref]
-        if len(by_id) > 1:  # frames of one ID are already in time order
+        if n_ids > 1:  # frames of one ID are already in time order
             frames.sort(key=_by_time)
         near = proximity_decision(frames, device.proximity_threshold_m, exponent)
         if not near:
-            window_records.append(WindowRecord(dev, t_end, n_frames, n_rejected, true_emitters,
-                                               False, OUTCOME_FAR, ref))
-            log_append(t_end, next(seq), NO_ACTION, device=dev, reason=OUTCOME_FAR, beacon=ref)
+            window_records.append(WindowRecord(*heard, False, OUTCOME_FAR, ref))
+            log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_FAR, beacon=ref)
             return
 
         content = reference.content_by_ref.get(ref)
         if content is None:
-            window_records.append(WindowRecord(dev, t_end, n_frames, n_rejected, true_emitters,
-                                               True, OUTCOME_FLAGGED, ref))
-            log_append(t_end, next(seq), FLAGGED, device=dev,
+            window_records.append(WindowRecord(*heard, True, OUTCOME_FLAGGED, ref))
+            log_append(t_end, FLAGGED, device=dev,
                        n_frames=n_frames, n_rejected=n_rejected, reason="no_content")
             return
 
         last = delivered_at.get((dev, content.locator))
         if last is not None and device.content_retrigger_s > 0 and \
                 t_end - last < device.content_retrigger_s - _EPS:
-            window_records.append(WindowRecord(dev, t_end, n_frames, n_rejected, true_emitters,
-                                               True, OUTCOME_DEBOUNCED, ref, content.locator))
-            log_append(t_end, next(seq), NO_ACTION, device=dev,
-                       reason=OUTCOME_DEBOUNCED, beacon=ref)
+            window_records.append(WindowRecord(*heard, True, OUTCOME_DEBOUNCED, ref,
+                                               content.locator))
+            log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_DEBOUNCED, beacon=ref)
             return
 
         correct = content.locator in expected_content(device, t_end)
         delivered_at[(dev, content.locator)] = t_end
-        window_records.append(WindowRecord(dev, t_end, n_frames, n_rejected, true_emitters,
-                                           True, OUTCOME_DELIVERED, ref, content.locator, correct))
-        log_append(t_end, next(seq), CONTENT_DELIVERED, device=dev, beacon=ref,
+        window_records.append(WindowRecord(*heard, True, OUTCOME_DELIVERED, ref, content.locator,
+                                           correct))
+        log_append(t_end, CONTENT_DELIVERED, device=dev, beacon=ref,
                    content=content.locator, correct=correct)
 
     # Heap entries are (time, push order, kind, emitter or device index, window
@@ -501,7 +466,6 @@ def run(scenario: Scenario) -> RunResult:
         duration=duration,
         events=log,
         window_records=tuple(window_records),
-        budget_records=tuple(budget_records),
         traces=trace_objs,
         schedule=schedule,
         knowledge=knowledge,

@@ -298,3 +298,18 @@ class TestInstall:
         scenario = install_pending(load_scenario(declared))
         assert scenario.installed_count == 1
         assert install_pending(scenario) is scenario
+
+
+class TestMetrics:
+    def test_a4_counts_every_window_the_run_made(self):
+        # 3 * 0.1 is a hair above 0.3 s; the loop still closes that window
+        d = doc(
+            devices=[{"ref": "phone", "path": [[0.0, [0.0, 1.0]]], "scan_window_s": 0.1}],
+            duration_s=0.3,
+            attacks=[{"kind": "A4", "target_beacon": "b1", "new_id_hex": CC}],
+        )
+        result = run(load_scenario(d))
+        assert len(result.window_records) == 3
+        metrics = attack_metrics(result, 0)
+        assert metrics["relevant_windows"] == 3
+        assert metrics["unavailability"] == 1.0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import beaconlab
 import beaconlab.cli  # the tracer patches cmd_simulate and cmd_detect
+from conftest import AA, CC, static_beacon
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +31,32 @@ def test_tracer_binds_every_timed_function():
     finally:
         tracer.uninstall()
     assert beaconlab.sim.run is run_before
+
+
+def test_every_reception_draws_its_noise_through_the_traced_binding():
+    # a phone, a harvest sniffer (A1) and a surveillance sniffer (A7) all hear
+    # the beacon and the tag; the benchmark's check that each Receive event
+    # made one traced noise draw must hold for all three
+    doc = {
+        "beacons": [static_beacon("b1", 0, AA)],
+        "content": [{"id_hex": AA, "locator": "app://one"}],
+        "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]], [6.0, [4.0, 1.0]]]}],
+        "tags": [{"ref": "fob", "carried_by": "phone", "id_hex": CC}],
+        "attacks": [
+            {"kind": "A1", "attacker_positions": [[1.0, 0.0]]},
+            {"kind": "A7", "target_tag": "fob", "surveillance_positions": [[2.0, 0.0]]},
+        ],
+        "duration_s": 6.0,
+        "radio": {"seed": 1},
+    }
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        result = beaconlab.run(beaconlab.load_scenario(doc))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    receives = [e for e in result.events if e.kind == "Receive"]
+    assert {e.data["receiver"] for e in receives} == {"phone", "atk0.rx0", "atk1.rx0"}
+    assert tracer.totals([0])["radio.shadowing"][0] == len(receives)

@@ -95,11 +95,12 @@ class TestEventLog:
 
     def test_append_and_filter(self):
         log = EventLog()
-        log.append(0.0, 0, "Broadcast", emitter="b1")
-        log.append(0.0, 1, "Receive", receiver="phone")
+        log.append(0.0, "Broadcast", emitter="b1")
+        log.append(0.0, "Receive", receiver="phone")
         assert len(log) == 2
         assert [e.kind for e in log] == ["Broadcast", "Receive"]
+        assert [e.seq for e in log] == [0, 1]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInput):
-            EventLog().append(0.0, 0, "Mystery")
+            EventLog().append(0.0, "Mystery")

@@ -1,6 +1,7 @@
 """Scenario loading: every malformed document ends in a typed error."""
 
 import copy
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -12,6 +13,7 @@ from beaconlab import (
     BeaconLabError,
     EphemeralParams,
     GuardianConfig,
+    InvalidInput,
     PersonalTag,
     RadioParams,
     Scenario,
@@ -275,6 +277,17 @@ def test_bad_attack_param_raises_from_load_scenario(attack, key):
 def test_tag_tx_power_has_the_beacon_range():
     with pytest.raises(ValidationError, match="tx_power_1m"):
         load_scenario(_replaced(_rich_doc(), ("tags", 0, "tx_power_1m"), 50))
+
+
+def test_a_tag_is_carried_by_a_device():
+    with pytest.raises(ValidationError, match="carrier 'nobody' is not a device"):
+        load_scenario(_replaced(_rich_doc(), ("tags", 0, "carried_by"), "nobody"))
+    scenario = load_scenario(_rich_doc())
+    stray = replace(scenario.tags[0], carried_by="nobody")
+    with pytest.raises(InvalidInput, match="carrier 'nobody' is not a device"):
+        replace(scenario, tags=(stray,) + scenario.tags[1:])
+    with pytest.raises(InvalidInput, match="is not a device"):
+        replace(scenario, devices=())
 
 
 @pytest.mark.parametrize("path, value", [

@@ -28,10 +28,10 @@ TRACES_HEADER = '{"format": "beaconlab.traces", "version": 1}'
 
 def sample_log():
     log = EventLog()
-    log.append(0.0, 0, BROADCAST, emitter="b1", id=AA, frame=0, claimed_tx=-59.0)
-    log.append(0.0, 1, RECEIVE, receiver="phone", emitter="b1", id=AA,
+    log.append(0.0, BROADCAST, emitter="b1", id=AA, frame=0, claimed_tx=-59.0)
+    log.append(0.0, RECEIVE, receiver="phone", emitter="b1", id=AA,
                rssi=-60.5, claimed_tx=-59.0)
-    log.append(3.0, 2, CONTENT_DELIVERED, device="phone", beacon="b1",
+    log.append(3.0, CONTENT_DELIVERED, device="phone", beacon="b1",
                content="app://one", correct=True)
     return log
 
@@ -55,6 +55,7 @@ class TestEventsJsonl:
         write_events_jsonl(path, log)
         loaded = read_events_jsonl(path)
         assert [e.to_json() for e in loaded] == [e.to_json() for e in log]
+        assert [e.seq for e in loaded] == [0, 1, 2]
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
