@@ -242,3 +242,34 @@ def test_detect_verdicts_match_pinned_digest(tmp_path):
     out = tmp_path / "verdicts.csv"
     assert main(_detect_inputs(tmp_path) + ["--out", str(out)]) == 3
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DETECT_VERDICTS
+
+
+# sha256 of `beaconlab assess` stdout and its exit code, per (motives,
+# capabilities, format): the worked example, the A6 note beside a likely
+# attack, the A6 note with no likely attack, and every code at once.
+ASSESS = {
+    ("M2,M3", "C1,C2,C3,C6", "text"):
+        (0, "c0b7b4ed635384a0f2a42343380444a3d656a8fd3af43b880048f52570f62724"),
+    ("M2,M3", "C1,C2,C3,C6", "json"):
+        (0, "0140bf43b9c2f541ea21a3fb58675d4f85a9d0fec3eb5852454c52226b51174a"),
+    ("M4", "C1,C2,C6", "text"):
+        (0, "f1694f72cf8e05458b2ac598033b6ab28f8b003e7e576c2b765baeec4ad2c4bd"),
+    ("M4", "C1,C2,C6", "json"):
+        (0, "d53294a1e6984dfca8e2d22bfe56b850e18c5c5ec47c8fda5701b7fed2c84e2a"),
+    ("M4", "C1,C2", "text"):
+        (0, "a113b6f75dd3f51ab8286bcf0a98a1a33a01be2697e2b85f04cdf558acb58841"),
+    ("M4", "C1,C2", "json"):
+        (0, "b308a44e7f993e32152493b843fd4709d040b6e8ffe2fb40f41b4d2666c91711"),
+    ("M1,M2,M3,M4,M5", "C1,C2,C3,C4,C5,C6,C7", "text"):
+        (3, "90cb5f14a284c701428a0c7ae2fce1333aba05863d5d676c5c80c3d2d9d415fb"),
+    ("M1,M2,M3,M4,M5", "C1,C2,C3,C4,C5,C6,C7", "json"):
+        (3, "dde889fdcdb55934e717e58b238d3f84b021e39470a6a5dcadabda6fe3c6a488"),
+}
+
+
+@pytest.mark.parametrize("motives,capabilities,fmt", sorted(ASSESS))
+def test_assess_output_matches_pinned_digest(motives, capabilities, fmt, capsys):
+    code = main(["assess", "--motives", motives, "--capabilities", capabilities,
+                 "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ASSESS[motives, capabilities, fmt]
