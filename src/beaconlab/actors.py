@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidInput
-from .model import BeaconId, Observation, _check_tx_power
+from .model import MIN_KEY_BYTES, BeaconId, Observation, _check_tx_power
 from .radio import estimate_distance
 
 DEFAULT_PROXIMITY_THRESHOLD_M = 5.0
@@ -70,6 +70,10 @@ class UserDevice:
                 return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
         return path[-1][1]
 
+    def within_threshold(self, point: tuple[float, float], t: float) -> bool:
+        """Ground truth: the device stands within its proximity threshold of point at t."""
+        return math.dist(self.position_at(t), point) <= self.proximity_threshold_m
+
     def has_malicious_authorized_app(self) -> bool:
         return any(a.malicious and a.authorized for a in self.apps)
 
@@ -93,8 +97,8 @@ class PersonalTag:
         _check_tx_power(f"tag {self.ref}: tx_power_1m", self.tx_power_1m)
         if (self.static_id is None) == (self.key is None):
             raise InvalidInput(f"tag {self.ref}: give exactly one of static_id or key")
-        if self.key is not None and len(self.key) < 16:
-            raise InvalidInput(f"tag {self.ref}: key must be at least 16 bytes")
+        if self.key is not None and len(self.key) < MIN_KEY_BYTES:
+            raise InvalidInput(f"tag {self.ref}: key must be at least {MIN_KEY_BYTES} bytes")
 
 
 def proximity_decision(

@@ -22,6 +22,7 @@ from .errors import CapabilityError, InvalidInput, SchemaError, UnknownRef
 from .model import BeaconId, EphemeralId, StaticId
 from .model import _beacon_id, _check_tx_power, _integer, _list, _number, _position, _positions
 from .model import _text
+from .radio import OUTCOME_DEBOUNCED, OUTCOME_DELIVERED
 from .threatmatrix import default_matrix
 
 if TYPE_CHECKING:
@@ -232,6 +233,7 @@ class AttackerReceiver:
     y: float
     role: str  # harvest | surveillance
     max_range: Optional[float] = None
+    target: Optional[BeaconId] = None  # surveillance: the watched tag's fixed ID; None if keyed
 
 
 def drain_id(profile_index: int, i: int, id_width: int) -> BeaconId:
@@ -284,9 +286,9 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
     def beacon(ref):
         return _named(kind, "beacon", scenario.deployment.beacons, ref)
 
-    def add_receivers(positions, role="harvest"):
+    def add_receivers(positions, role="harvest", target=None):
         receivers.extend(
-            AttackerReceiver(f"atk{index}.rx{j}", index, x, y, role, profile.max_range)
+            AttackerReceiver(f"atk{index}.rx{j}", index, x, y, role, profile.max_range, target)
             for j, (x, y) in enumerate(positions)
         )
 
@@ -352,8 +354,8 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
         uploads.append((index, device.ref))
 
     elif kind == "A7":
-        _named(kind, "tag", scenario.tags, params["target_tag"])
-        add_receivers(params["surveillance_positions"], role="surveillance")
+        tag = _named(kind, "tag", scenario.tags, params["target_tag"])
+        add_receivers(params["surveillance_positions"], "surveillance", tag.static_id)
 
     elif kind == "A8":
         first_stop = scenario.devices[0].path[0][1] if scenario.devices else (0.0, 0.0)
@@ -400,15 +402,11 @@ def apply_attack(scenario: "Scenario", profile: AttackProfile) -> "Scenario":
 
 def delivery_correctness(result: "RunResult") -> tuple[Optional[float], int]:
     """Fraction of deliveries matching the pre-attack ground truth."""
-    delivered = [w for w in result.window_records if w.outcome == "delivered"]
+    delivered = [w for w in result.window_records if w.outcome == OUTCOME_DELIVERED]
     if not delivered:
         return None, 0
     good = sum(1 for w in delivered if w.correct)
     return good / len(delivered), len(delivered)
-
-
-def _device_map(result: "RunResult"):
-    return {d.ref: d for d in result.scenario.devices}
 
 
 def _merge_intervals(times: list[float], gap: float) -> list[tuple[float, float]]:
@@ -449,6 +447,7 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
     profile = result.scenario.attacks[profile_index]
     kind = profile.kind
     reference = result.scenario.reference
+    devices = {d.ref: d for d in result.scenario.devices}
     metrics: dict = {"kind": kind, "sniff_mode": profile.sniff_mode}
 
     if kind == "A1":
@@ -477,17 +476,13 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         }
 
     elif kind == "A2":
-        devices = _device_map(result)
         fake_pos = profile.params["fake_position"]
-        delivered = [w for w in result.window_records if w.outcome == "delivered"]
+        delivered = [w for w in result.window_records if w.outcome == OUTCOME_DELIVERED]
         wrong = [w for w in delivered if not w.correct]
         metrics["n_deliveries"] = len(delivered)
         metrics["wrong_content_rate"] = len(wrong) / len(delivered) if delivered else 0.0
         near_fake = [
-            w
-            for w in delivered
-            if math.dist(devices[w.device_ref].position_at(w.t_end), fake_pos)
-            <= devices[w.device_ref].proximity_threshold_m
+            w for w in delivered if devices[w.device_ref].within_threshold(fake_pos, w.t_end)
         ]
         wrong_near = [w for w in near_fake if not w.correct]
         metrics["n_deliveries_near_fake"] = len(near_fake)
@@ -496,7 +491,6 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         )
 
     elif kind == "A3":
-        devices = _device_map(result)
         target_ref = profile.params["target_beacon"]
         target_pos = reference.beacon(target_ref).position
         expected = 0
@@ -504,8 +498,7 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         for w in result.window_records:
             if target_ref not in w.emitters:
                 continue
-            device = devices[w.device_ref]
-            if math.dist(device.position_at(w.t_end), target_pos) > device.proximity_threshold_m:
+            if not devices[w.device_ref].within_threshold(target_pos, w.t_end):
                 continue
             expected += 1
             if not w.near:
@@ -522,15 +515,13 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         else:
             affected = [params["beacon"]]
         positions = [reference.beacon(ref).position for ref in affected]
-        devices = _device_map(result)
         relevant = 0
         served = 0
         for w in result.window_records:
             device = devices[w.device_ref]
-            pos = device.position_at(w.t_end)
-            if any(math.dist(pos, p) <= device.proximity_threshold_m for p in positions):
+            if any(device.within_threshold(p, w.t_end) for p in positions):
                 relevant += 1
-                served += w.outcome in ("delivered", "debounced")
+                served += w.outcome in (OUTCOME_DELIVERED, OUTCOME_DEBOUNCED)
         metrics["relevant_windows"] = relevant
         metrics["unavailability"] = 1.0 - served / relevant if relevant else 0.0
         rate, n = delivery_correctness(result)
@@ -538,7 +529,6 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         metrics["n_deliveries"] = n
 
     elif kind == "A6":
-        devices = _device_map(result)
         target = devices[profile.params["target_device"]]
         table = _beacon_id_db(result, profile)
         uploads = result.upload_logs.get(profile_index, [])
@@ -562,7 +552,6 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
         metrics["presence_intervals"] = _merge_intervals(times, gap)
 
     elif kind == "A8":
-        devices = _device_map(result)
         shares = []  # of the lookup budget, in each window that heard an ID
         for w in result.window_records:
             if w.n_ids:

@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .attacks import attack_metrics, delivery_correctness
+from .attacks import attack_metrics
 from .ephemeral import (
     DEFAULT_FP_TARGET,
     EphemeralParams,
@@ -46,13 +46,16 @@ from .outlier import (
 from .scenario import load_scenario
 from .sim import run
 from .storage import (
+    DETECT_FIELDS,
     DETECT_TAG,
+    REPORT_TAG,
     metric_rows,
     read_metrics_csv,
     read_traces_jsonl,
     write_detect_csv,
     write_events_jsonl,
     write_metrics_csv,
+    write_table,
     write_traces_jsonl,
 )
 from .threatmatrix import assess, default_matrix, load_matrix
@@ -113,10 +116,9 @@ def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
     write_events_jsonl(str(out / "events.jsonl"), result.events)
     write_traces_jsonl(str(out / "traces.jsonl"), result.traces)
     metrics = [attack_metrics(result, i) for i in range(len(result.scenario.attacks))]
-    rate, n_deliveries = delivery_correctness(result)
-    write_metrics_csv(str(out / "metrics.csv"), metric_rows(metrics, rate, n_deliveries))
-
     summary = result.summary()
+    rows = metric_rows(metrics, summary["correct_delivery_rate"], summary["n_deliveries"])
+    write_metrics_csv(str(out / "metrics.csv"), rows)
     summary["manifest"] = manifest
     summary["out_dir"] = str(out)
     summary["seed"] = result.scenario.radio.seed
@@ -207,10 +209,7 @@ def cmd_detect(args) -> int:
     if args.out:
         write_detect_csv(args.out, rows)
     else:
-        print(f"# {DETECT_TAG}")
-        print("device_ref,avg_nll,n_hard_flags,verdict")
-        for row in rows:
-            print(",".join(row[k] for k in ("device_ref", "avg_nll", "n_hard_flags", "verdict")))
+        write_table(sys.stdout, DETECT_TAG, DETECT_FIELDS, rows)
     print(f"threshold={threshold!r} traces={len(rows)} "
           f"anomalous={sum(1 for r in rows if r['verdict'] == 'anomalous')}", file=sys.stderr)
     return EXIT_FINDING if any_anomalous else EXIT_OK
@@ -266,7 +265,7 @@ def cmd_report(args) -> int:
     for path in args.metrics:
         p = Path(path)
         label = p.parent.name if p.stem == "metrics" and p.parent.name else p.stem
-        if label in labels:
+        if label in labels or label == "metric":  # the key column's name
             label = f"{label}:{len(labels)}"
         labels.append(label)
         tables.append(read_metrics_csv(path))
@@ -282,15 +281,13 @@ def cmd_report(args) -> int:
                 cells[key] = {}
             cells[key][label] = row["value"]
 
-    lines = ["# beaconlab.report.v1", ",".join(["metric"] + labels)]
-    for key in keys:
-        lines.append(",".join([key] + [cells[key].get(label, "") for label in labels]))
-    text = "\n".join(lines) + "\n"
+    fields = ["metric"] + labels
+    rows = [{"metric": key, **cells[key]} for key in keys]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_table(fh, REPORT_TAG, fields, rows)
     else:
-        sys.stdout.write(text)
+        write_table(sys.stdout, REPORT_TAG, fields, rows)
     return EXIT_OK
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import InvalidInput
-from .model import BeaconId, DEFAULT_ID_WIDTH
+from .model import DEFAULT_ID_WIDTH, MIN_KEY_BYTES, BeaconId, _check_id_width
 
-MIN_KEY_BYTES = 16
 MAX_BUILD_FP = 0.10
 DEFAULT_FP_TARGET = 0.01  # Bloom false-positive rate a filter is sized for
 
@@ -42,8 +41,7 @@ class EphemeralParams:
             raise InvalidInput("slot_duration_s must be positive")
         if self.window_slots < 0:
             raise InvalidInput("window_slots must be non-negative")
-        if self.id_width <= 0 or self.id_width > 32:
-            raise InvalidInput("id_width must be in 1..32 bytes")
+        _check_id_width(self.id_width)
 
     def slot_of(self, t: float) -> int:
         return math.floor(t / self.slot_duration_s)
@@ -57,8 +55,7 @@ def ephemeral_id(key: bytes, slot: int, id_width: int = DEFAULT_ID_WIDTH) -> Bea
     """PRF(key, slot) truncated to id_width bytes; slot packs as signed 64-bit BE."""
     if len(key) < MIN_KEY_BYTES:
         raise InvalidInput(f"key must be at least {MIN_KEY_BYTES} bytes, got {len(key)}")
-    if id_width <= 0 or id_width > 32:
-        raise InvalidInput("id_width must be in 1..32 bytes")
+    _check_id_width(id_width)
     digest = hmac.new(key, struct.pack(">q", slot), hashlib.sha256).digest()
     return BeaconId(digest[:id_width])
 

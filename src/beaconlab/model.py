@@ -17,6 +17,8 @@ import yaml
 from .errors import InvalidInput, SchemaError, ValidationError
 
 DEFAULT_ID_WIDTH = 20
+MAX_ID_WIDTH = 32  # a rotating ID is an HMAC-SHA256 digest cut to the width
+MIN_KEY_BYTES = 16  # the shortest key a rotating ID may be derived from
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,12 @@ class EphemeralId:
 
 
 IdMode = Union[StaticId, EphemeralId]
+
+
+def _check_id_width(width: int) -> None:
+    """A broadcast ID is 1 to MAX_ID_WIDTH bytes wide."""
+    if not 0 < width <= MAX_ID_WIDTH:
+        raise InvalidInput(f"id_width must be in 1..{MAX_ID_WIDTH} bytes, got {width}")
 
 
 def _check_tx_power(where: str, tx_power_1m: float) -> None:
@@ -134,13 +142,12 @@ class Trace:
 class DeploymentMap:
     """Beacons plus the owner-side lookup structures built from them.
 
-    adjacency is symmetric and irreflexive, keyed by beacon ref. content_map
-    resolves static IDs directly; content_by_ref serves beacons whose broadcast
-    ID rotates and is only resolvable back to a ref by the verifier.
+    adjacency is symmetric and irreflexive, keyed by beacon ref. content_by_ref
+    maps every beacon to its content; a rotating ID resolves back to its ref
+    only through the verifier.
     """
 
     beacons: tuple[BeaconConfig, ...]
-    content_map: Mapping[BeaconId, ContentRef] = field(default_factory=dict)
     content_by_ref: Mapping[str, ContentRef] = field(default_factory=dict)
     adjacency: Mapping[str, frozenset[str]] = field(default_factory=dict)
     owner_keys: Mapping[str, bytes] = field(default_factory=dict)
@@ -347,8 +354,8 @@ def _parse_beacon(raw, where: str, id_width: int) -> tuple[BeaconConfig, bytes |
     elif mode == "ephemeral":
         if key is None:
             raise SchemaError(f"{where}: missing required key 'key_hex'")
-        if len(key) < 16:
-            raise ValidationError(f"{where}: ephemeral key must be at least 16 bytes")
+        if len(key) < MIN_KEY_BYTES:
+            raise ValidationError(f"{where}: ephemeral key must be at least {MIN_KEY_BYTES} bytes")
         id_mode = EphemeralId(key_ref=fields["ref"])
     else:
         raise SchemaError(f"{where}: unknown id_mode {mode!r}")
@@ -369,8 +376,7 @@ def load_deployment(document) -> DeploymentMap:
     id_width = DEFAULT_ID_WIDTH
     if doc.get("id_width") is not None:
         id_width = _integer(doc["id_width"], "id_width")
-    if id_width <= 0:
-        raise ValidationError("id_width must be positive")
+    _build(_check_id_width, "deployment", width=id_width)
 
     raw_beacons = _list(doc.get("beacons"), "beacons")
     if not raw_beacons:
@@ -397,7 +403,7 @@ def load_deployment(document) -> DeploymentMap:
             owner_keys[config.ref] = key
         beacons.append(config)
 
-    content_map: dict[BeaconId, ContentRef] = {}
+    content_map: dict[BeaconId, ContentRef] = {}  # static IDs, until each beacon has its ref
     content_by_ref: dict[str, ContentRef] = {}
     for i, entry in enumerate(_list(doc.get("content"), "content")):
         where = f"content[{i}]"
@@ -432,7 +438,6 @@ def load_deployment(document) -> DeploymentMap:
 
     deployment = DeploymentMap(
         beacons=tuple(beacons),
-        content_map=content_map,
         content_by_ref=content_by_ref,
         adjacency={b.ref: frozenset() for b in beacons},
         owner_keys=owner_keys,

@@ -21,6 +21,11 @@ from .errors import InvalidInput
 _TWO_PI = 2.0 * math.pi
 _U64 = float(2**64)
 
+# The largest path_loss_exponent and noise_sigma. At any finite distance the
+# mean loss is at most about 3,083 * exponent dB and a shadowing draw at most
+# about 9.42 * sigma, so under this bound every RSSI is a finite float.
+MAX_RADIO_SCALE = 1e300
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -30,10 +35,10 @@ class RadioParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.path_loss_exponent <= 0:
-            raise InvalidInput("path_loss_exponent must be positive")
-        if self.noise_sigma < 0:
-            raise InvalidInput("noise_sigma must be non-negative")
+        if not 0 < self.path_loss_exponent <= MAX_RADIO_SCALE:
+            raise InvalidInput(f"path_loss_exponent must be in (0, {MAX_RADIO_SCALE:g}]")
+        if not 0 <= self.noise_sigma <= MAX_RADIO_SCALE:
+            raise InvalidInput(f"noise_sigma must be in [0, {MAX_RADIO_SCALE:g}]")
         if self.max_range <= 0:
             raise InvalidInput("max_range must be positive")
 
@@ -90,6 +95,14 @@ JAMMED = "Jammed"
 FLAGGED = "Flagged"
 
 EVENT_KINDS = (BROADCAST, RECEIVE, CONTENT_DELIVERED, NO_ACTION, JAMMED, FLAGGED)
+
+# scan window outcomes, in rough order of how badly the user's day went
+OUTCOME_DELIVERED = "delivered"
+OUTCOME_DEBOUNCED = "debounced"
+OUTCOME_FAR = "far"
+OUTCOME_FLAGGED = "flagged"
+OUTCOME_BUDGET = "budget_exhausted"
+OUTCOME_EMPTY = "empty"
 
 # json.dumps(obj, sort_keys=True) builds a fresh encoder on every call; this
 # one has exactly its options, so it renders the same bytes.

@@ -22,8 +22,7 @@ from .model import DEPLOYMENT_KEYS, DeploymentMap, load_deployment
 from .model import _beacon_id, _build, _check_keys, _fields, _flag, _hex, _integer, _list
 from .model import _mapping, _names, _number, _parse_document, _position, _positions, _text
 from .radio import RadioParams
-
-DEFENCE_CODES = ("TV", "OD", "SJ")
+from .threatmatrix import CAPABILITIES, DEFENCES
 
 DEFAULT_ATTACKER_CAPS = frozenset({"C1", "C2", "C3", "C6", "C7"})
 # C5 comes with physical_access and C4 with firmware_access
@@ -68,12 +67,6 @@ class Scenario:
     def reference(self) -> DeploymentMap:
         """Ground-truth deployment: what the owner set up, pre-attack."""
         return self.reference_deployment or self.deployment
-
-    def tag(self, ref: str) -> PersonalTag:
-        for t in self.tags:
-            if t.ref == ref:
-                return t
-        raise KeyError(ref)
 
 
 def _path(raw, where: str) -> tuple:
@@ -214,7 +207,7 @@ def load_scenario(document) -> Scenario:
     attacker = {**DEFAULT_ATTACKER, **_fields(doc.get("attacker"), "attacker", _ATTACKER_READERS)}
     caps = set(attacker["capabilities"])
     for c in caps:
-        if c not in {f"C{i}" for i in range(1, 8)}:
+        if c not in CAPABILITIES:
             raise ValidationError(f"attacker: unknown capability {c!r}")
     if attacker["physical_access"]:
         caps.add("C5")
@@ -229,7 +222,7 @@ def load_scenario(document) -> Scenario:
             defences.add("SJ")
     else:
         defences = {d.upper() for d in _names(doc["defences"], "defences")}
-        unknown = defences - set(DEFENCE_CODES)
+        unknown = defences - DEFENCES.keys()
         if unknown:
             raise ValidationError(f"unknown defences: {sorted(unknown)}")
 

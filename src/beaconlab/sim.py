@@ -29,29 +29,13 @@ from .attacks import install_pending
 from .ephemeral import IdSchedule, RotatingResolver
 from .guardian import jam_succeeds
 from .model import BeaconId, Observation, StaticId, Trace
-from .radio import (
-    BROADCAST,
-    CONTENT_DELIVERED,
-    FLAGGED,
-    JAMMED,
-    NO_ACTION,
-    RECEIVE,
-    EventLog,
-    mean_rssi,
-    shadowing_db,
-)
+from .radio import BROADCAST, CONTENT_DELIVERED, FLAGGED, JAMMED, NO_ACTION, RECEIVE, EventLog
+from .radio import OUTCOME_BUDGET, OUTCOME_DEBOUNCED, OUTCOME_DELIVERED, OUTCOME_EMPTY
+from .radio import OUTCOME_FAR, OUTCOME_FLAGGED, mean_rssi, shadowing_db
 from .scenario import Scenario
 
 _EPS = 1e-9
 _by_time = operator.attrgetter("time")
-
-# window outcomes, in rough order of how badly the user's day went
-OUTCOME_DELIVERED = "delivered"
-OUTCOME_DEBOUNCED = "debounced"
-OUTCOME_FAR = "far"
-OUTCOME_FLAGGED = "flagged"
-OUTCOME_BUDGET = "budget_exhausted"
-OUTCOME_EMPTY = "empty"
 
 
 class WindowRecord(NamedTuple):
@@ -206,6 +190,12 @@ def run(scenario: Scenario) -> RunResult:
     for idx, ref in scenario.upload_targets:
         upload_for.setdefault(ref, []).append(idx)
         upload_logs.setdefault(idx, [])
+    # ground truth: where the owner serves each content locator from
+    served_from: dict[str, list[tuple[float, float]]] = {}
+    for b in reference.beacons:
+        content = reference.content_by_ref.get(b.ref)
+        if content is not None:
+            served_from.setdefault(content.locator, []).append(b.position)
 
     max_range = radio.max_range
     exponent = radio.path_loss_exponent
@@ -227,7 +217,7 @@ def run(scenario: Scenario) -> RunResult:
     for rx in scenario.extra_receivers:
         i = rx.profile_index
         if rx.role == "surveillance":
-            sink = (scenario.tag(profiles[i].params["target_tag"]).static_id, detections[i])
+            sink = (rx.target, detections[i])
         else:
             sink = (lunch_cutoff.get(i), i)
         reach = rx.max_range if rx.max_range is not None else max_range
@@ -334,16 +324,6 @@ def run(scenario: Scenario) -> RunResult:
         if jammed:
             log_append(t, JAMMED, tag=em_ref, frame=n, blocked=sorted(blocked))
 
-    def expected_content(device: UserDevice, t_end: float) -> set[str]:
-        pos = device.position_at(t_end)
-        out = set()
-        for b in reference.beacons:
-            if math.dist(pos, b.position) <= device.proximity_threshold_m:
-                content = reference.content_by_ref.get(b.ref)
-                if content is not None:
-                    out.add(content.locator)
-        return out
-
     def process_window(t_end: float, device: UserDevice) -> None:
         dev = device.ref
         # the buffer is time-ordered: the window is the prefix before t_end
@@ -418,7 +398,8 @@ def run(scenario: Scenario) -> RunResult:
             log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_DEBOUNCED, beacon=ref)
             return
 
-        correct = content.locator in expected_content(device, t_end)
+        correct = any(device.within_threshold(p, t_end)
+                      for p in served_from.get(content.locator, ()))
         delivered_at[(dev, content.locator)] = t_end
         window_records.append(WindowRecord(*heard, True, OUTCOME_DELIVERED, ref, content.locator,
                                            correct))

@@ -33,6 +33,7 @@ EVENTS_FORMAT = "beaconlab.events"
 TRACES_FORMAT = "beaconlab.traces"
 METRICS_TAG = "beaconlab.metrics.v1"
 DETECT_TAG = "beaconlab.detect.v1"
+REPORT_TAG = "beaconlab.report.v1"
 
 
 def _header_line(fmt: str) -> str:
@@ -127,7 +128,19 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
 
 
 # ---------------------------------------------------------------------------
-# metrics CSV
+# CSV tables
+
+
+def write_table(fh, tag: str, fields, rows: Iterable[dict]) -> None:
+    """The `# tag` line, the header, then one line per row, each field quoted as CSV needs.
+
+    Open a file with newline="": rows end in \r\n, as the csv module writes them.
+    A row's missing fields are written empty.
+    """
+    fh.write(f"# {tag}\n")
+    writer = csv.DictWriter(fh, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def metric_rows(
@@ -178,10 +191,7 @@ _METRIC_FIELDS = ("profile", "kind", "sniff_mode", "metric", "value", "detail")
 
 def write_metrics_csv(path: str, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {METRICS_TAG}\n")
-        writer = csv.DictWriter(fh, fieldnames=_METRIC_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        write_table(fh, METRICS_TAG, _METRIC_FIELDS, rows)
 
 
 def read_metrics_csv(path: str) -> list[dict]:
@@ -195,12 +205,9 @@ def read_metrics_csv(path: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 # detector verdict CSV
 
-_DETECT_FIELDS = ("device_ref", "avg_nll", "n_hard_flags", "verdict")
+DETECT_FIELDS = ("device_ref", "avg_nll", "n_hard_flags", "verdict")
 
 
 def write_detect_csv(path: str, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {DETECT_TAG}\n")
-        writer = csv.DictWriter(fh, fieldnames=_DETECT_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        write_table(fh, DETECT_TAG, DETECT_FIELDS, rows)

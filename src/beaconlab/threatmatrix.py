@@ -19,12 +19,6 @@ from .errors import InvalidInput, SchemaError, UnknownRef, ValidationError
 from .model import _build, _fields, _list, _mapping, _names, _parse_document, _text
 
 GOALS = ("C", "I", "A", "P")  # confidentiality, integrity, availability, privacy
-GOAL_NAMES = {
-    "C": "Confidentiality",
-    "I": "Integrity",
-    "A": "Availability",
-    "P": "Privacy",
-}
 
 TARGET_OWNER = "Owner"
 TARGET_USER = "User"
@@ -322,25 +316,18 @@ def load_matrix(document) -> ThreatMatrix:
 # set logic
 
 
-def _check_motives(matrix: ThreatMatrix, motives: Iterable[str]) -> frozenset[str]:
-    wanted = frozenset(motives)
-    for m in wanted:
-        if m not in matrix.motives:
-            raise UnknownRef(f"unknown motive {m!r}")
-    return wanted
-
-
-def _check_caps(matrix: ThreatMatrix, capabilities: Iterable[str]) -> frozenset[str]:
-    held = frozenset(capabilities)
-    for c in held:
-        if c not in matrix.capabilities:
-            raise UnknownRef(f"unknown capability {c!r}")
-    return held
+def _known(codes: Iterable[str], table: Mapping, what: str) -> frozenset[str]:
+    """The codes as a set; UnknownRef for the first one table does not hold."""
+    given = frozenset(codes)
+    for code in given:
+        if code not in table:
+            raise UnknownRef(f"unknown {what} {code!r}")
+    return given
 
 
 def attacks_for_motives(matrix: ThreatMatrix, motives: Iterable[str]) -> frozenset[str]:
     """Attacks that serve at least one of the assumed motives."""
-    wanted = _check_motives(matrix, motives)
+    wanted = _known(motives, matrix.motives, "motive")
     return frozenset(
         aid for aid, attack in matrix.attacks.items() if attack.motives & wanted
     )
@@ -348,7 +335,7 @@ def attacks_for_motives(matrix: ThreatMatrix, motives: Iterable[str]) -> frozens
 
 def attacks_for_capabilities(matrix: ThreatMatrix, capabilities: Iterable[str]) -> frozenset[str]:
     """Attacks whose full capability requirement is covered by what is held."""
-    held = _check_caps(matrix, capabilities)
+    held = _known(capabilities, matrix.capabilities, "capability")
     return frozenset(
         aid for aid, attack in matrix.attacks.items() if attack.required_caps <= held
     )
@@ -404,7 +391,7 @@ def recommend_defences(matrix: ThreatMatrix, attacks: Iterable[str]) -> dict:
 
 def skill_profile(matrix: ThreatMatrix, capabilities: Iterable[str]) -> str | None:
     """Highest skill tier among the assumed capabilities; None when no caps."""
-    held = _check_caps(matrix, capabilities)
+    held = _known(capabilities, matrix.capabilities, "capability")
     if not held:
         return None
     return max((matrix.capabilities[c].skill for c in held), key=SKILL_ORDER.__getitem__)
@@ -414,27 +401,23 @@ def skill_profile(matrix: ThreatMatrix, capabilities: Iterable[str]) -> str | No
 class AssessmentReport:
     motives: tuple[str, ...]
     capabilities: tuple[str, ...]
-    likely_attacks: tuple[str, ...]
-    attack_names: Mapping[str, str]
-    goals: Mapping[str, tuple[str, ...]]
-    targets: Mapping[str, str]
+    attacks: tuple[AttackEntry, ...]  # the likely ones, by id
     impacts: tuple[tuple[str, Impact], ...]
     defences: Mapping[str, object]
     skill_profile: str | None
     notes: tuple[str, ...] = ()
+
+    @property
+    def likely_attacks(self) -> tuple[str, ...]:
+        return tuple(a.id for a in self.attacks)
 
     def to_dict(self) -> dict:
         return {
             "motives": list(self.motives),
             "capabilities": list(self.capabilities),
             "likely_attacks": [
-                {
-                    "id": aid,
-                    "name": self.attack_names[aid],
-                    "goals": list(self.goals[aid]),
-                    "target": self.targets[aid],
-                }
-                for aid in self.likely_attacks
+                {"id": a.id, "name": a.name, "goals": sorted(a.goals), "target": a.target}
+                for a in self.attacks
             ],
             "impacts": [
                 {
@@ -463,28 +446,23 @@ class AssessmentReport:
             f"  capabilities: {', '.join(self.capabilities) or '(none)'}",
             f"  skill needed: {self.skill_profile or '-'}",
         ]
-        if not self.likely_attacks:
+        if not self.attacks:
             lines.append("  no feasible attack matches the assumed motives and capabilities")
-            for note in self.notes:
-                lines.append(f"  note: {note}")
-            return "\n".join(lines)
-        lines.append("  likely attacks:")
-        for aid in self.likely_attacks:
-            goals = "/".join(self.goals[aid])
-            lines.append(
-                f"    {aid} {self.attack_names[aid]} (goal {goals}, target {self.targets[aid]})"
-            )
-        lines.append("  impacts:")
-        for aid, imp in self.impacts:
-            lines.append(f"    {aid}: {imp.description} [{imp.level}, {imp.party}]")
-        common = ", ".join(self.defences["common"]) or "(none)"
-        lines.append(f"  common defences: {common}")
-        for aid, ds in self.defences["per_attack"].items():
-            lines.append(f"    {aid}: {', '.join(ds) or '(undefended)'}")
-        if self.defences["uncovered"]:
-            lines.append(f"  undefended attacks: {', '.join(self.defences['uncovered'])}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
+        else:
+            lines.append("  likely attacks:")
+            for a in self.attacks:
+                goals = "/".join(sorted(a.goals))
+                lines.append(f"    {a.id} {a.name} (goal {goals}, target {a.target})")
+            lines.append("  impacts:")
+            for aid, imp in self.impacts:
+                lines.append(f"    {aid}: {imp.description} [{imp.level}, {imp.party}]")
+            common = ", ".join(self.defences["common"]) or "(none)"
+            lines.append(f"  common defences: {common}")
+            for aid, ds in self.defences["per_attack"].items():
+                lines.append(f"    {aid}: {', '.join(ds) or '(undefended)'}")
+            if self.defences["uncovered"]:
+                lines.append(f"  undefended attacks: {', '.join(self.defences['uncovered'])}")
+        lines.extend(f"  note: {note}" for note in self.notes)
         return "\n".join(lines)
 
 
@@ -494,8 +472,8 @@ def assess(
     capabilities: Iterable[str],
 ) -> AssessmentReport:
     """Run the workflow: motive screen, capability screen, impacts, defences."""
-    wanted = _check_motives(matrix, motives)
-    held = _check_caps(matrix, capabilities)
+    wanted = _known(motives, matrix.motives, "motive")
+    held = _known(capabilities, matrix.capabilities, "capability")
     motivated = attacks_for_motives(matrix, wanted)
     capable = attacks_for_capabilities(matrix, held)
     likely = tuple(sorted(motivated & capable))
@@ -518,10 +496,7 @@ def assess(
     return AssessmentReport(
         motives=tuple(sorted(wanted)),
         capabilities=tuple(sorted(held)),
-        likely_attacks=likely,
-        attack_names={aid: matrix.attacks[aid].name for aid in likely},
-        goals={aid: tuple(sorted(matrix.attacks[aid].goals)) for aid in likely},
-        targets={aid: matrix.attacks[aid].target for aid in likely},
+        attacks=tuple(matrix.attacks[aid] for aid in likely),
         impacts=impacts,
         defences=defences,
         skill_profile=skill_profile(matrix, held),

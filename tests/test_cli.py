@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 
 import pytest
@@ -175,6 +177,20 @@ class TestDetect:
         assert lines[1] == "device_ref,avg_nll,n_hard_flags,verdict"
         assert lines[2].startswith("phone,") and lines[2].endswith(",normal")
 
+    def test_stdout_is_the_out_file_byte_for_byte(self, tmp_path, capsys):
+        dep = deployment_file(tmp_path)
+        traces = trace_file(tmp_path, "t.jsonl", [walk_trace("lab, west", [AA, BB] * 4)])
+        out = tmp_path / "verdicts.csv"
+        argv = ["detect", "--deployment", dep, "--traces", traces, "--threshold", "2.0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode() == out.read_bytes()
+        rows = list(csv.reader(io.StringIO(stdout.split("\n", 1)[1])))
+        assert [len(row) for row in rows] == [4, 4]
+        assert rows[1][0] == "lab, west" and rows[1][3] == "normal"
+
     def test_needs_threshold_or_calibration(self, tmp_path, capsys):
         dep = deployment_file(tmp_path)
         traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB, AA, BB])])
@@ -252,6 +268,21 @@ class TestReport:
         assert "A8[0].mean_budget_utilization" in rows
         # the attack-free run leaves the A8 cell blank
         assert rows["A8[0].mean_budget_utilization"].split(",")[1] == ""
+
+    def test_labels_with_commas_or_the_key_name_keep_their_columns(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        main(["simulate", write_manifest(tmp_path / "run,1.yaml"),
+              write_manifest(tmp_path / "metric.yaml"), "--out", str(out)])
+        capsys.readouterr()
+        code = main(["report", str(out / "run,1" / "metrics.csv"),
+                     str(out / "metric" / "metrics.csv")])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("# beaconlab.report.v1\n")
+        rows = list(csv.reader(io.StringIO(text.split("\n", 1)[1])))
+        assert rows[0] == ["metric", "run,1", "metric:1"]
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["delivery_correctness"]
 
 
 class TestTopLevel:

@@ -108,6 +108,17 @@ class TestLoadDeployment:
         with pytest.raises(ValidationError, match="width"):
             load_deployment(static_doc)
 
+    @pytest.mark.parametrize("width", [0, 33])
+    def test_id_width_outside_1_to_32_rejected(self, width):
+        # a rotating ID is a 32-byte HMAC-SHA256 digest cut to the width
+        doc = {
+            "id_width": width,
+            "beacons": [static_beacon("b1", 0, "aa" * 33)],
+            "content": [{"id_hex": "aa" * 33, "locator": "app://x"}],
+        }
+        with pytest.raises(ValidationError, match=r"id_width must be in 1\.\.32"):
+            load_deployment(doc)
+
     def test_custom_id_width(self):
         doc = {
             "id_width": 4,

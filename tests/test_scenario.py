@@ -24,9 +24,11 @@ from beaconlab import (
     load_scenario,
     run,
 )
+from beaconlab.attacks import KINDS
 from beaconlab.cli import main
 from beaconlab.ephemeral import DEFAULT_FP_TARGET
 from beaconlab.scenario import DEFAULT_ATTACKER_CAPS
+from beaconlab.threatmatrix import default_matrix
 from conftest import AA, BB, CC, KEY1, KEY2, ephemeral_beacon, static_beacon
 
 
@@ -272,6 +274,24 @@ _LATE_ATTACK_REPROS = {
 def test_bad_attack_param_raises_from_load_scenario(attack, key):
     with pytest.raises(BeaconLabError, match=key):
         load_scenario({**_rich_doc(), "attacks": [attack]})
+
+
+def test_scenario_codes_are_the_threat_matrix_codes():
+    matrix = default_matrix()
+    assert set(KINDS) == set(matrix.attacks)
+    base = yaml.safe_load(_doc_text("10"))
+
+    def loads(**block) -> bool:
+        try:
+            load_scenario({**base, **block})
+        except ValidationError:
+            return False
+        return True
+
+    caps = {f"C{i}" for i in range(10)} | set(matrix.capabilities)
+    assert {c for c in caps if loads(attacker={"capabilities": [c]})} == set(matrix.capabilities)
+    defences = {"TV", "OD", "SJ", "BF", "XX"} | set(matrix.defences)
+    assert {d for d in defences if loads(defences=[d])} == set(matrix.defences)
 
 
 def test_tag_tx_power_has_the_beacon_range():

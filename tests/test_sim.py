@@ -6,6 +6,7 @@ import yaml
 
 from beaconlab import (
     AttackProfile,
+    ValidationError,
     apply_attack,
     attack_metrics,
     delivery_correctness,
@@ -195,6 +196,18 @@ class TestRadioExtremes:
         path = tmp_path / "radio.yaml"
         path.write_text(yaml.safe_dump(d))
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("radio", [{"noise_sigma": 1e308}, {"path_loss_exponent": 1e308}])
+    def test_a_radio_scale_that_could_write_non_finite_rssi_is_refused(self, tmp_path, capsys,
+                                                                       radio):
+        d = doc(radio=radio, duration_s=30.0)
+        with pytest.raises(ValidationError, match="must be in"):
+            load_scenario(d)
+        path = tmp_path / "radio.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
 
