@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from math import isfinite
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
@@ -131,10 +131,10 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
 # CSV tables
 
 
-def write_table(fh, tag: str, fields, rows: Iterable[dict]) -> None:
+def write_table(fh, tag: str, fields: Sequence[str], rows: Iterable[dict]) -> None:
     """The `# tag` line, the header, then one line per row, each field quoted as CSV needs.
 
-    Open a file with newline="": rows end in \r\n, as the csv module writes them.
+    Open a file with newline="": the csv module ends the header and rows in CRLF.
     A row's missing fields are written empty.
     """
     fh.write(f"# {tag}\n")

@@ -219,6 +219,15 @@ def default_matrix() -> ThreatMatrix:
     )
 
 
+def _known(codes: Iterable[str], table: Mapping, what: str) -> frozenset[str]:
+    """The codes as a set; UnknownRef for the first one table does not hold."""
+    given = frozenset(codes)
+    for code in given:
+        if code not in table:
+            raise UnknownRef(f"unknown {what} {code!r}")
+    return given
+
+
 def _validate_matrix(matrix: ThreatMatrix) -> None:
     if not matrix.attacks:
         raise ValidationError("matrix has no attacks")
@@ -228,26 +237,21 @@ def _validate_matrix(matrix: ThreatMatrix) -> None:
             raise ValidationError(f"{where}: key and id disagree")
         if not attack.motives:
             raise ValidationError(f"{where}: needs at least one motive")
-        for m in attack.motives:
-            if m not in matrix.motives:
-                raise ValidationError(f"{where}: unknown motive {m!r}")
         if not attack.goals:
             raise ValidationError(f"{where}: needs at least one goal")
-        for g in attack.goals:
-            if g not in GOALS:
-                raise ValidationError(f"{where}: unknown goal {g!r}")
         if attack.target not in (TARGET_OWNER, TARGET_USER):
             raise ValidationError(f"{where}: target must be Owner or User")
         if not attack.required_caps:
             raise ValidationError(f"{where}: needs at least one required capability")
-        for c in attack.required_caps:
-            if c not in matrix.capabilities:
-                raise ValidationError(f"{where}: unknown capability {c!r}")
         if not attack.impacts:
             raise ValidationError(f"{where}: needs at least one impact")
-        for d in attack.defences:
-            if d not in matrix.defences:
-                raise ValidationError(f"{where}: unknown defence {d!r}")
+        try:
+            _known(attack.motives, matrix.motives, "motive")
+            _known(attack.goals, GOALS, "goal")
+            _known(attack.required_caps, matrix.capabilities, "capability")
+            _known(attack.defences, matrix.defences, "defence")
+        except UnknownRef as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _texts(raw, where: str) -> dict[str, str]:
@@ -316,15 +320,6 @@ def load_matrix(document) -> ThreatMatrix:
 # set logic
 
 
-def _known(codes: Iterable[str], table: Mapping, what: str) -> frozenset[str]:
-    """The codes as a set; UnknownRef for the first one table does not hold."""
-    given = frozenset(codes)
-    for code in given:
-        if code not in table:
-            raise UnknownRef(f"unknown {what} {code!r}")
-    return given
-
-
 def attacks_for_motives(matrix: ThreatMatrix, motives: Iterable[str]) -> frozenset[str]:
     """Attacks that serve at least one of the assumed motives."""
     wanted = _known(motives, matrix.motives, "motive")
@@ -354,12 +349,9 @@ def impact_report(matrix: ThreatMatrix, attacks: Iterable[str]) -> list[tuple[st
     """Impacts for the given attacks, ordered for reading: by attack id, the
     owner's exposure before the users', and heavier levels first."""
     rows: list[tuple[str, Impact]] = []
-    for aid in sorted(set(attacks)):
-        entry = matrix.attacks.get(aid)
-        if entry is None:
-            raise UnknownRef(f"unknown attack {aid!r}")
+    for aid in sorted(_known(attacks, matrix.attacks, "attack")):
         ordered = sorted(
-            entry.impacts,
+            matrix.attacks[aid].impacts,
             key=lambda imp: (PARTIES.index(imp.party), LEVELS.index(imp.level)),
         )
         rows.extend((aid, imp) for imp in ordered)
@@ -368,16 +360,14 @@ def impact_report(matrix: ThreatMatrix, attacks: Iterable[str]) -> list[tuple[st
 
 def recommend_defences(matrix: ThreatMatrix, attacks: Iterable[str]) -> dict:
     """Common defences across the attack set, per-attack sets, and the gaps."""
-    wanted = sorted(set(attacks))
+    wanted = sorted(_known(attacks, matrix.attacks, "attack"))
     if not wanted:
         raise InvalidInput("cannot recommend defences for an empty attack set")
     per_attack: dict[str, tuple[str, ...]] = {}
     common: frozenset[str] | None = None
     uncovered: list[str] = []
     for aid in wanted:
-        entry = matrix.attacks.get(aid)
-        if entry is None:
-            raise UnknownRef(f"unknown attack {aid!r}")
+        entry = matrix.attacks[aid]
         per_attack[aid] = tuple(sorted(entry.defences))
         common = entry.defences if common is None else common & entry.defences
         if not entry.defences:
