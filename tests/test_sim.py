@@ -198,7 +198,6 @@ class TestRadioExtremes:
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "Traceback" not in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("radio", [{"noise_sigma": 1e308}, {"path_loss_exponent": 1e308}])
     def test_a_radio_scale_that_could_write_non_finite_rssi_is_refused(self, tmp_path, capsys,
                                                                        radio):
