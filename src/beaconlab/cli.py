@@ -149,7 +149,8 @@ def cmd_simulate(args) -> int:
 
 
 def _split_codes(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    """Comma-separated codes, in upper case: `m2` names M2."""
+    return tuple(part.strip().upper() for part in text.split(",") if part.strip())
 
 
 def cmd_assess(args) -> int:

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidInput
@@ -94,7 +95,18 @@ NO_ACTION = "NoAction"
 JAMMED = "Jammed"
 FLAGGED = "Flagged"
 
-EVENT_KINDS = (BROADCAST, RECEIVE, CONTENT_DELIVERED, NO_ACTION, JAMMED, FLAGGED)
+# Each kind's data fields, in sorted order: an event keeps its values in this
+# order, and its JSON line lists them in it. A field whose value is None is
+# absent from the line (a NoAction for an empty window names no beacon).
+EVENT_FIELDS = {
+    BROADCAST: ("claimed_tx", "emitter", "frame", "id"),
+    RECEIVE: ("claimed_tx", "emitter", "id", "receiver", "rssi"),
+    CONTENT_DELIVERED: ("beacon", "content", "correct", "device"),
+    NO_ACTION: ("beacon", "device", "reason"),
+    JAMMED: ("blocked", "frame", "tag"),
+    FLAGGED: ("device", "n_frames", "n_rejected", "reason"),
+}
+EVENT_KINDS = tuple(EVENT_FIELDS)
 
 # scan window outcomes, in rough order of how badly the user's day went
 OUTCOME_DELIVERED = "delivered"
@@ -127,31 +139,121 @@ def _decode_line(line: str):
     return value
 
 
+# ---------------------------------------------------------------------------
+# line rendering: templates and the one value renderer
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def render_value(value) -> str:
+    """The text `json.dumps(value, sort_keys=True)` writes for value.
+
+    A str, a finite float and an int skip the encoder. Types are matched
+    exactly, so a bool (an int subclass), None, NaN, the infinities and every
+    other value go through it.
+    """
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is float:
+        if value - value == 0.0:  # finite
+            return _float_repr(value)
+    elif cls is int:
+        return _int_repr(value)
+    return _dumps_sorted(value)
+
+
+def json_template(fields: tuple) -> str:
+    """A %-template for a JSON object with these keys, which must be sorted.
+
+    Filled with rendered values, it is the line `json.dumps(..., sort_keys=True)`
+    writes for that object.
+    """
+    return "{" + ", ".join(f"{encode_basestring_ascii(name)}: %s" for name in fields) + "}"
+
+
+def _event_template(kind: str, fields: tuple) -> str:
+    # the line's own keys in sorted order: data, kind, seq, t
+    return ('{"data": ' + json_template(fields)
+            + f', "kind": {encode_basestring_ascii(kind)}, "seq": %s, "t": %s}}')
+
+
+_EVENT_TEMPLATES = {kind: _event_template(kind, fields) for kind, fields in EVENT_FIELDS.items()}
+
+
+def event_line(time, seq, kind: str, values: tuple) -> str:
+    """One event's JSON line, without its newline; a None value's field is left out."""
+    template = _EVENT_TEMPLATES.get(kind)
+    if template is None or len(values) != len(EVENT_FIELDS[kind]):
+        raise InvalidInput(f"no {kind!r} event template for {len(values)} values")
+    if None in values:
+        present = [(name, v) for name, v in zip(EVENT_FIELDS[kind], values) if v is not None]
+        template = _event_template(kind, tuple(name for name, _ in present))
+        values = tuple(v for _, v in present)
+    return template % tuple(map(render_value, values + (seq, time)))
+
+
+_LINE_KEYS = {"data", "kind", "seq", "t"}
+
+
 class Event(NamedTuple):
     time: float
     seq: int
     kind: str
-    data: dict
+    values: tuple  # in the order of EVENT_FIELDS[kind]
+
+    @property
+    def data(self) -> dict:
+        """The fields that hold a value, by name."""
+        return {name: v for name, v in zip(EVENT_FIELDS[self.kind], self.values) if v is not None}
 
     def to_json(self) -> str:
-        return _dumps_sorted({"t": self.time, "seq": self.seq, "kind": self.kind, "data": self.data})
+        return event_line(*self)
 
     @classmethod
     def from_json(cls, line: str) -> "Event":
+        """Parse one line.
+
+        A line that is not JSON raises ValueError; one that is not an event of a
+        known kind with only that kind's fields raises InvalidInput.
+        """
         raw = _decode_line(line)
-        return cls(raw["t"], raw["seq"], raw["kind"], raw["data"])
+        if not isinstance(raw, dict) or raw.keys() != _LINE_KEYS:
+            raise InvalidInput("an event is an object with the keys data, kind, seq and t")
+        time, seq, kind, data = raw["t"], raw["seq"], raw["kind"], raw["data"]
+        fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise InvalidInput(f"unknown event kind {kind!r}")
+        if not isinstance(data, dict):
+            raise InvalidInput(f"{kind} data must be an object, got {data!r}")
+        extra = sorted(data.keys() - fields)
+        if extra:
+            raise InvalidInput(f"{kind} has no field {extra[0]!r}")
+        return cls(time, seq, kind, tuple(map(data.get, fields)))
+
+
+# Event(...) without the Python frame of the generated __new__: append is
+# called once per event, the hottest call of a run.
+_new_event = tuple.__new__
 
 
 @dataclass
 class EventLog:
     events: list[Event] = field(default_factory=list)
 
-    def append(self, time: float, kind: str, **data) -> None:
-        """Record an event; its seq is its 0-based position in the log."""
-        if kind not in EVENT_KINDS:
+    def append(self, time: float, kind: str, *values) -> None:
+        """Record an event, its values in the order of EVENT_FIELDS[kind].
+
+        Its seq is its 0-based position in the log.
+        """
+        fields = EVENT_FIELDS.get(kind)
+        if fields is None:
             raise InvalidInput(f"unknown event kind {kind!r}")
+        if len(values) != len(fields):
+            raise InvalidInput(f"a {kind} event has {len(fields)} values {fields}, got {len(values)}")
         events = self.events
-        events.append(Event(time, len(events), kind, data))
+        events.append(_new_event(Event, (time, len(events), kind, values)))
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)

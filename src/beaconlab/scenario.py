@@ -205,8 +205,8 @@ def load_scenario(document) -> Scenario:
         given["duration_s"] = _number(doc["duration_s"], "duration_s")
 
     attacker = {**DEFAULT_ATTACKER, **_fields(doc.get("attacker"), "attacker", _ATTACKER_READERS)}
-    caps = set(attacker["capabilities"])
-    for c in caps:
+    caps = {c.upper() for c in attacker["capabilities"]}
+    for c in sorted(caps):
         if c not in CAPABILITIES:
             raise ValidationError(f"attacker: unknown capability {c!r}")
     if attacker["physical_access"]:

@@ -175,7 +175,7 @@ def run(scenario: Scenario) -> RunResult:
                                  inj, (inj.x, inj.y)))
 
     log = EventLog()
-    log_append = log.append
+    log_append = log.append  # (time, kind, *values in radio.EVENT_FIELDS[kind] order)
     buffers: dict[str, list[tuple[Observation, str]]] = {d.ref: [] for d in devices}
     traces: dict[str, list[Observation]] = {d.ref: [] for d in devices}
     window_records: list[WindowRecord] = []
@@ -276,7 +276,7 @@ def run(scenario: Scenario) -> RunResult:
         em_ref = em.ref
         n = em.frame
         tx = em.tx_power_1m
-        log_append(t, BROADCAST, emitter=em_ref, id=id_hex, frame=n, claimed_tx=claimed)
+        log_append(t, BROADCAST, claimed, em_ref, n, id_hex)
         broadcast_ids.setdefault(em_ref, set()).add(bid.data)
 
         jammed = False
@@ -295,8 +295,7 @@ def run(scenario: Scenario) -> RunResult:
             if rssi is None:
                 rssi = mean_rssi(tx, max(d, 1.0), exponent)
             rssi += shadowing_db(seed, em_ref, n, ref, sigma)
-            log_append(t, RECEIVE, receiver=ref, emitter=em_ref, id=id_hex, rssi=rssi,
-                       claimed_tx=claimed)
+            log_append(t, RECEIVE, claimed, em_ref, id_hex, ref, rssi)
             if role == _PHONE:
                 buffer, trace = sink
                 obs = Observation(t, ref, bid, rssi, claimed)
@@ -322,7 +321,7 @@ def run(scenario: Scenario) -> RunResult:
                         entry.claimed = claimed
 
         if jammed:
-            log_append(t, JAMMED, tag=em_ref, frame=n, blocked=sorted(blocked))
+            log_append(t, JAMMED, sorted(blocked), n, em_ref)
 
     def process_window(t_end: float, device: UserDevice) -> None:
         dev = device.ref
@@ -335,7 +334,7 @@ def run(scenario: Scenario) -> RunResult:
         if not n_frames:
             window_records.append(WindowRecord(dev, t_end, 0, 0, 0, frozenset(), False,
                                                OUTCOME_EMPTY))
-            log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_EMPTY)
+            log_append(t_end, NO_ACTION, None, dev, OUTCOME_EMPTY)
             return
         window = buffer[:n_frames]
         del buffer[:n_frames]
@@ -366,8 +365,7 @@ def run(scenario: Scenario) -> RunResult:
         if not groups:
             outcome = OUTCOME_BUDGET if n_ids > budget else OUTCOME_FLAGGED
             window_records.append(WindowRecord(*heard, False, outcome))
-            log_append(t_end, FLAGGED, device=dev,
-                       n_frames=n_frames, n_rejected=n_rejected, reason=outcome)
+            log_append(t_end, FLAGGED, dev, n_frames, n_rejected, outcome)
             return
 
         if len(groups) == 1:
@@ -380,14 +378,13 @@ def run(scenario: Scenario) -> RunResult:
         near = proximity_decision(frames, device.proximity_threshold_m, exponent)
         if not near:
             window_records.append(WindowRecord(*heard, False, OUTCOME_FAR, ref))
-            log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_FAR, beacon=ref)
+            log_append(t_end, NO_ACTION, ref, dev, OUTCOME_FAR)
             return
 
         content = reference.content_by_ref.get(ref)
         if content is None:
             window_records.append(WindowRecord(*heard, True, OUTCOME_FLAGGED, ref))
-            log_append(t_end, FLAGGED, device=dev,
-                       n_frames=n_frames, n_rejected=n_rejected, reason="no_content")
+            log_append(t_end, FLAGGED, dev, n_frames, n_rejected, "no_content")
             return
 
         last = delivered_at.get((dev, content.locator))
@@ -395,7 +392,7 @@ def run(scenario: Scenario) -> RunResult:
                 t_end - last < device.content_retrigger_s - _EPS:
             window_records.append(WindowRecord(*heard, True, OUTCOME_DEBOUNCED, ref,
                                                content.locator))
-            log_append(t_end, NO_ACTION, device=dev, reason=OUTCOME_DEBOUNCED, beacon=ref)
+            log_append(t_end, NO_ACTION, ref, dev, OUTCOME_DEBOUNCED)
             return
 
         correct = any(device.within_threshold(p, t_end)
@@ -403,8 +400,7 @@ def run(scenario: Scenario) -> RunResult:
         delivered_at[(dev, content.locator)] = t_end
         window_records.append(WindowRecord(*heard, True, OUTCOME_DELIVERED, ref, content.locator,
                                            correct))
-        log_append(t_end, CONTENT_DELIVERED, device=dev, beacon=ref,
-                   content=content.locator, correct=correct)
+        log_append(t_end, CONTENT_DELIVERED, ref, content.locator, correct, dev)
 
     # Heap entries are (time, push order, kind, emitter or device index, window
     # number); the push order breaks time ties deterministically.

@@ -2,9 +2,17 @@
 
 Every format carries a version tag on its first line so readers can refuse
 files they do not understand instead of misparsing them. Writers are
-deterministic: equal inputs produce byte-identical files. Every JSON line is
-rendered by one shared encoder, `radio._dumps_sorted`, whose options are
-exactly those of `json.dumps(..., sort_keys=True)`.
+deterministic: equal inputs produce byte-identical files, and every JSON line
+equals what `json.dumps(..., sort_keys=True)` writes for it.
+
+A JSONL line is a %-template filled with rendered values. Each event kind has
+one template, built once from its sorted field tuple in `radio.EVENT_FIELDS`
+(a field whose value is None is left out of the line); trace lines share one
+five-field template. One value renderer, `radio.render_value`, fills both: a
+str goes through `encode_basestring_ascii`, a finite float through
+`float.__repr__`, an int (not a bool) through `int.__repr__`, and anything
+else through `radio._dumps_sorted`, the encoder with `json.dumps`'s options.
+Lines go to the file as they are rendered, so no writer holds a whole file.
 
 Readers decode each line through `radio._decode_line`, with the semantics of
 `json.loads(line)`: surrounding whitespace is allowed, NaN and Infinity are
@@ -20,13 +28,16 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import starmap
 from math import isfinite
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
 from .model import BeaconId, Observation, Trace
-from .radio import Event, EventLog, _decode_line, _dumps_sorted
+from .radio import (
+    Event, EventLog, _decode_line, _dumps_sorted, event_line, json_template, render_value,
+)
 
 FORMAT_VERSION = 1
 EVENTS_FORMAT = "beaconlab.events"
@@ -54,36 +65,42 @@ def _check_header(line: str, fmt: str, path: str) -> None:
 def write_events_jsonl(path: str, events: EventLog) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header_line(EVENTS_FORMAT) + "\n")
-        for event in events:
-            fh.write(event.to_json() + "\n")
+        fh.writelines(line + "\n" for line in starmap(event_line, events))
 
 
 def read_events_jsonl(path: str) -> list[Event]:
+    """The events of a file; a line that is not an event of a known kind with
+    its declared fields raises SchemaError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file")
     _check_header(lines[0], EVENTS_FORMAT, path)
-    return [Event.from_json(line) for line in lines[1:] if line]
+    events = []
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            events.append(Event.from_json(line))
+        except (ValueError, InvalidInput) as exc:
+            raise SchemaError(f"{path}:{n}: bad event line: {exc}") from exc
+    return events
+
+
+_TRACE_TEMPLATE = json_template(("claimed_tx", "device", "id_hex", "rssi", "t"))
+
+
+def _trace_lines(traces: Iterable[Trace]) -> Iterator[str]:
+    for trace in traces:
+        for obs in trace.observations:
+            values = (obs.claimed_tx_power, obs.receiver_ref, obs.id.hex(), obs.rssi, obs.time)
+            yield _TRACE_TEMPLATE % tuple(map(render_value, values)) + "\n"
 
 
 def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header_line(TRACES_FORMAT) + "\n")
-        for trace in traces:
-            for obs in trace.observations:
-                fh.write(
-                    _dumps_sorted(
-                        {
-                            "t": obs.time,
-                            "device": obs.receiver_ref,
-                            "id_hex": obs.id.hex(),
-                            "rssi": obs.rssi,
-                            "claimed_tx": obs.claimed_tx_power,
-                        }
-                    )
-                    + "\n"
-                )
+        fh.writelines(_trace_lines(traces))
 
 
 def read_traces_jsonl(path: str) -> tuple[Trace, ...]:

@@ -220,9 +220,9 @@ def default_matrix() -> ThreatMatrix:
 
 
 def _known(codes: Iterable[str], table: Mapping, what: str) -> frozenset[str]:
-    """The codes as a set; UnknownRef for the first one table does not hold."""
+    """The codes as a set; UnknownRef for the smallest one table does not hold."""
     given = frozenset(codes)
-    for code in given:
+    for code in sorted(given):
         if code not in table:
             raise UnknownRef(f"unknown {what} {code!r}")
     return given

@@ -90,6 +90,15 @@ class TestAssess:
         doc = json.loads(capsys.readouterr().out)
         assert [a["id"] for a in doc["likely_attacks"]] == ["A6"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_codes_fold_case(self, capsys, fmt):
+        argv = ["assess", "--motives", "M2,M3", "--capabilities", "C1,C2,C3,C6", "--format", fmt]
+        assert main(argv) == 0
+        upper = capsys.readouterr().out
+        argv[2:5] = ["m2, m3", "--capabilities", "c1,C2,c3,c6"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == upper
+
     def test_unknown_motive_is_usage_error(self, capsys):
         assert main(["assess", "--motives", "M9", "--capabilities", "C1"]) == 1
 

@@ -12,7 +12,7 @@ from beaconlab import (
     estimate_distance,
     mean_rssi,
 )
-from beaconlab.radio import shadowing_db, uniform_draw
+from beaconlab.radio import EVENT_FIELDS, EVENT_KINDS, shadowing_db, uniform_draw
 
 
 class TestPathLoss:
@@ -84,23 +84,48 @@ class TestShadowing:
 
 class TestEventLog:
     def test_json_round_trip(self):
-        event = Event(1.5, 3, "Receive", {"receiver": "phone", "rssi": -61.25})
+        event = Event(1.5, 3, "Receive", (-59.0, "b1", "aa", "phone", -61.25))
         again = Event.from_json(event.to_json())
         assert again == event
 
     def test_json_is_canonical(self):
-        event = Event(0.0, 0, "Broadcast", {"b": 1, "a": 2})
+        event = Event(0.0, 0, "Broadcast", (-59.0, "b1", 0, "aa"))
         raw = json.loads(event.to_json())
         assert list(raw) == sorted(raw)
+        assert list(raw["data"]) == sorted(raw["data"]) == list(EVENT_FIELDS["Broadcast"])
 
     def test_append_and_filter(self):
         log = EventLog()
-        log.append(0.0, "Broadcast", emitter="b1")
-        log.append(0.0, "Receive", receiver="phone")
+        log.append(0.0, "Broadcast", -59.0, "b1", 0, "aa")
+        log.append(0.0, "Receive", -59.0, "b1", "aa", "phone", -60.5)
         assert len(log) == 2
         assert [e.kind for e in log] == ["Broadcast", "Receive"]
         assert [e.seq for e in log] == [0, 1]
+        assert log.events[1].data == {"claimed_tx": -59.0, "emitter": "b1", "id": "aa",
+                                      "receiver": "phone", "rssi": -60.5}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInput):
             EventLog().append(0.0, "Mystery")
+
+    @pytest.mark.parametrize("values", [(), ("phone",), (None, "phone", "far", "extra")])
+    def test_value_count_must_match_the_kind(self, values):
+        with pytest.raises(InvalidInput, match="NoAction event has 3 values"):
+            EventLog().append(0.0, "NoAction", *values)
+        with pytest.raises(InvalidInput, match="no 'NoAction' event template"):
+            Event(0.0, 0, "NoAction", values).to_json()
+
+    def test_a_kind_without_a_template_is_not_rendered(self):
+        with pytest.raises(InvalidInput, match="no 'Mystery' event template"):
+            Event(0.0, 0, "Mystery", ()).to_json()
+
+    def test_each_kind_declares_sorted_fields(self):
+        assert EVENT_KINDS == tuple(EVENT_FIELDS)
+        for fields in EVENT_FIELDS.values():
+            assert list(fields) == sorted(set(fields))
+
+    def test_a_none_value_leaves_its_field_out(self):
+        event = Event(3.0, 4, "NoAction", (None, "phone", "empty"))
+        assert event.data == {"device": "phone", "reason": "empty"}
+        assert json.loads(event.to_json())["data"] == {"device": "phone", "reason": "empty"}
+        assert Event.from_json(event.to_json()) == event

@@ -294,6 +294,15 @@ def test_scenario_codes_are_the_threat_matrix_codes():
     assert {d for d in defences if loads(defences=[d])} == set(matrix.defences)
 
 
+def test_capability_codes_fold_case_and_the_smallest_unknown_is_named():
+    base = yaml.safe_load(_doc_text("10"))
+    scenario = load_scenario({**base, "attacker": {"capabilities": ["c1", "C2", "c6"]}})
+    assert {"C1", "C2", "C6"} <= scenario.attacker_caps
+    unknown = [f"zz{i:02d}" for i in range(30)]
+    with pytest.raises(ValidationError, match="unknown capability 'ZZ00'"):
+        load_scenario({**base, "attacker": {"capabilities": ["c1", *reversed(unknown)]}})
+
+
 def test_tag_tx_power_has_the_beacon_range():
     with pytest.raises(ValidationError, match="tx_power_1m"):
         load_scenario(_replaced(_rich_doc(), ("tags", 0, "tx_power_1m"), 50))

@@ -19,7 +19,7 @@ from beaconlab import (
     write_metrics_csv,
     write_traces_jsonl,
 )
-from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, EventLog, RECEIVE
+from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, EVENT_KINDS, EventLog, RECEIVE
 from beaconlab.storage import metric_rows
 from conftest import AA, BB
 
@@ -28,11 +28,9 @@ TRACES_HEADER = '{"format": "beaconlab.traces", "version": 1}'
 
 def sample_log():
     log = EventLog()
-    log.append(0.0, BROADCAST, emitter="b1", id=AA, frame=0, claimed_tx=-59.0)
-    log.append(0.0, RECEIVE, receiver="phone", emitter="b1", id=AA,
-               rssi=-60.5, claimed_tx=-59.0)
-    log.append(3.0, CONTENT_DELIVERED, device="phone", beacon="b1",
-               content="app://one", correct=True)
+    log.append(0.0, BROADCAST, -59.0, "b1", 0, AA)
+    log.append(0.0, RECEIVE, -59.0, "b1", AA, "phone", -60.5)
+    log.append(3.0, CONTENT_DELIVERED, "b1", "app://one", True, "phone")
     return log
 
 
@@ -79,6 +77,23 @@ class TestEventsJsonl:
         path = tmp_path / "events.jsonl"
         path.write_text("not json\n")
         with pytest.raises(SchemaError, match="header"):
+            read_events_jsonl(str(path))
+
+    @pytest.mark.parametrize("bad", [
+        "{}",
+        "not json",
+        '{"t": 0.0, "seq": 0, "kind": "Mystery", "data": 5}',
+        '{"t": 0.0, "seq": 0, "kind": "NoAction", "data": {"device": "phone", "rssi": -60.0}}',
+        '{"t": 0.0, "seq": 0, "kind": "NoAction", "data": 5}',
+        '{"t": 0.0, "seq": 0, "kind": ["NoAction"], "data": {}}',
+        "[1, 2]",
+    ])
+    def test_bad_line_is_reported_with_its_number(self, tmp_path, bad):
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(str(path), sample_log())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        with pytest.raises(SchemaError, match=r"events\.jsonl:5: bad event line"):
             read_events_jsonl(str(path))
 
 
@@ -230,34 +245,50 @@ def test_reader_matches_a_json_loads_reference(tmp_path_factory, lines):
         assert _comparable(read_traces_jsonl(path)) == _comparable(expected)
 
 
+# any JSON value: NaN, infinities and -0.0 among the floats, huge ints, and
+# text with non-ASCII and control characters
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestSharedEncoder:
     """Writers render through one encoder; it must equal json.dumps(sort_keys)."""
 
-    ODD_DATA = {"ref": "caf\u00e9 \u6771\u4eac", "rssi": math.nan, "far": -math.inf,
-                "correct": True, "seen": False, "ids": [AA, 1, 2.5, None],
-                "nested": {"z": [True], "a": "\u00fc"}}
+    # one odd value per field of each kind: non-ASCII and control characters,
+    # NaN, infinities, -0.0, a huge int, bools, None, a list and a nested dict
+    ODD_VALUES = ("caf\u00e9 \u6771\u4eac\x00\n", math.nan, -math.inf, math.inf, -0.0, 10**40,
+                  True, False, None, [AA, 1, 2.5, None], {"z": [True], "a": "\u00fc"})
 
-    def test_event_line_equals_json_dumps(self):
-        event = Event(1.25, 7, "Receive", self.ODD_DATA)
-        expected = json.dumps({"t": 1.25, "seq": 7, "kind": "Receive", "data": self.ODD_DATA},
-                              sort_keys=True)
-        assert event.to_json() == expected
+    @staticmethod
+    def _expected(time, seq, kind, values):
+        data = {name: v for name, v in zip(EVENT_FIELDS[kind], values) if v is not None}
+        return json.dumps({"t": time, "seq": seq, "kind": kind, "data": data}, sort_keys=True)
 
-    @given(data=st.dictionaries(
-        st.text(max_size=4),
-        st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-            lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-            max_leaves=8,
-        ),
-        max_size=4,
-    ))
-    def test_any_event_data_renders_as_json_dumps(self, data):
-        event = Event(0.5, 1, "Broadcast", data)
-        expected = json.dumps({"t": 0.5, "seq": 1, "kind": "Broadcast", "data": data},
-                              sort_keys=True)
-        assert event.to_json() == expected
+    @pytest.mark.parametrize("kind", EVENT_KINDS)
+    def test_event_line_of_each_kind_equals_json_dumps(self, kind):
+        n = len(EVENT_FIELDS[kind])
+        for start in range(len(self.ODD_VALUES)):
+            values = (self.ODD_VALUES * 2)[start:start + n]
+            event = Event(1.25, 7, kind, values)
+            assert event.to_json() == self._expected(1.25, 7, kind, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(event=st.sampled_from(EVENT_KINDS).flatmap(lambda kind: st.tuples(
+        _JSON, _JSON, st.just(kind), st.tuples(*[_JSON] * len(EVENT_FIELDS[kind])))))
+    def test_any_values_of_each_kind_render_as_json_dumps(self, tmp_path_factory, event):
+        path = tmp_path_factory.mktemp("events") / "events.jsonl"
+        log = EventLog()
+        log.events.append(Event(*event))
+        write_events_jsonl(str(path), log)
+        header, line = path.read_text(encoding="utf-8").splitlines()
+        assert line == Event(*event).to_json() == self._expected(*event)
+        # read back; NaN never equals NaN, so compare the lines
+        assert [e.to_json() for e in read_events_jsonl(str(path))] == [line]
 
     def test_trace_lines_equal_json_dumps(self, tmp_path):
         path = tmp_path / "traces.jsonl"

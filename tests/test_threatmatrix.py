@@ -74,6 +74,14 @@ class TestScreens:
         with pytest.raises(UnknownRef):
             attacks_for_capabilities(MATRIX, {"C0"})
 
+    def test_the_error_names_the_smallest_unknown_code(self):
+        # the codes are checked in sorted order, not in the hash order of a set
+        unknown = [f"zz{i:02d}" for i in range(30)]
+        with pytest.raises(UnknownRef, match="unknown capability 'zz00'"):
+            attacks_for_capabilities(MATRIX, ["C1", *reversed(unknown)])
+        with pytest.raises(UnknownRef, match="unknown motive 'M0'"):
+            attacks_for_motives(MATRIX, ["m2", "M9", "M0", "M2"])
+
     def test_likely_is_the_intersection(self):
         likely = likely_attacks(MATRIX, {"M2", "M3"}, {"C1", "C2", "C3", "C6"})
         assert likely == {"A2", "A3"}
