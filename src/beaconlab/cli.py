@@ -177,9 +177,9 @@ def cmd_detect(args) -> int:
     if args.threshold is not None:
         threshold = args.threshold
     elif args.calibration:
-        calibration = read_traces_jsonl(args.calibration)
+        # passed, not bound, so the calibration traces are freed before the test file is read
         threshold = calibrate_threshold(
-            model, calibration, resolver, alpha=args.alpha,
+            model, read_traces_jsonl(args.calibration), resolver, alpha=args.alpha,
             debounce=not args.no_debounce, min_transitions=args.min_transitions,
         )
     else:

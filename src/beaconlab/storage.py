@@ -14,14 +14,21 @@ str goes through `encode_basestring_ascii`, a finite float through
 else through `radio._dumps_sorted`, the encoder with `json.dumps`'s options.
 Lines go to the file as they are rendered, so no writer holds a whole file.
 
+Readers take a file one line at a time through `_body_lines`, so no reader
+holds the file's text. A line ends only at a newline: text mode has already
+turned CRLF and a lone CR into one, and a raw U+2028, U+2029 or U+0085 inside
+a JSON string stays in its line, as JSON Lines has it. Blank lines are
+skipped, but line numbers count them.
+
 Readers decode each line through `radio._decode_line`, with the semantics of
 `json.loads(line)`: surrounding whitespace is allowed, NaN and Infinity are
 accepted, and a line holding anything beyond one JSON value (or a byte-order
 mark) fails with the error `json.loads` gives. The common line is decoded by
 one `raw_decode` call; only a line that call rejects or does not consume whole
-takes the `json.loads` path. The trace reader interns beacon IDs per file, so
-every observation of one `id_hex` shares one `BeaconId`: a file names a few
-dozen IDs across tens of thousands of lines.
+takes the `json.loads` path. The trace reader interns beacon IDs and device
+strings per file, so every observation of one `id_hex` shares one `BeaconId`
+and every observation of one device one `receiver_ref`: a file names a few
+dozen of each across tens of thousands of lines.
 """
 
 from __future__ import annotations
@@ -68,22 +75,40 @@ def write_events_jsonl(path: str, events: EventLog) -> None:
         fh.writelines(line + "\n" for line in starmap(event_line, events))
 
 
+def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
+    """Check the header line, then yield (line number, line) for each
+    non-empty line after it, reading one line at a time.
+
+    A line ends only at a newline, which text mode also makes of CRLF and a
+    lone CR. A line's number counts every line, blank ones too.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise SchemaError(f"{path}: empty file")
+        _check_header(header.rstrip("\n"), fmt, path)
+        for n, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield n, line
+
+
 def read_events_jsonl(path: str) -> list[Event]:
     """The events of a file; a line that is not an event of a known kind with
-    its declared fields raises SchemaError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
-    _check_header(lines[0], EVENTS_FORMAT, path)
+    its declared fields, a finite `t` and a `seq` of at least 0 raises
+    SchemaError naming the file and line."""
     events = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    for n, line in _body_lines(path, EVENTS_FORMAT):
         try:
-            events.append(Event.from_json(line))
+            event = Event.from_json(line)
+            time, seq = event.time, event.seq
+            if not (type(time) is int or type(time) is float and isfinite(time)):
+                raise InvalidInput(f"t must be a finite number, got {time!r}")
+            if type(seq) is not int or seq < 0:
+                raise InvalidInput(f"seq must be an int of at least 0, got {seq!r}")
         except (ValueError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad event line: {exc}") from exc
+        events.append(event)
     return events
 
 
@@ -106,20 +131,14 @@ def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
 def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
     """Rebuild traces, grouped by device in order of first appearance.
 
-    A line that is not one JSON object with the five trace fields, whose `t`
-    is not finite, or whose `id_hex` is not a non-empty hex string, raises
-    SchemaError naming the file and line.
+    A line that is not one JSON object with the five trace fields, whose `t`,
+    `rssi` or `claimed_tx` is not a float (a finite one for `t`), or whose
+    `id_hex` is not a non-empty hex string, raises SchemaError naming the file
+    and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
-    _check_header(lines[0], TRACES_FORMAT, path)
     ids: dict[str, BeaconId] = {}
     grouped: dict[str, list[Observation]] = {}
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    for n, line in _body_lines(path, TRACES_FORMAT):
         try:
             raw = _decode_line(line)
             t = float(raw["t"])
@@ -133,14 +152,16 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
                 # from_hex raises for anything that is not a hex string,
                 # unhashable values included, before it can be stored
                 beacon_id = ids[id_hex] = BeaconId.from_hex(id_hex)
-            obs = Observation(t, device, beacon_id, float(raw["rssi"]), float(raw["claimed_tx"]))
-        except (KeyError, ValueError, TypeError, InvalidInput) as exc:
+            obs_list = grouped.get(device)
+            if obs_list is None:
+                obs_list = grouped[device] = []
+            else:  # one device string per device, as one BeaconId per id_hex
+                device = obs_list[0].receiver_ref
+            obs_list.append(
+                Observation(t, device, beacon_id, float(raw["rssi"]), float(raw["claimed_tx"]))
+            )
+        except (KeyError, ValueError, TypeError, OverflowError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc
-        obs_list = grouped.get(device)
-        if obs_list is None:
-            grouped[device] = [obs]
-        else:
-            obs_list.append(obs)
     return tuple(Trace(ref, tuple(obs_list)) for ref, obs_list in grouped.items())
 
 

@@ -254,8 +254,29 @@ def _validate_matrix(matrix: ThreatMatrix) -> None:
             raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _code(raw, where: str) -> str:
+    """A motive, capability or defence code, in upper case, as the command
+    line and scenarios read it: `m9` names M9."""
+    return _text(raw, where).upper()
+
+
+def _codes(raw, where: str) -> frozenset[str]:
+    return frozenset(_code(item, where) for item in _list(raw, where))
+
+
+def _by_code(raw, where: str) -> dict[str, object]:
+    """A mapping keyed by code; two keys that differ only in case are refused."""
+    out = {}
+    for key, value in _mapping(raw, where).items():
+        code = _code(key, where)
+        if code in out:
+            raise ValidationError(f"{where}: code {code!r} given twice")
+        out[code] = value
+    return out
+
+
 def _texts(raw, where: str) -> dict[str, str]:
-    return {_text(k, where): _text(v, f"{where}: {k}") for k, v in _mapping(raw, where).items()}
+    return {code: _text(v, f"{where}: {code}") for code, v in _by_code(raw, where).items()}
 
 
 _CAPABILITY_READERS = {"description": _text, "skill": _text}
@@ -263,8 +284,7 @@ _CAPABILITY_READERS = {"description": _text, "skill": _text}
 
 def _capabilities(raw, where: str) -> dict[str, Capability]:
     out = {}
-    for cid, entry in _mapping(raw, where).items():
-        cid = _text(cid, where)
+    for cid, entry in _by_code(raw, where).items():
         fields = _fields(entry, f"{where}: {cid}", _CAPABILITY_READERS)
         out[cid] = _build(Capability, f"{where}: {cid}", id=cid, **fields)
     return out
@@ -282,8 +302,8 @@ def _impacts(raw, where: str) -> tuple[Impact, ...]:
 
 
 _ATTACK_READERS = {
-    "id": _text, "name": _text, "motives": _names, "goals": _names, "target": _text,
-    "required_caps": _names, "impacts": _impacts, "defences": _names,
+    "id": _text, "name": _text, "motives": _codes, "goals": _names, "target": _text,
+    "required_caps": _codes, "impacts": _impacts, "defences": _codes,
 }
 _MATRIX_READERS = {
     "motives": _texts, "capabilities": _capabilities, "defences": _texts, "attacks": _list,
@@ -295,6 +315,7 @@ def load_matrix(document) -> ThreatMatrix:
 
     Motives, capabilities and defences default to the canonical vocabulary and
     may be extended; the attacks list replaces the canonical one entirely.
+    Their codes are read in upper case, so `m9` and `M9` name one motive.
     """
     doc = _fields(_parse_document(document), "matrix", _MATRIX_READERS)
     if not doc.get("attacks"):

@@ -99,6 +99,24 @@ class TestAssess:
         assert main(argv) == 0
         assert capsys.readouterr().out == upper
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_lower_case_override_code_can_be_named(self, tmp_path, capsys, fmt):
+        matrix = tmp_path / "matrix.yaml"
+        matrix.write_text(yaml.safe_dump({
+            "motives": {"m9": "testing"},
+            "attacks": [{"id": "X1", "motives": ["m9"], "goals": ["C"], "required_caps": ["c1"],
+                         "impacts": [{"description": "d", "level": "L", "party": "U"}],
+                         "defences": ["tv"]}],
+        }))
+        argv = ["assess", "--matrix", str(matrix), "--motives", "m9", "--capabilities", "C1",
+                "--format", fmt]
+        assert main(argv) == 0
+        lower = capsys.readouterr().out
+        assert "X1" in lower and "TV" in lower
+        argv[4] = "M9"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == lower
+
     def test_unknown_motive_is_usage_error(self, capsys):
         assert main(["assess", "--motives", "M9", "--capabilities", "C1"]) == 1
 
@@ -199,6 +217,17 @@ class TestDetect:
         rows = list(csv.reader(io.StringIO(stdout.split("\n", 1)[1])))
         assert [len(row) for row in rows] == [4, 4]
         assert rows[1][0] == "lab, west" and rows[1][3] == "normal"
+
+    def test_a_number_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        dep = deployment_file(tmp_path)
+        traces = tmp_path / "t.jsonl"
+        line = {"t": 10**400, "device": "phone", "id_hex": AA, "rssi": -70.0, "claimed_tx": -59.0}
+        traces.write_text('{"format": "beaconlab.traces", "version": 1}\n'
+                          + json.dumps(line) + "\n")
+        assert main(["detect", "--deployment", dep, "--traces", str(traces),
+                     "--threshold", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "t.jsonl:2: bad trace line" in err and "Traceback" not in err
 
     def test_needs_threshold_or_calibration(self, tmp_path, capsys):
         dep = deployment_file(tmp_path)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,16 @@ class TestEventsJsonl:
         '{"t": 0.0, "seq": 0, "kind": "NoAction", "data": 5}',
         '{"t": 0.0, "seq": 0, "kind": ["NoAction"], "data": {}}',
         "[1, 2]",
+        '{"t": "x", "seq": -1, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": "x", "seq": 0, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": true, "seq": 0, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": null, "seq": 0, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": NaN, "seq": 0, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": -Infinity, "seq": 0, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": 0.0, "seq": -1, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": 0.0, "seq": 1.5, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": 0.0, "seq": false, "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": 0.0, "seq": "0", "kind": "NoAction", "data": {"device": 5}}',
     ])
     def test_bad_line_is_reported_with_its_number(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"
@@ -95,6 +106,13 @@ class TestEventsJsonl:
             fh.write(bad + "\n")
         with pytest.raises(SchemaError, match=r"events\.jsonl:5: bad event line"):
             read_events_jsonl(str(path))
+
+    def test_int_time_and_seq_load(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(str(path), sample_log())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f'{{"t": {10**400}, "seq": 0, "kind": "NoAction", "data": {{"device": 5}}}}\n')
+        assert read_events_jsonl(str(path))[-1][:2] == (10**400, 0)
 
 
 class TestTracesJsonl:
@@ -135,6 +153,14 @@ class TestTracesJsonl:
         with pytest.raises(SchemaError, match=r"traces\.jsonl:3: .*t must be finite"):
             read_traces_jsonl(str(path))
 
+    @pytest.mark.parametrize("field", ["t", "rssi", "claimed_tx"])
+    def test_number_too_large_for_a_float_is_reported_with_its_number(self, tmp_path, field):
+        path = tmp_path / "traces.jsonl"
+        bad = _line(device="phone", **{field: 10**400})
+        path.write_text("\n".join([TRACES_HEADER, _line(device="phone"), bad]) + "\n")
+        with pytest.raises(SchemaError, match=r"traces\.jsonl:3: bad trace line: int too large"):
+            read_traces_jsonl(str(path))
+
     def test_equal_id_hex_shares_one_beacon_id(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         path.write_text("\n".join([
@@ -156,14 +182,15 @@ def _line(**fields) -> str:
     return json.dumps({**obs, **fields}, sort_keys=True)
 
 
-def _reference_read(path: str):
+def _reference_read(path: str, split_lines=lambda text: text.split("\n")):
     """The trace reader spelled out with one json.loads per line.
 
     Returns the traces, or the number of the first line that must raise
-    SchemaError; an error that is not about one line propagates.
+    SchemaError; an error that is not about one line propagates. Lines are
+    split by split_lines; by default they end only at a newline.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = split_lines(fh.read())
     grouped: dict[str, list[Observation]] = {}
     for n, line in enumerate(lines[1:], start=2):
         if not line:
@@ -179,7 +206,7 @@ def _reference_read(path: str):
                 rssi=float(raw["rssi"]),
                 claimed_tx_power=float(raw["claimed_tx"]),
             )
-        except (KeyError, ValueError, TypeError, InvalidInput):
+        except (KeyError, ValueError, TypeError, OverflowError, InvalidInput):
             return n
         grouped.setdefault(obs.receiver_ref, []).append(obs)
     return tuple(Trace(ref, tuple(obs_list)) for ref, obs_list in grouped.items())
@@ -192,6 +219,95 @@ def _comparable(traces):
                          repr(o.claimed_tx_power)) for o in t.observations])
         for t in traces
     ]
+
+
+class TestLineByLine:
+    """The readers take one line at a time; lines end only at a newline."""
+
+    TRACE_LINES = [
+        _line(t=float(k), device=device, id_hex=id_hex, rssi=-60.5 - k)
+        for k, (device, id_hex) in enumerate(
+            [("phone", AA), ("tablet", BB), ("phone", BB), ("phone", AA), ("tablet", AA)])
+    ]
+
+    @staticmethod
+    def _write(path, header, lines, end, final_end, bad_at):
+        body = [lines[0], "", "  " + lines[1] + " \t", "", *lines[2:]]
+        if bad_at is not None:
+            body.insert({"first": 0, "middle": len(body) // 2, "last": len(body)}[bad_at],
+                        "not json")
+        text = end.join([header, *body]) + (end if final_end else "")
+        path.write_bytes(text.encode("utf-8"))
+
+    @staticmethod
+    def _splitlines_events(path):
+        """The event objects a `read().splitlines()` reader finds, or the
+        number of the first line that is not JSON."""
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        events = []
+        for n, line in enumerate(lines[1:], start=2):
+            if line:
+                try:
+                    events.append(json.loads(line))
+                except ValueError:
+                    return n
+        return events
+
+    @pytest.mark.parametrize("bad_at", [None, "first", "middle", "last"])
+    @pytest.mark.parametrize("final_end", [True, False])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_traces_equal_a_splitlines_reader(self, tmp_path, end, final_end, bad_at):
+        path = tmp_path / "traces.jsonl"
+        self._write(path, TRACES_HEADER, self.TRACE_LINES, end, final_end, bad_at)
+        expected = _reference_read(str(path), str.splitlines)
+        if bad_at is None:
+            assert _comparable(read_traces_jsonl(str(path))) == _comparable(expected)
+        else:
+            with pytest.raises(SchemaError, match=f"traces\\.jsonl:{expected}: bad trace line"):
+                read_traces_jsonl(str(path))
+
+    @pytest.mark.parametrize("bad_at", [None, "first", "middle", "last"])
+    @pytest.mark.parametrize("final_end", [True, False])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_events_equal_a_splitlines_reader(self, tmp_path, end, final_end, bad_at):
+        path = tmp_path / "events.jsonl"
+        header = '{"format": "beaconlab.events", "version": 1}'
+        self._write(path, header, [e.to_json() for e in sample_log()], end, final_end, bad_at)
+        expected = self._splitlines_events(str(path))
+        if bad_at is None:
+            assert [json.loads(e.to_json()) for e in read_events_jsonl(str(path))] == expected
+        else:
+            with pytest.raises(SchemaError, match=f"events\\.jsonl:{expected}: bad event line"):
+                read_events_jsonl(str(path))
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_a_unicode_line_separator_in_a_string_does_not_end_the_line(self, tmp_path, sep):
+        path = tmp_path / "traces.jsonl"
+        raw = json.dumps({"t": 0.0, "device": f"a{sep}b", "id_hex": AA, "rssi": -60.0,
+                          "claimed_tx": -59.0}, ensure_ascii=False, sort_keys=True)
+        assert sep in raw
+        path.write_text("\n".join([TRACES_HEADER, raw, _line(t=1.0)]) + "\n", encoding="utf-8")
+        first, _ = read_traces_jsonl(str(path))
+        assert first.device_ref == f"a{sep}b"
+        # a `read().splitlines()` reader splits the line and refuses it
+        assert _reference_read(str(path), str.splitlines) == 2
+
+    def test_reading_holds_no_copy_of_the_file(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        lines = [_line(t=float(k), device=f"dev{k % 20}", id_hex=(AA, BB)[k % 2],
+                       rssi=-60.0 - k % 7) for k in range(20_000)]
+        path.write_text("\n".join([TRACES_HEADER, *lines]) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            traces = read_traces_jsonl(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, traces)) == 20_000
+        assert peak - held < 1 << 20
+        for trace in traces:
+            assert all(obs.receiver_ref is trace.device_ref for obs in trace.observations)
 
 
 _ID_HEX = st.sampled_from([AA, BB, AA.upper(), "aa bb", "", "zz", "a"])
@@ -279,7 +395,9 @@ class TestSharedEncoder:
 
     @settings(max_examples=300, deadline=None)
     @given(event=st.sampled_from(EVENT_KINDS).flatmap(lambda kind: st.tuples(
-        _JSON, _JSON, st.just(kind), st.tuples(*[_JSON] * len(EVENT_FIELDS[kind])))))
+        st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), _JSON),
+        st.one_of(st.integers(min_value=0), _JSON),
+        st.just(kind), st.tuples(*[_JSON] * len(EVENT_FIELDS[kind])))))
     def test_any_values_of_each_kind_render_as_json_dumps(self, tmp_path_factory, event):
         path = tmp_path_factory.mktemp("events") / "events.jsonl"
         log = EventLog()
@@ -287,8 +405,14 @@ class TestSharedEncoder:
         write_events_jsonl(str(path), log)
         header, line = path.read_text(encoding="utf-8").splitlines()
         assert line == Event(*event).to_json() == self._expected(*event)
-        # read back; NaN never equals NaN, so compare the lines
-        assert [e.to_json() for e in read_events_jsonl(str(path))] == [line]
+        time, seq = event[:2]
+        if (type(time) is int or type(time) is float and math.isfinite(time)) \
+                and type(seq) is int and seq >= 0:
+            # read back; NaN never equals NaN, so compare the lines
+            assert [e.to_json() for e in read_events_jsonl(str(path))] == [line]
+        else:
+            with pytest.raises(SchemaError, match=r"events\.jsonl:2: bad event line: (t|seq) "):
+                read_events_jsonl(str(path))
 
     def test_trace_lines_equal_json_dumps(self, tmp_path):
         path = tmp_path / "traces.jsonl"

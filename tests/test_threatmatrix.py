@@ -208,6 +208,38 @@ attacks:
         with pytest.raises(ValidationError, match="M99"):
             load_matrix(doc)
 
+    def test_override_codes_are_read_in_upper_case(self):
+        doc = {
+            "motives": {"m9": "testing"},
+            "capabilities": {"c8": {"description": "d"}},
+            "defences": {"xd": "extra"},
+            "attacks": [
+                {
+                    "id": "X1",
+                    "motives": ["m9", "m1"],
+                    "goals": ["C"],
+                    "required_caps": ["c8"],
+                    "impacts": [{"description": "d", "level": "L", "party": "U"}],
+                    "defences": ["xd", "tv"],
+                }
+            ],
+        }
+        matrix = load_matrix(doc)
+        assert "M9" in matrix.motives and "XD" in matrix.defences
+        assert matrix.capabilities["C8"].id == "C8"
+        entry = matrix.attacks["X1"]
+        assert (entry.motives, entry.required_caps, entry.defences) == (
+            {"M9", "M1"}, {"C8"}, {"XD", "TV"})
+
+    def test_codes_that_differ_only_in_case_are_refused(self):
+        doc = {
+            "motives": {"m9": "one", "M9": "two"},
+            "attacks": [{"id": "X1", "motives": ["M9"], "goals": ["C"], "required_caps": ["C1"],
+                         "impacts": [{"description": "d", "level": "L", "party": "U"}]}],
+        }
+        with pytest.raises(ValidationError, match="'M9' given twice"):
+            load_matrix(doc)
+
     def test_needs_attacks(self):
         from beaconlab import SchemaError
 
