@@ -13,7 +13,8 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
 
@@ -107,6 +108,25 @@ EVENT_FIELDS = {
     FLAGGED: ("device", "n_frames", "n_rejected", "reason"),
 }
 EVENT_KINDS = tuple(EVENT_FIELDS)
+# The one field a line may leave out: an empty scan window names no beacon.
+OPTIONAL_FIELDS = frozenset({(NO_ACTION, "beacon")})
+
+# What each data field holds, by name; the same name holds the same type in
+# every kind. A number is an int or a finite float, a count an int of at least
+# 0; a bool is neither.
+FIELD_TYPES = {
+    "beacon": "str", "blocked": "list of str", "claimed_tx": "number", "content": "str",
+    "correct": "bool", "device": "str", "emitter": "str", "frame": "count", "id": "str",
+    "n_frames": "count", "n_rejected": "count", "reason": "str", "receiver": "str",
+    "rssi": "number", "tag": "str",
+}
+_IS_TYPE = {
+    "str": lambda v: type(v) is str,
+    "bool": lambda v: type(v) is bool,
+    "count": lambda v: type(v) is int and v >= 0,
+    "number": lambda v: type(v) is int or type(v) is float and v - v == 0.0,
+    "list of str": lambda v: type(v) is list and all(type(x) is str for x in v),
+}
 
 # scan window outcomes, in rough order of how badly the user's day went
 OUTCOME_DELIVERED = "delivered"
@@ -215,8 +235,9 @@ class Event(NamedTuple):
     def from_json(cls, line: str) -> "Event":
         """Parse one line.
 
-        A line that is not JSON raises ValueError; one that is not an event of a
-        known kind with only that kind's fields raises InvalidInput.
+        A line that is not JSON raises ValueError. One that is not an event of
+        a known kind, with a number `t`, a count `seq` and each of that kind's
+        fields holding a value of its FIELD_TYPES type, raises InvalidInput.
         """
         raw = _decode_line(line)
         if not isinstance(raw, dict) or raw.keys() != _LINE_KEYS:
@@ -230,33 +251,54 @@ class Event(NamedTuple):
         extra = sorted(data.keys() - fields)
         if extra:
             raise InvalidInput(f"{kind} has no field {extra[0]!r}")
+        if not _IS_TYPE["number"](time):
+            raise InvalidInput(f"t must be a finite number, got {time!r}")
+        if not _IS_TYPE["count"](seq):
+            raise InvalidInput(f"seq must be an int of at least 0, got {seq!r}")
+        for name in fields:
+            if name not in data:
+                if (kind, name) not in OPTIONAL_FIELDS:
+                    raise InvalidInput(f"{kind} is missing field {name!r}")
+            elif not _IS_TYPE[FIELD_TYPES[name]](data[name]):
+                raise InvalidInput(f"{kind} {name} must be a {FIELD_TYPES[name]}, "
+                                   f"got {data[name]!r}")
         return cls(time, seq, kind, tuple(map(data.get, fields)))
 
 
-# Event(...) without the Python frame of the generated __new__: append is
-# called once per event, the hottest call of a run.
+# Event(...) without the Python frame of the generated __new__
 _new_event = tuple.__new__
 
 
-@dataclass
 class EventLog:
-    events: list[Event] = field(default_factory=list)
+    """A run's events, in three parallel columns: `times`, `kinds` and
+    `values` (each a tuple in the order of EVENT_FIELDS[kind]).
+
+    An event's seq is its 0-based position, so it is not stored. Read the
+    columns or iterate the log, which builds each Event as it goes; `append`
+    is the one way in.
+    """
+
+    __slots__ = ("times", "kinds", "values")
+
+    def __init__(self) -> None:
+        self.times: list = []
+        self.kinds: list[str] = []
+        self.values: list[tuple] = []
 
     def append(self, time: float, kind: str, *values) -> None:
-        """Record an event, its values in the order of EVENT_FIELDS[kind].
-
-        Its seq is its 0-based position in the log.
-        """
+        """Record an event, its values in the order of EVENT_FIELDS[kind]."""
         fields = EVENT_FIELDS.get(kind)
         if fields is None:
             raise InvalidInput(f"unknown event kind {kind!r}")
         if len(values) != len(fields):
             raise InvalidInput(f"a {kind} event has {len(fields)} values {fields}, got {len(values)}")
-        events = self.events
-        events.append(_new_event(Event, (time, len(events), kind, values)))
+        self.times.append(time)
+        self.kinds.append(kind)
+        self.values.append(values)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
+        rows = zip(self.times, count(), self.kinds, self.values)
+        return map(_new_event, repeat(Event), rows)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.times)

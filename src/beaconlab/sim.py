@@ -100,6 +100,7 @@ class _Emitter:
     # (role, ref, position, device, reach, jam exempt, distance, mean rssi,
     # sink), one per receiver that can hear it; see `run`
     links: list = field(default_factory=list)
+    sent_ids: Optional[set] = None  # its set in RunResult.broadcast_ids, from its first frame
 
 
 @dataclass
@@ -113,6 +114,7 @@ class _Knowledge:
 
 
 _EMIT, _WINDOW = 0, 1
+_NO_EMITTERS: frozenset[str] = frozenset()
 _PHONE = "phone"  # a receiver role beside the sniffers' harvest and surveillance
 
 
@@ -185,6 +187,9 @@ def run(scenario: Scenario) -> RunResult:
     }
     broadcast_ids: dict[str, set[bytes]] = {}
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = {}
+    # one frozenset per distinct set of true emitters, shared by the window
+    # records that heard it: a run has a few dozen and thousands of windows
+    emitter_sets: dict[frozenset, frozenset] = {}
     delivered_at: dict[tuple[str, str], float] = {}
     upload_for: dict[str, list[int]] = {}
     for idx, ref in scenario.upload_targets:
@@ -277,7 +282,10 @@ def run(scenario: Scenario) -> RunResult:
         n = em.frame
         tx = em.tx_power_1m
         log_append(t, BROADCAST, claimed, em_ref, n, id_hex)
-        broadcast_ids.setdefault(em_ref, set()).add(bid.data)
+        sent = em.sent_ids
+        if sent is None:
+            sent = em.sent_ids = broadcast_ids.setdefault(em_ref, set())
+        sent.add(bid.data)
 
         jammed = False
         if em_ref == protected_tag and em.family == "tag":
@@ -332,7 +340,7 @@ def run(scenario: Scenario) -> RunResult:
         while n_frames and buffer[n_frames - 1][0].time >= cutoff:
             n_frames -= 1
         if not n_frames:
-            window_records.append(WindowRecord(dev, t_end, 0, 0, 0, frozenset(), False,
+            window_records.append(WindowRecord(dev, t_end, 0, 0, 0, _NO_EMITTERS, False,
                                                OUTCOME_EMPTY))
             log_append(t_end, NO_ACTION, None, dev, OUTCOME_EMPTY)
             return
@@ -340,6 +348,7 @@ def run(scenario: Scenario) -> RunResult:
         del buffer[:n_frames]
 
         true_emitters = frozenset([src for _, src in window])
+        true_emitters = emitter_sets.setdefault(true_emitters, true_emitters)
         by_id: dict[bytes, list[Observation]] = {}  # in order of first hearing
         for obs, _ in window:
             frames = by_id.get(obs.id.data)

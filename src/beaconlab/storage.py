@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import starmap
-from math import isfinite
+from itertools import count, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .attacks import KINDS
@@ -72,7 +71,8 @@ def _check_header(line: str, fmt: str, path: str) -> None:
 def write_events_jsonl(path: str, events: EventLog) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header_line(EVENTS_FORMAT) + "\n")
-        fh.writelines(line + "\n" for line in starmap(event_line, events))
+        rows = zip(events.times, count(), events.kinds, events.values)
+        fh.writelines(line + "\n" for line in starmap(event_line, rows))
 
 
 def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
@@ -94,18 +94,16 @@ def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
 
 
 def read_events_jsonl(path: str) -> list[Event]:
-    """The events of a file; a line that is not an event of a known kind with
-    its declared fields, a finite `t` and a `seq` of at least 0 raises
-    SchemaError naming the file and line."""
+    """The events of a file; a line that `Event.from_json` refuses, or whose
+    `seq` is not its 0-based position among the events, raises SchemaError
+    naming the file and line."""
     events = []
     for n, line in _body_lines(path, EVENTS_FORMAT):
         try:
             event = Event.from_json(line)
-            time, seq = event.time, event.seq
-            if not (type(time) is int or type(time) is float and isfinite(time)):
-                raise InvalidInput(f"t must be a finite number, got {time!r}")
-            if type(seq) is not int or seq < 0:
-                raise InvalidInput(f"seq must be an int of at least 0, got {seq!r}")
+            if event.seq != len(events):
+                raise InvalidInput(f"seq must be the event's position {len(events)}, "
+                                   f"got {event.seq!r}")
         except (ValueError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad event line: {exc}") from exc
         events.append(event)
@@ -128,23 +126,38 @@ def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
         fh.writelines(_trace_lines(traces))
 
 
+def _finite(value, name: str) -> float:
+    """value as a float, if it is an int (not a bool) or a finite float."""
+    if type(value) is int:
+        value = float(value)  # OverflowError for an int too large
+    elif type(value) is not float:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if value - value != 0.0:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
     """Rebuild traces, grouped by device in order of first appearance.
 
     A line that is not one JSON object with the five trace fields, whose `t`,
-    `rssi` or `claimed_tx` is not a float (a finite one for `t`), or whose
-    `id_hex` is not a non-empty hex string, raises SchemaError naming the file
-    and line.
+    `rssi` or `claimed_tx` is not an int or a finite float (a bool or a str is
+    neither), whose `device` is not a str, or whose `id_hex` is not a
+    non-empty hex string, raises SchemaError naming the file and line.
     """
     ids: dict[str, BeaconId] = {}
     grouped: dict[str, list[Observation]] = {}
     for n, line in _body_lines(path, TRACES_FORMAT):
         try:
             raw = _decode_line(line)
-            t = float(raw["t"])
-            if not isfinite(t):
-                raise ValueError(f"t must be finite, got {t!r}")
-            device = str(raw["device"])
+            t, rssi, claimed = raw["t"], raw["rssi"], raw["claimed_tx"]
+            if not (type(t) is float and type(rssi) is float and type(claimed) is float
+                    and 0.0 == t - t == rssi - rssi == claimed - claimed):
+                t = _finite(t, "t")
+                rssi, claimed = _finite(rssi, "rssi"), _finite(claimed, "claimed_tx")
+            device = raw["device"]
+            if type(device) is not str:
+                raise ValueError(f"device must be a str, got {device!r}")
             id_hex = raw["id_hex"]
             try:
                 beacon_id = ids[id_hex]
@@ -158,7 +171,7 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
             else:  # one device string per device, as one BeaconId per id_hex
                 device = obs_list[0].receiver_ref
             obs_list.append(
-                Observation(t, device, beacon_id, float(raw["rssi"]), float(raw["claimed_tx"]))
+                Observation(t, device, beacon_id, rssi, claimed)
             )
         except (KeyError, ValueError, TypeError, OverflowError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc

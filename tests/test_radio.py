@@ -101,8 +101,22 @@ class TestEventLog:
         assert len(log) == 2
         assert [e.kind for e in log] == ["Broadcast", "Receive"]
         assert [e.seq for e in log] == [0, 1]
-        assert log.events[1].data == {"claimed_tx": -59.0, "emitter": "b1", "id": "aa",
-                                      "receiver": "phone", "rssi": -60.5}
+        assert list(log)[1].data == {"claimed_tx": -59.0, "emitter": "b1", "id": "aa",
+                                     "receiver": "phone", "rssi": -60.5}
+
+    def test_iterating_yields_each_position_as_seq_and_the_appended_values(self):
+        appended = [(0.0, "Broadcast", (-59.0, "b1", 0, "aa")),
+                    (0.0, "Receive", (-59.0, "b1", "aa", "phone", -60.5)),
+                    (3.0, "NoAction", (None, "phone", "empty")),
+                    (3.0, "Jammed", (["phone"], 1, "fob"))]
+        log = EventLog()
+        for time, kind, values in appended:
+            log.append(time, kind, *values)
+        events = list(log)
+        assert all(type(e) is Event for e in events)
+        assert [tuple(e) for e in events] == [(time, seq, kind, values)
+                                             for seq, (time, kind, values) in enumerate(appended)]
+        assert list(log) == events  # each pass starts from the first event
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInput):

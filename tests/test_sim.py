@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import pytest
 import yaml
@@ -25,6 +26,7 @@ from beaconlab.sim import (
     OUTCOME_FLAGGED,
 )
 from conftest import AA, BB, CC, static_beacon
+from test_acceptance import _replay_doc
 from test_golden import _walking_doc
 
 
@@ -264,3 +266,19 @@ def test_each_rotating_id_is_derived_once_per_run(monkeypatch, defences):
         attack_metrics(result, i)
     assert derived
     assert len(derived) == len(set(derived))
+
+
+def test_a_replay_run_holds_less_than_300_bytes_per_event():
+    # AC-2's rotating shape at a twelfth of its length: what a run keeps grows
+    # with its events, so what it keeps per event bounds its memory
+    scenario = load_scenario({**_replay_doc(rotating=True, seed=3), "duration_s": 600.0})
+    tracemalloc.start()
+    try:
+        result = run(scenario)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(result.events) < 300
+    # window records that heard the same emitters share one set
+    sets = [w.emitters for w in result.window_records]
+    assert len(set(map(id, sets))) == len(set(sets))

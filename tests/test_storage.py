@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -20,7 +21,9 @@ from beaconlab import (
     write_metrics_csv,
     write_traces_jsonl,
 )
-from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, EVENT_KINDS, EventLog, RECEIVE
+from beaconlab.radio import (
+    BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, EVENT_KINDS, EventLog, RECEIVE, event_line,
+)
 from beaconlab.storage import metric_rows
 from conftest import AA, BB
 
@@ -98,6 +101,14 @@ class TestEventsJsonl:
         '{"t": 0.0, "seq": 1.5, "kind": "NoAction", "data": {"device": 5}}',
         '{"t": 0.0, "seq": false, "kind": "NoAction", "data": {"device": 5}}',
         '{"t": 0.0, "seq": "0", "kind": "NoAction", "data": {"device": 5}}',
+        '{"t": 0.0, "seq": 3, "kind": "NoAction", "data": {"device": 5, "reason": "empty"}}',
+        '{"t": 0.0, "seq": 3, "kind": "Receive", "data": {"claimed_tx": -59.0, "emitter": "b1", '
+        '"id": "aa", "receiver": "phone"}}',
+        '{"t": 0.0, "seq": 3, "kind": "Receive", "data": {"claimed_tx": -59.0, "emitter": "b1", '
+        '"id": "aa", "receiver": "phone", "rssi": true}}',
+        '{"t": 0.0, "seq": 3, "kind": "NoAction", "data": {"beacon": null, "device": "phone", '
+        '"reason": "empty"}}',
+        '{"t": 0.0, "seq": 7, "kind": "NoAction", "data": {"device": "phone", "reason": "empty"}}',
     ])
     def test_bad_line_is_reported_with_its_number(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"
@@ -111,8 +122,18 @@ class TestEventsJsonl:
         path = tmp_path / "events.jsonl"
         write_events_jsonl(str(path), sample_log())
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f'{{"t": {10**400}, "seq": 0, "kind": "NoAction", "data": {{"device": 5}}}}\n')
-        assert read_events_jsonl(str(path))[-1][:2] == (10**400, 0)
+            fh.write(f'{{"t": {10**400}, "seq": 3, "kind": "NoAction", '
+                     f'"data": {{"device": "phone", "reason": "empty"}}}}\n')
+        assert read_events_jsonl(str(path))[-1][:2] == (10**400, 3)
+
+    def test_seq_must_be_the_position_of_the_first_event_too(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"format": "beaconlab.events", "version": 1}\n'
+                        '{"t": 0.0, "seq": 7, "kind": "NoAction", '
+                        '"data": {"device": "phone", "reason": "empty"}}\n')
+        with pytest.raises(SchemaError, match=r"events\.jsonl:2: bad event line: seq must be "
+                                              r"the event's position 0, got 7"):
+            read_events_jsonl(str(path))
 
 
 class TestTracesJsonl:
@@ -161,6 +182,16 @@ class TestTracesJsonl:
         with pytest.raises(SchemaError, match=r"traces\.jsonl:3: bad trace line: int too large"):
             read_traces_jsonl(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("t", "1.5"), ("rssi", True), ("device", [1]), ("rssi", "inf"), ("claimed_tx", math.nan),
+    ])
+    def test_a_value_of_the_wrong_type_is_reported_with_its_number(self, tmp_path, field, value):
+        path = tmp_path / "traces.jsonl"
+        bad = _line(**{"device": "phone", field: value})
+        path.write_text("\n".join([TRACES_HEADER, _line(device="phone"), bad]) + "\n")
+        with pytest.raises(SchemaError, match=rf"traces\.jsonl:3: bad trace line: {field} must be"):
+            read_traces_jsonl(str(path))
+
     def test_equal_id_hex_shares_one_beacon_id(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         path.write_text("\n".join([
@@ -183,7 +214,8 @@ def _line(**fields) -> str:
 
 
 def _reference_read(path: str, split_lines=lambda text: text.split("\n")):
-    """The trace reader spelled out with one json.loads per line.
+    """The trace reader spelled out with one json.loads per line: `t`, `rssi`
+    and `claimed_tx` are each an int or a finite float, and `device` a str.
 
     Returns the traces, or the number of the first line that must raise
     SchemaError; an error that is not about one line propagates. Lines are
@@ -197,14 +229,18 @@ def _reference_read(path: str, split_lines=lambda text: text.split("\n")):
             continue
         try:
             raw = json.loads(line)
-            if not math.isfinite(float(raw["t"])):
+            numbers = (raw["t"], raw["rssi"], raw["claimed_tx"])
+            if type(raw["device"]) is not str or any(type(x) not in (int, float) for x in numbers):
+                return n
+            t, rssi, claimed = map(float, numbers)
+            if not all(map(math.isfinite, (t, rssi, claimed))):
                 return n
             obs = Observation(
-                time=float(raw["t"]),
-                receiver_ref=str(raw["device"]),
+                time=t,
+                receiver_ref=raw["device"],
                 id=BeaconId.from_hex(raw["id_hex"]),
-                rssi=float(raw["rssi"]),
-                claimed_tx_power=float(raw["claimed_tx"]),
+                rssi=rssi,
+                claimed_tx_power=claimed,
             )
         except (KeyError, ValueError, TypeError, OverflowError, InvalidInput):
             return n
@@ -372,6 +408,41 @@ _JSON = st.recursive(
 )
 
 
+def _text(v):
+    return type(v) is str
+
+
+def _count(v):
+    return type(v) is int and v >= 0
+
+
+def _number(v):
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+# Each data field's check, and the values a run may write for it, spelled out
+# apart from radio.FIELD_TYPES
+_TEXT = st.text(max_size=6)
+_NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_FIELD_RULES = {
+    "beacon": (_text, _TEXT),
+    "blocked": (lambda v: type(v) is list and all(map(_text, v)), st.lists(_TEXT, max_size=3)),
+    "claimed_tx": (_number, _NUMBER),
+    "content": (_text, _TEXT),
+    "correct": (lambda v: type(v) is bool, st.booleans()),
+    "device": (_text, _TEXT),
+    "emitter": (_text, _TEXT),
+    "frame": (_count, st.integers(min_value=0)),
+    "id": (_text, _TEXT),
+    "n_frames": (_count, st.integers(min_value=0)),
+    "n_rejected": (_count, st.integers(min_value=0)),
+    "reason": (_text, _TEXT),
+    "receiver": (_text, _TEXT),
+    "rssi": (_number, _NUMBER),
+    "tag": (_text, _TEXT),
+}
+
+
 class TestSharedEncoder:
     """Writers render through one encoder; it must equal json.dumps(sort_keys)."""
 
@@ -393,25 +464,41 @@ class TestSharedEncoder:
             event = Event(1.25, 7, kind, values)
             assert event.to_json() == self._expected(1.25, 7, kind, values)
 
+    @staticmethod
+    def _first_error(time, seq, kind, values):
+        """The start of the reader's error for this event at position 0, or
+        None when it loads."""
+        if not _number(time):
+            return "t "
+        if not _count(seq):
+            return "seq "
+        for name, value in zip(EVENT_FIELDS[kind], values):
+            if value is None:
+                if (kind, name) != ("NoAction", "beacon"):
+                    return f"{kind} is missing field '{name}'"
+            elif not _FIELD_RULES[name][0](value):
+                return f"{kind} {name} must be "
+        return None if seq == 0 else "seq must be the event's position 0"
+
     @settings(max_examples=300, deadline=None)
     @given(event=st.sampled_from(EVENT_KINDS).flatmap(lambda kind: st.tuples(
         st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), _JSON),
-        st.one_of(st.integers(min_value=0), _JSON),
-        st.just(kind), st.tuples(*[_JSON] * len(EVENT_FIELDS[kind])))))
+        st.one_of(st.just(0), st.integers(min_value=0), _JSON),
+        st.just(kind),
+        st.tuples(*[_FIELD_RULES[name][1] | _JSON for name in EVENT_FIELDS[kind]]))))
     def test_any_values_of_each_kind_render_as_json_dumps(self, tmp_path_factory, event):
         path = tmp_path_factory.mktemp("events") / "events.jsonl"
-        log = EventLog()
-        log.events.append(Event(*event))
-        write_events_jsonl(str(path), log)
-        header, line = path.read_text(encoding="utf-8").splitlines()
+        line = event_line(*event)
+        path.write_text(f'{{"format": "beaconlab.events", "version": 1}}\n{line}\n',
+                        encoding="utf-8")
         assert line == Event(*event).to_json() == self._expected(*event)
-        time, seq = event[:2]
-        if (type(time) is int or type(time) is float and math.isfinite(time)) \
-                and type(seq) is int and seq >= 0:
+        error = self._first_error(*event)
+        if error is None:
             # read back; NaN never equals NaN, so compare the lines
             assert [e.to_json() for e in read_events_jsonl(str(path))] == [line]
         else:
-            with pytest.raises(SchemaError, match=r"events\.jsonl:2: bad event line: (t|seq) "):
+            with pytest.raises(SchemaError, match=r"events\.jsonl:2: bad event line: "
+                                                  + re.escape(error)):
                 read_events_jsonl(str(path))
 
     def test_trace_lines_equal_json_dumps(self, tmp_path):
