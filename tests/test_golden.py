@@ -18,7 +18,10 @@ import yaml
 
 from beaconlab import attack_metrics, delivery_correctness, load_scenario, run
 from beaconlab.cli import main
-from beaconlab.storage import metric_rows, write_events_jsonl, write_metrics_csv, write_traces_jsonl
+from beaconlab.storage import (
+    metric_rows, read_events_jsonl, read_traces_jsonl, write_events_jsonl, write_metrics_csv,
+    write_traces_jsonl,
+)
 from conftest import AA, BB, CC, DD, KEY1, KEY2
 from test_acceptance import (
     _PATH_ADJ,
@@ -190,6 +193,17 @@ def _digests(doc: dict, out_dir) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_outputs_match_pinned_digests(name, tmp_path):
     assert _digests(SCENARIOS[name](), tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_readers_take_back_what_a_run_writes(name, tmp_path):
+    # the readers check each value's type; every value a run writes must pass
+    result = run(load_scenario(SCENARIOS[name]()))
+    write_events_jsonl(str(tmp_path / "events.jsonl"), result.events)
+    write_traces_jsonl(str(tmp_path / "traces.jsonl"), result.traces)
+    assert read_events_jsonl(str(tmp_path / "events.jsonl")) == list(result.events)
+    heard = [trace for trace in result.traces if len(trace)]
+    assert list(read_traces_jsonl(str(tmp_path / "traces.jsonl"))) == heard
 
 
 def _detect_inputs(tmp_path) -> list[str]:
