@@ -188,7 +188,7 @@ def run(scenario: Scenario) -> RunResult:
     broadcast_ids: dict[str, set[bytes]] = {}
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = {}
     # one frozenset per distinct set of true emitters, shared by the window
-    # records that heard it: a run has a few dozen and thousands of windows
+    # records that heard it: a 1,800 s replay run has 6 in 12,000 windows
     emitter_sets: dict[frozenset, frozenset] = {}
     delivered_at: dict[tuple[str, str], float] = {}
     upload_for: dict[str, list[int]] = {}
