@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -44,7 +43,7 @@ from .outlier import (
     UNIFORM,
 )
 from .scenario import load_scenario
-from .sim import run
+from .sim import DEFAULT_MAX_EVENTS, run
 from .storage import (
     DETECT_FIELDS,
     DETECT_TAG,
@@ -106,10 +105,10 @@ def _resolve_seed(doc: dict, override: Optional[int]) -> dict:
     return doc
 
 
-def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
+def _simulate_one(manifest: str, out_dir: str, seed: Optional[int], max_events: int) -> dict:
     doc = _resolve_seed(_parse_document(_read_text(manifest)), seed)
     scenario = load_scenario(doc)
-    result = run(scenario)
+    result = run(scenario, max_events)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,11 +133,14 @@ def cmd_simulate(args) -> int:
         tasks = [(m, str(out_root / Path(m).stem)) for m in manifests]
 
     if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at import: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_simulate_one, m, d, args.seed) for m, d in tasks]
+            futures = [pool.submit(_simulate_one, m, d, args.seed, args.max_events)
+                       for m, d in tasks]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [_simulate_one(m, d, args.seed) for m, d in tasks]
+        summaries = [_simulate_one(m, d, args.seed, args.max_events) for m, d in tasks]
     for summary in summaries:
         print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -169,19 +171,52 @@ def cmd_assess(args) -> int:
 # detect
 
 
+def _detector(deployment, p_stay: float, weighting: str):
+    """The Markov model and state resolver `detect` scores with; the
+    calibration process builds its own through this as well."""
+    return build_markov(deployment, p_stay=p_stay, weighting=weighting), \
+        static_state_resolver(deployment)
+
+
+def _calibrate(path: str, deployment, p_stay: float, weighting: str, alpha: float,
+               debounce: bool, min_transitions: int) -> float:
+    """The threshold calibrated on the known-clean traces at path. Runs in the
+    calibration process, so it takes only picklable values."""
+    model, resolver = _detector(deployment, p_stay, weighting)
+    return calibrate_threshold(model, read_traces_jsonl(path), resolver, alpha=alpha,
+                               debounce=debounce, min_transitions=min_transitions)
+
+
+def _calibrate_while_reading(args, deployment):
+    """(threshold, test traces) with the calibration file read and scored in a
+    second process while this one reads the test file.
+
+    An error of the test read comes back in place of the traces, for the
+    caller to raise after its own checks: a calibration error is raised here
+    first, as when the two ran one after the other.
+    """
+    from concurrent.futures import ProcessPoolExecutor  # not at import: it loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        threshold = pool.submit(_calibrate, args.calibration, deployment, args.p_stay,
+                                args.weighting, args.alpha, not args.no_debounce,
+                                args.min_transitions)
+        try:
+            traces = read_traces_jsonl(args.traces)
+        except (OSError, ValueError, BeaconLabError) as exc:  # the errors `main` reports
+            traces = exc
+        return threshold.result(), traces
+
+
 def cmd_detect(args) -> int:
     deployment = load_deployment(_read_text(args.deployment))
-    model = build_markov(deployment, p_stay=args.p_stay, weighting=args.weighting)
-    resolver = static_state_resolver(deployment)
+    model, resolver = _detector(deployment, args.p_stay, args.weighting)
 
+    traces = None
     if args.threshold is not None:
         threshold = args.threshold
     elif args.calibration:
-        # passed, not bound, so the calibration traces are freed before the test file is read
-        threshold = calibrate_threshold(
-            model, read_traces_jsonl(args.calibration), resolver, alpha=args.alpha,
-            debounce=not args.no_debounce, min_transitions=args.min_transitions,
-        )
+        threshold, traces = _calibrate_while_reading(args, deployment)
     else:
         raise _UsageError("detect: give --threshold or --calibration traces")
 
@@ -189,9 +224,13 @@ def cmd_detect(args) -> int:
         threshold=threshold, alpha=args.alpha,
         debounce=not args.no_debounce, min_transitions=args.min_transitions,
     )
+    if traces is None:
+        traces = read_traces_jsonl(args.traces)
+    elif isinstance(traces, Exception):
+        raise traces
     rows = []
     any_anomalous = False
-    for trace in read_traces_jsonl(args.traces):
+    for trace in traces:
         try:
             verdict = detect(model, trace, params, resolver)
         except TooShort:
@@ -305,6 +344,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
     p.add_argument("--seed", type=int, default=None, help="override the radio seed")
     p.add_argument("--jobs", type=int, default=1, help="run manifests in parallel")
+    p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS, dest="max_events",
+                   help="refuse a run that could log more events than this, before it starts")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("assess", help="threat assessment from motives and capabilities")

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 from .actors import UserDevice, mean_distance, proximity_decision
 from .attacks import InjectedEmitter, LUNCH_TIME, delivery_correctness, drain_id, harvest_window
 from .attacks import install_pending
+from .errors import ValidationError
 from .ephemeral import IdSchedule, RotatingResolver
 from .guardian import jam_succeeds
 from .model import BeaconId, Observation, StaticId, Trace
@@ -36,6 +37,11 @@ from .scenario import Scenario
 
 _EPS = 1e-9
 _by_time = operator.attrgetter("time")
+
+# The most events a run may log unless the caller allows more (`simulate
+# --max-events`): at about 250 bytes an event, some 2.5 GB. The largest run in
+# the tests and the benchmark, AC-2's 7,200 s replay, is bounded at 145,220.
+DEFAULT_MAX_EVENTS = 10_000_000
 
 
 class WindowRecord(NamedTuple):
@@ -126,8 +132,46 @@ def _with_hex(bid: BeaconId) -> tuple[BeaconId, str]:
     return bid, bid.hex()
 
 
-def run(scenario: Scenario) -> RunResult:
-    """Simulate the scenario for its configured duration."""
+def _ticks(duration: float, step: float) -> float:
+    """At most how many ticks fall at 0, step, 2 step, ... before duration:
+    ⌈duration / step⌉ and one at least, or inf when that overflows a float."""
+    try:
+        return max(1, math.ceil(duration / step))
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def _check_event_bound(emitters: list[_Emitter], devices, duration: float, jammed_tag,
+                       max_events: int) -> None:
+    """Refuse, before the loop starts, a run that could log more than
+    max_events events. Each frame logs a Broadcast, at most one Receive per
+    link the emitter kept and, from the jammed tag, one Jammed; each scan
+    window logs one event. The error names what makes the most ticks."""
+    total = 0
+    most, culprit = -1, ""
+    for em in emitters:
+        frames = _ticks(duration, em.interval_s)
+        total += frames * (1 + len(em.links) + (em.ref == jammed_tag and em.family == "tag"))
+        if frames > most:
+            most, culprit = frames, (f"emitter {em.ref!r} broadcasts up to {frames:,} frames, "
+                                     f"one every {em.interval_s!r} s")
+    for device in devices:
+        windows = _ticks(duration + _EPS, device.scan_window_s)
+        total += windows
+        if windows > most:
+            most, culprit = windows, (f"device {device.ref!r} scans up to {windows:,} windows "
+                                      f"of {device.scan_window_s!r} s")
+    if total > max_events:
+        raise ValidationError(f"the run could log up to {total:,} events, more than "
+                              f"max_events {max_events:,}: {culprit}")
+
+
+def run(scenario: Scenario, max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
+    """Simulate the scenario for its configured duration.
+
+    Raises ValidationError, before the loop, when the run could log more than
+    max_events events (see `_check_event_bound`).
+    """
     scenario = install_pending(scenario)
     reference = scenario.reference
     effective = scenario.deployment
@@ -242,6 +286,7 @@ def run(scenario: Scenario) -> RunResult:
                     continue
                 rssi = mean_rssi(em.tx_power_1m, max(d, 1.0), exponent)
             em.links.append((role, ref, rx_pos, device, reach, exempt, d, rssi, sink))
+    _check_event_bound(emitters, devices, duration, protected_tag, max_events)
 
     def emitter_frame(em: _Emitter, t: float):
         """(position, id, id hex, claimed_tx) for this tick, or None when silent."""

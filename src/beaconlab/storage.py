@@ -13,6 +13,8 @@ str goes through `encode_basestring_ascii`, a finite float through
 `float.__repr__`, an int (not a bool) through `int.__repr__`, and anything
 else through `radio._dumps_sorted`, the encoder with `json.dumps`'s options.
 Lines go to the file as they are rendered, so no writer holds a whole file.
+The trace writer first checks every value against the trace reader's rule,
+so it never writes a file that reader refuses.
 
 Readers take a file one line at a time through `_body_lines`, so no reader
 holds the file's text. A line ends only at a newline: text mode has already
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from itertools import count, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -121,9 +124,41 @@ def _trace_lines(traces: Iterable[Trace]) -> Iterator[str]:
 
 
 def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
+    """Write the traces, after checking every trace against the rule of
+    `read_traces_jsonl`: a value it would refuse raises InvalidInput, naming
+    the device, before the file is opened."""
+    traces = tuple(traces)
+    for trace in traces:
+        _check_trace(trace)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header_line(TRACES_FORMAT) + "\n")
         fh.writelines(_trace_lines(traces))
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _check_trace(trace: Trace) -> None:
+    """Each column in one pass of C-level calls; only a column that fails is
+    walked value by value, to name its first bad value."""
+    if not trace.observations:
+        return
+    times, devices, _, rssis, claimed = zip(*trace.observations)
+    for name, column in (("t", times), ("rssi", rssis), ("claimed_tx", claimed)):
+        try:
+            if _NUMBER_TYPES.issuperset(map(type, column)) and all(map(math.isfinite, column)):
+                continue
+        except OverflowError:  # an int too large for a float
+            pass
+        for value in column:
+            try:
+                _finite(value, name)
+            except (ValueError, OverflowError) as exc:
+                raise InvalidInput(f"trace of device {trace.device_ref!r}: {exc}") from exc
+    if set(map(type, devices)) != {str}:
+        bad = next(d for d in devices if type(d) is not str)
+        raise InvalidInput(f"trace of device {trace.device_ref!r}: "
+                           f"device must be a str, got {bad!r}")
 
 
 def _finite(value, name: str) -> float:

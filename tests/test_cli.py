@@ -2,10 +2,17 @@ import csv
 import inspect
 import io
 import json
+import multiprocessing
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import beaconlab
 from beaconlab import (
     BeaconId,
     DetectorParams,
@@ -14,11 +21,16 @@ from beaconlab import (
     build_markov,
     calibrate_threshold,
     ephemeral_id,
+    load_deployment,
+    read_traces_jsonl,
     score_trace,
+    static_state_resolver,
     write_traces_jsonl,
 )
 from beaconlab.cli import build_parser, main
 from conftest import AA, BB, CC, KEY1, KEY2, static_beacon
+from test_acceptance import _trace, _walk
+from test_golden import _detect_inputs
 
 
 def manifest_doc(**overrides):
@@ -247,6 +259,123 @@ class TestDetect:
         assert calibrate["min_transitions"].default == library.min_transitions
         score = inspect.signature(score_trace).parameters
         assert score["min_transitions"].default == library.min_transitions
+
+
+def _generated_inputs(tmp_path) -> list[str]:
+    """The pinned case's deployment with 60 clean calibration walks and 30
+    test walks of random lengths, three of them with a jump, at --alpha 0.02."""
+    deployment = _detect_inputs(tmp_path)[2]
+    rng = random.Random(12)
+    calibration = tmp_path / "generated-calibration.jsonl"
+    write_traces_jsonl(str(calibration), [_trace(_walk(rng), f"cal{k}") for k in range(60)])
+    walks = [_walk(rng, rng.randrange(2, 40)) for _ in range(30)]
+    for walk in walks[:3]:
+        walk[len(walk) // 2:] = ["b4", "b1"]
+    traces = tmp_path / "generated-traces.jsonl"
+    write_traces_jsonl(str(traces), [_trace(w, f"walk{k}") for k, w in enumerate(walks)])
+    return ["detect", "--deployment", deployment, "--traces", str(traces),
+            "--calibration", str(calibration), "--alpha", "0.02"]
+
+
+class TestCalibrationProcess:
+    """`--calibration` is read and scored in a second process while the test
+    file is read: the output, the exit code and which error wins must be those
+    of the two steps run one after the other."""
+
+    @pytest.mark.parametrize("inputs", [_detect_inputs, _generated_inputs],
+                             ids=["pinned", "generated"])
+    def test_output_equals_an_in_process_reference(self, tmp_path, capsys, inputs):
+        argv = inputs(tmp_path)
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        deployment = load_deployment(Path(flags["--deployment"]).read_text())
+        threshold = calibrate_threshold(
+            build_markov(deployment), read_traces_jsonl(flags["--calibration"]),
+            static_state_resolver(deployment), alpha=float(flags["--alpha"]))
+        code = main(argv)
+        calibrated = capsys.readouterr()
+        at = argv.index("--calibration")
+        assert main(argv[:at] + ["--threshold", repr(threshold)] + argv[at + 2:]) == code == 3
+        reference = capsys.readouterr()
+        assert calibrated.out == reference.out
+        assert calibrated.err == reference.err
+        assert calibrated.err.startswith(f"threshold={threshold!r} traces=")
+
+    @staticmethod
+    def _bad_file(tmp_path, name, traces, bad_line_at):
+        path = Path(trace_file(tmp_path, name, traces))
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(bad_line_at, '{"t": 0.0, "device": "x"}\n')
+        path.write_text("".join(lines))
+        return str(path)
+
+    def test_a_calibration_error_wins_over_a_test_file_error(self, tmp_path, capsys):
+        dep = deployment_file(tmp_path)
+        calibration = self._bad_file(tmp_path, "cal.jsonl",
+                                     [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(25)], 40)
+        traces = self._bad_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)], 2)
+        assert main(["detect", "--deployment", dep, "--traces", traces,
+                     "--calibration", calibration]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {calibration}:41: bad trace line: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_missing_calibration_file_exits_2(self, tmp_path, capsys):
+        dep = deployment_file(tmp_path)
+        missing = str(tmp_path / "nope.jsonl")
+        bad = self._bad_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)], 2)
+        assert main(["detect", "--deployment", dep, "--traces", bad,
+                     "--calibration", missing]) == 2
+        assert capsys.readouterr().err == \
+            f"io error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    @pytest.mark.parametrize("walks, message", [
+        ([[AA, BB] * 6] * 24 + [[AA, CC, BB] * 4],
+         "error: calibration trace from 'cal24' contains impossible transitions: "
+         "(('b1', 'UNKNOWN'), ('UNKNOWN', 'b2'), ('b1', 'UNKNOWN'))\n"),
+        ([[AA, BB] * 6] * 19, "error: 19 usable calibration traces; need at least 20\n"),
+        ([[AA, BB] * 6] * 24 + [[AA, BB]], "error: 1 transitions is below the minimum of 3\n"),
+    ], ids=["contaminated", "insufficient", "too short"])
+    def test_calibration_findings_keep_their_messages(self, tmp_path, capsys, walks, message):
+        dep = deployment_file(tmp_path)
+        calibration = trace_file(tmp_path, "cal.jsonl",
+                                 [walk_trace(f"cal{i}", w) for i, w in enumerate(walks)])
+        traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)])
+        assert main(["detect", "--deployment", dep, "--traces", traces,
+                     "--calibration", calibration]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("case", ["ok", "bad calibration", "bad test file",
+                                      "missing calibration", "missing test file",
+                                      "insufficient", "bad alpha"])
+    def test_no_child_outlives_main(self, tmp_path, capsys, case):
+        dep = deployment_file(tmp_path)
+        good_cal = trace_file(tmp_path, "cal.jsonl",
+                              [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(25)])
+        good_test = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)])
+        calibration, traces, extra, code = {
+            "ok": (good_cal, good_test, [], 0),
+            "bad calibration": (self._bad_file(tmp_path, "b.jsonl", [], 1), good_test, [], 1),
+            "bad test file": (good_cal, self._bad_file(tmp_path, "b.jsonl", [], 1), [], 1),
+            "missing calibration": (str(tmp_path / "nope"), good_test, [], 2),
+            "missing test file": (good_cal, str(tmp_path / "nope"), [], 2),
+            "insufficient": (good_test, good_test, [], 1),
+            "bad alpha": (good_cal, good_test, ["--alpha", "1.5"], 1),
+        }[case]
+        assert main(["detect", "--deployment", dep, "--traces", traces,
+                     "--calibration", calibration] + extra) == code
+        assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    src = str(Path(beaconlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    probe = ("import sys, beaconlab, beaconlab.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestEphemeral:

@@ -16,8 +16,9 @@ from beaconlab import (
     run,
 )
 from beaconlab.cli import main
-from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE
+from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, EventLog
 from beaconlab.sim import (
+    DEFAULT_MAX_EVENTS,
     OUTCOME_BUDGET,
     OUTCOME_DEBOUNCED,
     OUTCOME_DELIVERED,
@@ -27,7 +28,7 @@ from beaconlab.sim import (
 )
 from conftest import AA, BB, CC, static_beacon
 from test_acceptance import _replay_doc
-from test_golden import _walking_doc
+from test_golden import SCENARIOS, _walking_doc
 
 
 def doc(**overrides):
@@ -282,3 +283,69 @@ def test_a_replay_run_holds_less_than_300_bytes_per_event():
     # window records that heard the same emitters share one set
     sets = [w.emitters for w in result.window_records]
     assert len(set(map(id, sets))) == len(set(sets))
+
+
+class TestEventBound:
+    """A run that could log more than max_events events is refused with a
+    ValidationError before its loop starts; the refused tests would run for
+    hours, so appending an event fails them."""
+
+    REPROS = {
+        # b1 at 1e-9 ms would broadcast 1.2e13 frames in 12 s
+        "advert interval": ({"beacons": [static_beacon("b1", 0, AA, interval=1e-9),
+                                         static_beacon("b2", 20, BB)]},
+                            "emitter 'b1' broadcasts up to 12,000,000,000,000 frames"),
+        "drain interval": ({"attacks": [{"kind": "A8", "n_ids": 2, "interval_ms": 1e-6}]},
+                           "emitter 'atk0.drain' broadcasts up to 12,000,000,001 frames"),
+        "scan window": ({"devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]],
+                                      "scan_window_s": 1e-9}]},
+                        "device 'phone' scans up to 12,000,000,001 windows"),
+        "underflowing interval": ({"beacons": [static_beacon("b1", 0, AA, interval=5e-324),
+                                               static_beacon("b2", 20, BB)]},
+                                  "emitter 'b1' broadcasts up to inf frames"),
+    }
+
+    @pytest.fixture
+    def no_loop(self, monkeypatch):
+        def append(*_):
+            raise AssertionError("the run's loop started")
+
+        monkeypatch.setattr(EventLog, "append", append)
+
+    @pytest.mark.parametrize("repro", sorted(REPROS))
+    def test_a_tiny_interval_loads_and_its_run_is_refused(self, no_loop, repro):
+        overrides, culprit = self.REPROS[repro]
+        scenario = load_scenario(doc(**overrides))
+        with pytest.raises(ValidationError, match="^the run could log up to .* events, more "
+                                                  "than max_events 10,000,000: " + culprit):
+            run(scenario)
+
+    @pytest.mark.parametrize("repro", sorted(REPROS))
+    def test_simulate_refuses_it_with_exit_1(self, no_loop, tmp_path, capsys, repro):
+        overrides, culprit = self.REPROS[repro]
+        manifest = tmp_path / "m.yaml"
+        manifest.write_text(yaml.safe_dump(doc(**overrides)))
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the run could log up to ") and culprit in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_max_events_moves_the_limit(self, tmp_path, capsys):
+        # two beacons at 1 s for 12 s, each heard by the phone: 48 events, and
+        # at most ceil(12 / 3) + 1 windows, as 12 s plus the loop's tolerance
+        manifest = tmp_path / "m.yaml"
+        manifest.write_text(yaml.safe_dump(doc()))
+        argv = ["simulate", str(manifest), "--out", str(tmp_path / "out"), "--max-events"]
+        assert main(argv + ["52"]) == 1
+        assert "up to 53 events, more than max_events 52: emitter 'b1' broadcasts up to 12 " \
+            "frames, one every 1.0 s" in capsys.readouterr().err
+        assert main(argv + ["53"]) == 0
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_the_bound_admits_and_covers_each_pinned_run(self, name):
+        scenario = load_scenario(SCENARIOS[name]())
+        n_events = len(run(scenario).events)
+        assert n_events <= DEFAULT_MAX_EVENTS
+        with pytest.raises(ValidationError):
+            run(scenario, max_events=n_events - 1)

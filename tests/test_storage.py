@@ -504,8 +504,8 @@ class TestSharedEncoder:
     def test_trace_lines_equal_json_dumps(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         observations = (
-            Observation(0.0, "t\u00e9l\u00e9phone", BeaconId.from_hex(AA), math.nan, -59.0),
-            Observation(math.inf, "t\u00e9l\u00e9phone", BeaconId.from_hex(BB), -61.5, True),
+            Observation(0.0, "t\u00e9l\u00e9phone", BeaconId.from_hex(AA), -0.0, -59.0),
+            Observation(10**40, "t\u00e9l\u00e9phone", BeaconId.from_hex(BB), -61.5, -59),
         )
         write_traces_jsonl(str(path), [Trace("t\u00e9l\u00e9phone", observations)])
         expected = [json.dumps({"format": "beaconlab.traces", "version": 1}, sort_keys=True)]
@@ -515,6 +515,46 @@ class TestSharedEncoder:
             for o in observations
         ]
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    # the values this test wrote as lines before the writer checked them
+    @pytest.mark.parametrize("time, rssi, claimed, error", [
+        (0.0, math.nan, -59.0, "rssi must be finite, got nan"),
+        (math.inf, -61.5, -59.0, "t must be finite, got inf"),
+        (1.0, -61.5, True, "claimed_tx must be a number, got True"),
+    ])
+    def test_a_value_the_reader_refuses_is_not_written(self, tmp_path, time, rssi, claimed,
+                                                       error):
+        path = tmp_path / "traces.jsonl"
+        good = Observation(0.0, "t\u00e9l\u00e9phone", BeaconId.from_hex(AA), -60.0, -59.0)
+        bad = Observation(time, "t\u00e9l\u00e9phone", BeaconId.from_hex(BB), rssi, claimed)
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"trace of device 't\u00e9l\u00e9phone': {error}")):
+            write_traces_jsonl(str(path), [Trace("t\u00e9l\u00e9phone", (good, bad))])
+        assert not path.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.tuples(_NUMBER | _JSON, _TEXT | _JSON, _NUMBER | _JSON, _NUMBER | _JSON))
+    def test_the_trace_writer_refuses_what_the_reader_refuses(self, tmp_path_factory, values):
+        t, device, rssi, claimed = values
+        work = tmp_path_factory.mktemp("traces")
+        by_hand = work / "by-hand.jsonl"
+        line = json.dumps({"t": t, "device": device, "id_hex": AA, "rssi": rssi,
+                           "claimed_tx": claimed}, sort_keys=True)
+        by_hand.write_text(f"{TRACES_HEADER}\n{line}\n", encoding="utf-8")
+        try:
+            read_traces_jsonl(str(by_hand))
+            readable = True
+        except SchemaError:
+            readable = False
+        written = work / "written.jsonl"
+        trace = Trace("dev", (Observation(t, device, BeaconId.from_hex(AA), rssi, claimed),))
+        if readable:
+            write_traces_jsonl(str(written), [trace])
+            assert written.read_text(encoding="utf-8") == by_hand.read_text(encoding="utf-8")
+        else:
+            with pytest.raises(InvalidInput, match="^trace of device 'dev': "):
+                write_traces_jsonl(str(written), [trace])
+            assert not written.exists()
 
 
 class TestMetricsCsv:
