@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional
 from .actors import UserDevice, mean_distance, proximity_decision
 from .attacks import InjectedEmitter, LUNCH_TIME, delivery_correctness, drain_id, harvest_window
 from .attacks import install_pending
-from .errors import ValidationError
 from .ephemeral import IdSchedule, RotatingResolver
+from .errors import ValidationError
 from .guardian import jam_succeeds
 from .model import BeaconId, Observation, StaticId, Trace
 from .radio import BROADCAST, CONTENT_DELIVERED, FLAGGED, JAMMED, NO_ACTION, RECEIVE, EventLog
@@ -132,7 +132,7 @@ def _with_hex(bid: BeaconId) -> tuple[BeaconId, str]:
     return bid, bid.hex()
 
 
-def _ticks(duration: float, step: float) -> float:
+def _ticks(duration: float, step: float) -> int | float:
     """At most how many ticks fall at 0, step, 2 step, ... before duration:
     ⌈duration / step⌉ and one at least, or inf when that overflows a float."""
     try:
