@@ -38,10 +38,10 @@ from .scenario import Scenario
 _EPS = 1e-9
 _by_time = operator.attrgetter("time")
 
-# The most events a run may log unless the caller allows more (`simulate
-# --max-events`): at about 250 bytes an event, some 2.5 GB. The largest run in
+# The most events a run may log, at about 250 bytes an event some 2.5 GB: a
+# run whose bound is above it is refused before its loop. The largest run in
 # the tests and the benchmark, AC-2's 7,200 s replay, is bounded at 145,220.
-DEFAULT_MAX_EVENTS = 10_000_000
+MAX_EVENTS = 10_000_000
 
 
 class WindowRecord(NamedTuple):
@@ -106,6 +106,7 @@ class _Emitter:
     # (role, ref, position, device, reach, jam exempt, distance, mean rssi,
     # sink), one per receiver that can hear it; see `run`
     links: list = field(default_factory=list)
+    receptions: int | float = 0  # at most how many Receive events its links log
     sent_ids: Optional[set] = None  # its set in RunResult.broadcast_ids, from its first frame
 
 
@@ -141,17 +142,64 @@ def _ticks(duration: float, step: float) -> int | float:
         return math.inf
 
 
-def _check_event_bound(emitters: list[_Emitter], devices, duration: float, jammed_tag,
-                       max_events: int) -> None:
-    """Refuse, before the loop starts, a run that could log more than
-    max_events events. Each frame logs a Broadcast, at most one Receive per
-    link the emitter kept and, from the jammed tag, one Jammed; each scan
-    window logs one event. The error names what makes the most ticks."""
+def _at(end, t: float) -> tuple[float, float]:
+    return end.position_at(t) if isinstance(end, UserDevice) else end
+
+
+def _frames_in_reach(a, b, reach: float, step: float, frames: int | float,
+                     duration: float) -> int | float:
+    """At most how many of an emitter's frames, one every step s from 0, find
+    the two ends a and b of a link within reach; an end is a point or a
+    UserDevice. Between the waypoint times of either path the gap between the
+    ends moves linearly, so each piece of time is one quadratic. The reach is
+    widened by a part in a billion and each span by a frame at either end, so
+    rounding never undercounts."""
+    cuts = {t for end in (a, b) if isinstance(end, UserDevice)
+            for t, _ in end.path if 0.0 < t < duration}
+    times = sorted(cuts | {0.0, duration})
+    r2 = (reach * (1 + 1e-9) + 1e-9) ** 2
+    count = 0
+    last = -1  # the last frame counted: adjacent spans count a frame once
+    for t0, t1 in zip(times, times[1:]):
+        (ax, ay), (bx, by) = _at(a, t0), _at(b, t0)
+        (cx, cy), (ex, ey) = _at(a, t1), _at(b, t1)
+        x, y = ax - bx, ay - by
+        dx, dy = cx - ex - x, cy - ey - y
+        qa, qb, qc = dx * dx + dy * dy, 2.0 * (x * dx + y * dy), x * x + y * y - r2
+        if qa == 0.0:
+            if qc > 0.0:
+                continue
+            lo, hi = 0.0, 1.0
+        else:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0.0:
+                continue
+            root = math.sqrt(disc)
+            lo, hi = max(0.0, (-qb - root) / (2.0 * qa)), min(1.0, (-qb + root) / (2.0 * qa))
+            if lo > hi:
+                continue
+        if frames == math.inf:
+            return math.inf
+        first = max(last + 1, math.floor((t0 + lo * (t1 - t0)) / step))
+        final = min(frames - 1, math.floor((t0 + hi * (t1 - t0)) / step) + 1)
+        if final >= first:
+            count += final - first + 1
+            last = final
+    return count
+
+
+def _check_event_bound(emitters: list[_Emitter], devices, duration: float,
+                       jammed_tag) -> int | float:
+    """At most how many events the run logs; above MAX_EVENTS a
+    ValidationError, raised before the loop starts. Each frame logs a
+    Broadcast and, from the jammed tag, one Jammed; each frame a link can hear
+    one Receive (`_Emitter.receptions`); each scan window one event. The
+    error names what makes the most ticks."""
     total = 0
     most, culprit = -1, ""
     for em in emitters:
         frames = _ticks(duration, em.interval_s)
-        total += frames * (1 + len(em.links) + (em.ref == jammed_tag and em.family == "tag"))
+        total += frames * (1 + (em.ref == jammed_tag and em.family == "tag")) + em.receptions
         if frames > most:
             most, culprit = frames, (f"emitter {em.ref!r} broadcasts up to {frames:,} frames, "
                                      f"one every {em.interval_s!r} s")
@@ -161,16 +209,17 @@ def _check_event_bound(emitters: list[_Emitter], devices, duration: float, jamme
         if windows > most:
             most, culprit = windows, (f"device {device.ref!r} scans up to {windows:,} windows "
                                       f"of {device.scan_window_s!r} s")
-    if total > max_events:
-        raise ValidationError(f"the run could log up to {total:,} events, more than "
-                              f"max_events {max_events:,}: {culprit}")
+    if total > MAX_EVENTS:
+        raise ValidationError(f"the run could log up to {total:,} events, more than the "
+                              f"limit of {MAX_EVENTS:,}: {culprit}")
+    return total
 
 
-def run(scenario: Scenario, max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
+def run(scenario: Scenario) -> RunResult:
     """Simulate the scenario for its configured duration.
 
     Raises ValidationError, before the loop, when the run could log more than
-    max_events events (see `_check_event_bound`).
+    MAX_EVENTS events (see `_check_event_bound`).
     """
     scenario = install_pending(scenario)
     reference = scenario.reference
@@ -273,9 +322,13 @@ def run(scenario: Scenario, max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
         receivers.append((rx.role, rx.ref, (rx.x, rx.y), None, reach, False, sink))
 
     # A link whose two ends both stand still keeps one distance for the whole
-    # run: work it out once, and drop the pairs that are out of range. The
-    # distance and mean rssi of any other link are worked out per frame.
+    # run: work it out once, and drop the pairs that are out of range. Any
+    # other link works its distance and mean rssi out per frame, and is
+    # dropped when its two ends never come within reach. Each emitter counts
+    # the receptions its links can make, for the run's event bound.
     for em in emitters:
+        frames = _ticks(duration, em.interval_s)
+        em_end = em.position if em.position is not None else device_by_ref[em.obj.carried_by]
         for role, ref, rx_pos, device, reach, exempt, sink in receivers:
             if role == _PHONE and em.family == "tag" and em.obj.carried_by == ref:
                 continue  # a phone ignores its own paired accessory
@@ -285,8 +338,15 @@ def run(scenario: Scenario, max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
                 if d > reach:
                     continue
                 rssi = mean_rssi(em.tx_power_1m, max(d, 1.0), exponent)
+                heard = frames
+            else:
+                heard = _frames_in_reach(em_end, device if rx_pos is None else rx_pos, reach,
+                                         em.interval_s, frames, duration)
+                if not heard:
+                    continue
+            em.receptions += heard
             em.links.append((role, ref, rx_pos, device, reach, exempt, d, rssi, sink))
-    _check_event_bound(emitters, devices, duration, protected_tag, max_events)
+    _check_event_bound(emitters, devices, duration, protected_tag)
 
     def emitter_frame(em: _Emitter, t: float):
         """(position, id, id hex, claimed_tx) for this tick, or None when silent."""

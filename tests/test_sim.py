@@ -1,5 +1,7 @@
 import gc
 import json
+import math
+import random
 import tracemalloc
 
 import pytest
@@ -15,10 +17,12 @@ from beaconlab import (
     load_scenario,
     run,
 )
+from beaconlab.actors import UserDevice
 from beaconlab.cli import main
 from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, EventLog
+from beaconlab import sim
 from beaconlab.sim import (
-    DEFAULT_MAX_EVENTS,
+    MAX_EVENTS,
     OUTCOME_BUDGET,
     OUTCOME_DEBOUNCED,
     OUTCOME_DELIVERED,
@@ -286,7 +290,7 @@ def test_a_replay_run_holds_less_than_300_bytes_per_event():
 
 
 class TestEventBound:
-    """A run that could log more than max_events events is refused with a
+    """A run that could log more than MAX_EVENTS events is refused with a
     ValidationError before its loop starts; the refused tests would run for
     hours, so appending an event fails them."""
 
@@ -317,7 +321,7 @@ class TestEventBound:
         overrides, culprit = self.REPROS[repro]
         scenario = load_scenario(doc(**overrides))
         with pytest.raises(ValidationError, match="^the run could log up to .* events, more "
-                                                  "than max_events 10,000,000: " + culprit):
+                                                  "than the limit of 10,000,000: " + culprit):
             run(scenario)
 
     @pytest.mark.parametrize("repro", sorted(REPROS))
@@ -331,21 +335,76 @@ class TestEventBound:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_max_events_moves_the_limit(self, tmp_path, capsys):
+    @pytest.fixture
+    def bounds(self, monkeypatch):
+        """The bound of each run, as `_check_event_bound` returns it."""
+        seen = []
+        check = sim._check_event_bound
+
+        def spy(*args):
+            seen.append(check(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(sim, "_check_event_bound", spy)
+        return seen
+
+    def test_the_limit_is_the_module_constant(self, monkeypatch, tmp_path, capsys):
         # two beacons at 1 s for 12 s, each heard by the phone: 48 events, and
         # at most ceil(12 / 3) + 1 windows, as 12 s plus the loop's tolerance
         manifest = tmp_path / "m.yaml"
         manifest.write_text(yaml.safe_dump(doc()))
-        argv = ["simulate", str(manifest), "--out", str(tmp_path / "out"), "--max-events"]
-        assert main(argv + ["52"]) == 1
-        assert "up to 53 events, more than max_events 52: emitter 'b1' broadcasts up to 12 " \
+        argv = ["simulate", str(manifest), "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(sim, "MAX_EVENTS", 52)
+        assert main(argv) == 1
+        assert "up to 53 events, more than the limit of 52: emitter 'b1' broadcasts up to 12 " \
             "frames, one every 1.0 s" in capsys.readouterr().err
-        assert main(argv + ["53"]) == 0
+        monkeypatch.setattr(sim, "MAX_EVENTS", 53)
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_the_bound_admits_and_covers_each_pinned_run(self, name):
-        scenario = load_scenario(SCENARIOS[name]())
-        n_events = len(run(scenario).events)
-        assert n_events <= DEFAULT_MAX_EVENTS
-        with pytest.raises(ValidationError):
-            run(scenario, max_events=n_events - 1)
+    def test_the_bound_admits_and_covers_each_pinned_run(self, bounds, name):
+        n_events = len(run(load_scenario(SCENARIOS[name]())).events)
+        # 1.00-1.14 times the count: a loose bound would refuse honest runs
+        assert n_events <= bounds[0] <= min(1.2 * n_events, MAX_EVENTS)
+
+    def test_moving_phones_count_only_the_frames_in_their_reach(self, bounds):
+        # 20 beacons at 100 ms for 60 s, one phone walking past them and 1,000
+        # walking a kilometre away: 41,176 events. Counting a reception per
+        # frame for every link to a moving phone bounded it at 12,045,021,
+        # above the limit.
+        beacons = [static_beacon(f"b{k}", 5.0 * k, f"{k:040x}", interval=100.0)
+                   for k in range(20)]
+        walks = [[[0.0, [0.0, 1.0]], [60.0, [95.0, 1.0]]]]
+        walks += [[[0.0, [0.0, 1000.0 + k]], [60.0, [95.0, 1000.0 + k]]] for k in range(1000)]
+        scenario = load_scenario(doc(
+            beacons=beacons,
+            content=[{"id_hex": b["id_hex"], "locator": f"app://{b['ref']}"} for b in beacons],
+            devices=[{"ref": f"p{k}", "path": path} for k, path in enumerate(walks)],
+            duration_s=60.0,
+        ))
+        result = run(scenario)
+        assert any(e.kind == RECEIVE for e in result.events)
+        assert len(result.events) <= bounds[0] <= 1.2 * len(result.events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frames_in_reach_covers_every_frame_in_reach(self, seed):
+        # random walks against a point or another walk, counted frame by frame
+        rng = random.Random(seed)
+
+        def walk():
+            times = sorted(rng.sample(range(-10, 70), rng.randint(1, 5)))
+            return UserDevice("w", tuple((float(t), (rng.uniform(0, 60), rng.uniform(0, 60)))
+                                         for t in times))
+
+        for _ in range(50):
+            a = walk()
+            b = walk() if rng.random() < 0.5 else (rng.uniform(0, 60), rng.uniform(0, 60))
+            reach, step, duration = rng.uniform(1, 40), rng.uniform(0.05, 3), 60.0
+            frames = math.ceil(duration / step)
+            at = [(a.position_at(k * step), b.position_at(k * step) if isinstance(b, UserDevice)
+                   else b) for k in range(frames)]
+            exact = sum(math.dist(p, q) <= reach for p, q in at)
+            counted = sim._frames_in_reach(a, b, reach, step, frames, duration)
+            # at most one frame too many at each end of a span, a span a piece
+            pieces = len(a.path) + len(getattr(b, "path", ())) + 1
+            assert exact <= counted <= exact + 2 * pieces
