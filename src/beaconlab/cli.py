@@ -43,7 +43,7 @@ from .outlier import (
     UNIFORM,
 )
 from .scenario import load_scenario
-from .sim import DEFAULT_MAX_EVENTS, run
+from .sim import run
 from .storage import (
     DETECT_FIELDS,
     DETECT_TAG,
@@ -89,6 +89,18 @@ def _load_keys_file(path: str) -> dict[str, bytes]:
     return {str(ref): _hex(key_hex, f"{path}: key for {ref!r}") for ref, key_hex in raw.items()}
 
 
+def _process_pool(workers: int):
+    """A process pool whose workers are forked where the platform can fork,
+    whatever its default start method: a spawned worker imports the package
+    again, which costs more than the calibration step it takes over. Imported
+    here, not with the module, because it loads multiprocessing."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(method))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -105,10 +117,10 @@ def _resolve_seed(doc: dict, override: Optional[int]) -> dict:
     return doc
 
 
-def _simulate_one(manifest: str, out_dir: str, seed: Optional[int], max_events: int) -> dict:
+def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
     doc = _resolve_seed(_parse_document(_read_text(manifest)), seed)
     scenario = load_scenario(doc)
-    result = run(scenario, max_events)
+    result = run(scenario)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,14 +145,11 @@ def cmd_simulate(args) -> int:
         tasks = [(m, str(out_root / Path(m).stem)) for m in manifests]
 
     if args.jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not at import: it loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_simulate_one, m, d, args.seed, args.max_events)
-                       for m, d in tasks]
+        with _process_pool(args.jobs) as pool:
+            futures = [pool.submit(_simulate_one, m, d, args.seed) for m, d in tasks]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [_simulate_one(m, d, args.seed, args.max_events) for m, d in tasks]
+        summaries = [_simulate_one(m, d, args.seed) for m, d in tasks]
     for summary in summaries:
         print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -195,9 +204,7 @@ def _calibrate_while_reading(args, deployment):
     caller to raise after its own checks: a calibration error is raised here
     first, as when the two ran one after the other.
     """
-    from concurrent.futures import ProcessPoolExecutor  # not at import: it loads multiprocessing
-
-    with ProcessPoolExecutor(max_workers=1) as pool:
+    with _process_pool(1) as pool:
         threshold = pool.submit(_calibrate, args.calibration, deployment, args.p_stay,
                                 args.weighting, args.alpha, not args.no_debounce,
                                 args.min_transitions)
@@ -344,8 +351,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
     p.add_argument("--seed", type=int, default=None, help="override the radio seed")
     p.add_argument("--jobs", type=int, default=1, help="run manifests in parallel")
-    p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS, dest="max_events",
-                   help="refuse a run that could log more events than this, before it starts")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("assess", help="threat assessment from motives and capabilities")

@@ -27,7 +27,7 @@ from beaconlab import (
     static_state_resolver,
     write_traces_jsonl,
 )
-from beaconlab.cli import build_parser, main
+from beaconlab.cli import _process_pool, build_parser, main
 from conftest import AA, BB, CC, KEY1, KEY2, static_beacon
 from test_acceptance import _trace, _walk
 from test_golden import _detect_inputs
@@ -376,6 +376,28 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+_MARK = {}
+
+
+def _marked() -> bool:
+    """Whether the parent's mark reached this worker: a forked one inherits
+    it, a spawned one imports this module afresh."""
+    return _MARK.get("set", False)
+
+
+def test_the_pools_fork_whatever_the_default_start_method(monkeypatch):
+    # a spawned worker imports the package again, which costs more than the
+    # calibration step it takes over
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    monkeypatch.setitem(_MARK, "set", True)
+    try:
+        with _process_pool(1) as pool:
+            assert pool.submit(_marked).result() is True
+    finally:
+        multiprocessing.set_start_method(default, force=True)
 
 
 class TestEphemeral:
