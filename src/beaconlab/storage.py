@@ -123,11 +123,11 @@ def _trace_lines(traces: Iterable[Trace]) -> Iterator[str]:
             yield _TRACE_TEMPLATE % tuple(map(render_value, values)) + "\n"
 
 
-def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
+def write_traces_jsonl(path: str, traces: Sequence[Trace]) -> None:
     """Write the traces, after checking every trace against the rule of
     `read_traces_jsonl`: a value it would refuse raises InvalidInput, naming
-    the device, before the file is opened."""
-    traces = tuple(traces)
+    the device, before the file is opened. The traces are walked twice, so
+    they come as a sequence."""
     for trace in traces:
         _check_trace(trace)
     with open(path, "w", encoding="utf-8") as fh:
