@@ -157,14 +157,15 @@ def _frames_in_reach(a, b, reach: float, step: float, frames: int | float,
     cuts = {t for end in (a, b) if isinstance(end, UserDevice)
             for t, _ in end.path if 0.0 < t < duration}
     times = sorted(cuts | {0.0, duration})
+    gaps = []
+    for t in times:
+        (ax, ay), (bx, by) = _at(a, t), _at(b, t)
+        gaps.append((ax - bx, ay - by))
     r2 = (reach * (1 + 1e-9) + 1e-9) ** 2
     count = 0
     last = -1  # the last frame counted: adjacent spans count a frame once
-    for t0, t1 in zip(times, times[1:]):
-        (ax, ay), (bx, by) = _at(a, t0), _at(b, t0)
-        (cx, cy), (ex, ey) = _at(a, t1), _at(b, t1)
-        x, y = ax - bx, ay - by
-        dx, dy = cx - ex - x, cy - ey - y
+    for t0, t1, (x, y), (x1, y1) in zip(times, times[1:], gaps, gaps[1:]):
+        dx, dy = x1 - x, y1 - y
         qa, qb, qc = dx * dx + dy * dy, 2.0 * (x * dx + y * dy), x * x + y * y - r2
         if qa == 0.0:
             if qc > 0.0:
