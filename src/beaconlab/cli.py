@@ -92,8 +92,10 @@ def _load_keys_file(path: str) -> dict[str, bytes]:
 def _process_pool(workers: int):
     """A process pool whose workers are forked where the platform can fork,
     whatever its default start method: a spawned worker imports the package
-    again, which costs more than the calibration step it takes over. Imported
-    here, not with the module, because it loads multiprocessing."""
+    again, which costs more than the calibration step it takes over. A fork
+    is safe here because the CLI starts no thread, and a fork pool starts its
+    workers before its own manager thread. Imported here, not with the
+    module, because it loads multiprocessing."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
