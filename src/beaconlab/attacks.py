@@ -144,7 +144,6 @@ KINDS = {
         "claimed_tx_power": (_claimed_power, None),  # the drain's physical power
     }),
 }
-ATTACK_KINDS = tuple(KINDS)
 
 
 def normalize_kind(kind: str) -> str:
@@ -386,14 +385,6 @@ def install_pending(scenario: "Scenario") -> "Scenario":
     for index in range(scenario.installed_count, len(scenario.attacks)):
         out = _install(out, out.attacks[index], index)
     return out
-
-
-def apply_attack(scenario: "Scenario", profile: AttackProfile) -> "Scenario":
-    """Append a profile and install its artifacts. Pure: the input is untouched."""
-    prepared = install_pending(scenario)
-    index = len(prepared.attacks)
-    prepared = replace(prepared, attacks=prepared.attacks + (profile,))
-    return _install(prepared, profile, index)
 
 
 # ---------------------------------------------------------------------------

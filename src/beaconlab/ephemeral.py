@@ -18,7 +18,7 @@ import hmac
 import math
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidInput
 from .model import DEFAULT_ID_WIDTH, MIN_KEY_BYTES, BeaconId, _check_id_width
@@ -104,6 +104,11 @@ class IdSchedule:
 # Bloom filter
 
 
+def _check_geometry(m_bits: int, k_hashes: int) -> None:
+    if m_bits <= 0 or k_hashes <= 0:
+        raise InvalidInput("bloom filter needs positive m and k")
+
+
 @dataclass(frozen=True)
 class BloomFilter:
     m_bits: int
@@ -112,14 +117,21 @@ class BloomFilter:
     n_inserted: int = 0
 
     def __post_init__(self) -> None:
-        if self.m_bits <= 0 or self.k_hashes <= 0:
-            raise InvalidInput("bloom filter needs positive m and k")
+        _check_geometry(self.m_bits, self.k_hashes)
         if len(self.bits) != (self.m_bits + 7) // 8:
             raise InvalidInput("bloom bit array length does not match m_bits")
 
-
-def bloom_empty(m_bits: int, k_hashes: int) -> BloomFilter:
-    return BloomFilter(m_bits=m_bits, k_hashes=k_hashes, bits=bytes((m_bits + 7) // 8))
+    @classmethod
+    def from_items(cls, m_bits: int, k_hashes: int, items: Iterable[bytes]) -> "BloomFilter":
+        """The filter holding each of items; n_inserted counts them, repeats included."""
+        _check_geometry(m_bits, k_hashes)
+        bits = bytearray((m_bits + 7) // 8)
+        n_inserted = 0
+        for item in items:
+            for idx in _bit_indexes(item, m_bits, k_hashes):
+                bits[idx >> 3] |= 1 << (idx & 7)
+            n_inserted += 1
+        return cls(m_bits, k_hashes, bytes(bits), n_inserted)
 
 
 def _bit_indexes(item: bytes, m_bits: int, k_hashes: int):
@@ -128,19 +140,6 @@ def _bit_indexes(item: bytes, m_bits: int, k_hashes: int):
     h2 = int.from_bytes(digest[8:16], "big") | 1
     for i in range(k_hashes):
         yield (h1 + i * h2) % m_bits
-
-
-def bloom_insert(filt: BloomFilter, item: bytes) -> BloomFilter:
-    """Pure insert: returns a new filter with the item's bits set."""
-    bits = bytearray(filt.bits)
-    for idx in _bit_indexes(item, filt.m_bits, filt.k_hashes):
-        bits[idx >> 3] |= 1 << (idx & 7)
-    return BloomFilter(
-        m_bits=filt.m_bits,
-        k_hashes=filt.k_hashes,
-        bits=bytes(bits),
-        n_inserted=filt.n_inserted + 1,
-    )
 
 
 def bloom_contains(filt: BloomFilter, item: bytes) -> bool:
@@ -186,19 +185,14 @@ def build_filter(
     n_items = len(schedule.owner_keys) * len(slots)
     if m_bits is None or k_hashes is None:
         m_bits, k_hashes = bloom_size_for(n_items, fp_target)
-    if m_bits <= 0 or k_hashes <= 0:
-        raise InvalidInput("bloom filter needs positive m and k")
+    _check_geometry(m_bits, k_hashes)
     if expected_fp_rate(m_bits, k_hashes, n_items) > MAX_BUILD_FP:
         raise InvalidInput(
             f"bloom sizing m={m_bits} k={k_hashes} gives expected false-positive "
             f"rate above {MAX_BUILD_FP:.0%} for {n_items} ids"
         )
-    bits = bytearray((m_bits + 7) // 8)
-    for key in schedule.owner_keys.values():
-        for slot in slots:
-            for idx in _bit_indexes(schedule.id_at(key, slot).data, m_bits, k_hashes):
-                bits[idx >> 3] |= 1 << (idx & 7)
-    return BloomFilter(m_bits=m_bits, k_hashes=k_hashes, bits=bytes(bits), n_inserted=n_items)
+    ids = (schedule.id_at(key, slot).data for key in schedule.owner_keys.values() for slot in slots)
+    return BloomFilter.from_items(m_bits, k_hashes, ids)
 
 
 def verify_and_resolve(

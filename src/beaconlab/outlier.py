@@ -207,14 +207,18 @@ def calibrate_threshold(
 
     The quantile takes the smallest calibration score that at most an alpha
     fraction of the calibration set strictly exceeds. Hard flags in material
-    that is supposed to be clean void the calibration.
+    that is supposed to be clean void the calibration. A trace too short to
+    score is unusable and left out, as is one with nothing scorable.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInput("alpha must be in (0, 1)")
     scores: list[float] = []
     for trace in clean_traces:
         transitions = trace_transitions(trace, resolver, debounce)
-        result = score_trace(model, transitions, min_transitions)
+        try:
+            result = score_trace(model, transitions, min_transitions)
+        except TooShort:
+            continue
         if result.hard_flags:
             raise ContaminatedCalibration(
                 f"calibration trace from {trace.device_ref!r} contains impossible "

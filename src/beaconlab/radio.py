@@ -107,7 +107,6 @@ EVENT_FIELDS = {
     JAMMED: ("blocked", "frame", "tag"),
     FLAGGED: ("device", "n_frames", "n_rejected", "reason"),
 }
-EVENT_KINDS = tuple(EVENT_FIELDS)
 # The one field a line may leave out: an empty scan window names no beacon.
 OPTIONAL_FIELDS = frozenset({(NO_ACTION, "beacon")})
 
@@ -227,9 +226,6 @@ class Event(NamedTuple):
     def data(self) -> dict:
         """The fields that hold a value, by name."""
         return {name: v for name, v in zip(EVENT_FIELDS[self.kind], self.values) if v is not None}
-
-    def to_json(self) -> str:
-        return event_line(*self)
 
     @classmethod
     def from_json(cls, line: str) -> "Event":

@@ -72,9 +72,6 @@ class ThreatMatrix:
     motives: Mapping[str, str]
     defences: Mapping[str, str]
 
-    def attack_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.attacks))
-
 
 MOTIVES = {
     "M1": "Free riding on a third party's beacon infrastructure",

@@ -11,6 +11,7 @@ import time
 
 from beaconlab import (
     BeaconId,
+    BloomFilter,
     DetectorParams,
     Observation,
     Trace,
@@ -19,8 +20,6 @@ from beaconlab import (
     attacks_for_capabilities,
     attacks_for_motives,
     bloom_contains,
-    bloom_empty,
-    bloom_insert,
     bloom_size_for,
     build_markov,
     calibrate_threshold,
@@ -37,6 +36,7 @@ from beaconlab import (
     static_state_resolver,
 )
 from beaconlab.cli import main
+from beaconlab.radio import event_line
 from beaconlab.sim import OUTCOME_DELIVERED
 from conftest import AA, CC
 
@@ -314,9 +314,7 @@ def test_ac6_bloom_rates_match_theory():
         items = set()
         while len(items) < n_items:
             items.add(rng.randbytes(20))
-        filt = bloom_empty(m_bits, k_hashes)
-        for item in items:
-            filt = bloom_insert(filt, item)
+        filt = BloomFilter.from_items(m_bits, k_hashes, items)
         misses = sum(not bloom_contains(filt, item) for item in items)
         hits = tried = 0
         while tried < probes:
@@ -355,8 +353,8 @@ def test_ac7_distance_roundtrip_and_replayable_logs():
 
     first = run(load_scenario(_guarded_doc(True)))
     second = run(load_scenario(_guarded_doc(True)))
-    blob1 = "\n".join(e.to_json() for e in first.events).encode()
-    blob2 = "\n".join(e.to_json() for e in second.events).encode()
+    blob1 = "\n".join(event_line(*e) for e in first.events).encode()
+    blob2 = "\n".join(event_line(*e) for e in second.events).encode()
 
     ok = worst < 1e-9 and blob1 == blob2
     _report("AC-7", ok,
@@ -369,7 +367,7 @@ def test_ac8_matrix_set_laws_exhaustively():
     matrix = default_matrix()
     caps = sorted(matrix.capabilities)
     motives = sorted(matrix.motives)
-    attacks = matrix.attack_ids()
+    attacks = sorted(matrix.attacks)
     universe = frozenset(matrix.defences)
 
     cap_sets = [frozenset(c) for r in range(len(caps) + 1)

@@ -9,7 +9,7 @@ from beaconlab import (
     InvalidInput,
     StaticId,
     UnknownRef,
-    apply_attack,
+    ValidationError,
     attack_metrics,
     drain_id,
     install_pending,
@@ -143,17 +143,33 @@ class TestDrainIds:
         assert len(drain_id(0, 0, 4)) == 4
 
 
+def loaded(attack, **overrides):
+    """doc() with one declared attack, loaded: its params read, nothing installed."""
+    return load_scenario(doc(attacks=[attack], **overrides))
+
+
+def attacked(attack, **overrides):
+    """The scenario a run simulates: loaded, then its attack installed."""
+    return install_pending(loaded(attack, **overrides))
+
+
+def load_error(attack, **overrides):
+    """The error an attack's params raise when the profile is made; load_scenario
+    raises it again as a ValidationError at the attack's place."""
+    with pytest.raises(ValidationError) as exc:
+        loaded(attack, **overrides)
+    assert str(exc.value) == f"attacks[0]: {exc.value.__cause__}"
+    return exc.value.__cause__
+
+
 class TestInstall:
     def test_a1_defaults_to_receivers_at_every_beacon(self):
-        scenario = apply_attack(load_scenario(doc()), AttackProfile(kind="A1"))
+        scenario = attacked({"kind": "A1"})
         assert [(r.x, r.y) for r in scenario.extra_receivers] == [(0.0, 0.0), (20.0, 0.0)]
         assert all(r.role == "harvest" for r in scenario.extra_receivers)
 
     def test_a2_defaults_mirror_the_source_beacon(self):
-        profile = AttackProfile(
-            kind="A2", params={"source_beacon": "b1", "fake_position": [40.0, 0.0]}
-        )
-        scenario = apply_attack(load_scenario(doc()), profile)
+        scenario = attacked({"kind": "A2", "source_beacon": "b1", "fake_position": [40.0, 0.0]})
         fake = scenario.injected[0]
         assert (fake.x, fake.y) == (40.0, 0.0)
         assert fake.tx_power_1m == -59.0
@@ -163,21 +179,14 @@ class TestInstall:
         assert (scenario.extra_receivers[0].x, scenario.extra_receivers[0].y) == (0.0, 0.0)
 
     def test_a2_requires_params(self):
-        with pytest.raises(InvalidInput, match="fake_position"):
-            apply_attack(
-                load_scenario(doc()), AttackProfile(kind="A2", params={"source_beacon": "b1"})
-            )
+        error = load_error({"kind": "A2", "source_beacon": "b1"})
+        assert isinstance(error, InvalidInput) and "fake_position" in str(error)
+        scenario = loaded({"kind": "A2", "source_beacon": "ghost", "fake_position": [0, 0]})
         with pytest.raises(UnknownRef):
-            apply_attack(
-                load_scenario(doc()),
-                AttackProfile(
-                    kind="A2", params={"source_beacon": "ghost", "fake_position": [0, 0]}
-                ),
-            )
+            install_pending(scenario)
 
     def test_a3_flood_defaults(self):
-        profile = AttackProfile(kind="A3", params={"target_beacon": "b1"})
-        scenario = apply_attack(load_scenario(doc()), profile)
+        scenario = attacked({"kind": "A3", "target_beacon": "b1"})
         flood = scenario.injected[0]
         assert flood.claimed_tx_power == -45.0  # target +14 dB
         assert flood.tx_power_1m == -79.0  # target -20 dB
@@ -185,113 +194,105 @@ class TestInstall:
         assert (flood.x, flood.y) == (0.0, 0.0)  # co-located with the target
 
     def test_a4_rewrites_the_broadcast_id_and_keeps_ground_truth(self):
-        profile = AttackProfile(kind="A4", params={"target_beacon": "b1", "new_id_hex": CC})
-        scenario = apply_attack(load_scenario(doc()), profile)
+        scenario = attacked({"kind": "A4", "target_beacon": "b1", "new_id_hex": CC})
         rewritten = scenario.deployment.beacon("b1")
         assert isinstance(rewritten.id_mode, StaticId)
         assert rewritten.id_mode.id.hex() == CC
         assert scenario.reference.beacon("b1").id_mode.id.hex() == AA
 
     def test_a4_respects_authentication(self):
-        locked = doc(
-            beacons=[static_beacon("b1", 0, AA, auth_protected=True), static_beacon("b2", 20, BB)]
-        )
-        profile = AttackProfile(kind="A4", params={"target_beacon": "b1", "new_id_hex": CC})
+        locked = [static_beacon("b1", 0, AA, auth_protected=True), static_beacon("b2", 20, BB)]
+        scenario = loaded({"kind": "A4", "target_beacon": "b1", "new_id_hex": CC}, beacons=locked)
         with pytest.raises(CapabilityError) as exc:
-            apply_attack(load_scenario(locked), profile)
+            install_pending(scenario)
         assert set(exc.value.missing) == {"C4"}
 
     def test_a4_enforces_id_width(self):
-        profile = AttackProfile(kind="A4", params={"target_beacon": "b1", "new_id_hex": "cccc"})
+        scenario = loaded({"kind": "A4", "target_beacon": "b1", "new_id_hex": "cccc"})
         with pytest.raises(InvalidInput, match="width"):
-            apply_attack(load_scenario(doc()), profile)
+            install_pending(scenario)
 
     def test_a5_swap_exchanges_positions(self):
-        profile = AttackProfile(kind="A5", params={"action": "swap", "beacons": ["b1", "b2"]})
-        insider = doc(attacker={"physical_access": True})
-        scenario = apply_attack(load_scenario(insider), profile)
+        scenario = attacked({"kind": "A5", "action": "swap", "beacons": ["b1", "b2"]},
+                            attacker={"physical_access": True})
         assert scenario.deployment.beacon("b1").position == (20.0, 0.0)
         assert scenario.deployment.beacon("b2").position == (0.0, 0.0)
         assert scenario.reference.beacon("b1").position == (0.0, 0.0)
 
     def test_a5_remove_drops_the_beacon(self):
-        profile = AttackProfile(kind="A5", params={"action": "remove", "beacon": "b2"})
-        scenario = apply_attack(load_scenario(doc(attacker={"physical_access": True})), profile)
+        scenario = attacked({"kind": "A5", "action": "remove", "beacon": "b2"},
+                            attacker={"physical_access": True})
         assert [b.ref for b in scenario.deployment.beacons] == ["b1"]
         assert len(scenario.reference.beacons) == 2
 
     def test_a5_rejects_degenerate_requests(self):
-        base = load_scenario(doc(attacker={"physical_access": True}))
-        with pytest.raises(InvalidInput, match="differ"):
-            apply_attack(
-                base, AttackProfile(kind="A5", params={"action": "swap", "beacons": ["b1", "b1"]})
-            )
-        with pytest.raises(InvalidInput, match="swap or remove"):
-            apply_attack(base, AttackProfile(kind="A5", params={"action": "paint"}))
+        insider = {"attacker": {"physical_access": True}}
+        error = load_error({"kind": "A5", "action": "swap", "beacons": ["b1", "b1"]}, **insider)
+        assert isinstance(error, InvalidInput) and "differ" in str(error)
+        error = load_error({"kind": "A5", "action": "paint"}, **insider)
+        assert isinstance(error, InvalidInput) and "swap or remove" in str(error)
 
     def test_a5_needs_physical_access(self):
-        capped = doc(attacker={"physical_access": False})
-        profile = AttackProfile(kind="A5", params={"action": "remove", "beacon": "b2"})
+        scenario = loaded({"kind": "A5", "action": "remove", "beacon": "b2"},
+                          attacker={"physical_access": False})
         with pytest.raises(CapabilityError) as exc:
-            apply_attack(load_scenario(capped), profile)
+            install_pending(scenario)
         assert set(exc.value.missing) == {"C5"}
 
     def test_a6_needs_the_authorized_malicious_app(self):
-        profile = AttackProfile(kind="A6", params={"target_device": "phone"})
+        attack = {"kind": "A6", "target_device": "phone"}
         with pytest.raises(CapabilityError) as exc:
-            apply_attack(load_scenario(doc()), profile)
+            install_pending(loaded(attack))
         assert set(exc.value.missing) == {"C7"}
-        compromised = doc(
-            devices=[
-                {
-                    "ref": "phone",
-                    "path": [[0.0, [0.0, 1.0]]],
-                    "apps": [{"ref": "mapper", "authorized": True, "malicious": True}],
-                }
-            ]
-        )
-        scenario = apply_attack(load_scenario(compromised), profile)
+        compromised = [
+            {
+                "ref": "phone",
+                "path": [[0.0, [0.0, 1.0]]],
+                "apps": [{"ref": "mapper", "authorized": True, "malicious": True}],
+            }
+        ]
+        scenario = attacked(attack, devices=compromised)
         assert scenario.upload_targets == ((0, "phone"),)
 
     def test_a7_surveillance_receivers(self):
-        tagged = doc(
-            tags=[{"ref": "fob", "carried_by": "phone", "adv_interval_ms": 500.0, "id_hex": CC}]
+        tagged = [{"ref": "fob", "carried_by": "phone", "adv_interval_ms": 500.0, "id_hex": CC}]
+        scenario = attacked(
+            {"kind": "A7", "target_tag": "fob", "surveillance_positions": [[1.0, 2.0]]}, tags=tagged
         )
-        profile = AttackProfile(
-            kind="A7", params={"target_tag": "fob", "surveillance_positions": [[1.0, 2.0]]}
-        )
-        scenario = apply_attack(load_scenario(tagged), profile)
         rx = scenario.extra_receivers[0]
         assert rx.role == "surveillance"
         assert (rx.x, rx.y) == (1.0, 2.0)
+        untagged = loaded({"kind": "A7", "target_tag": "fob", "surveillance_positions": [[0, 0]]})
         with pytest.raises(UnknownRef):
-            apply_attack(
-                load_scenario(doc()),
-                AttackProfile(
-                    kind="A7", params={"target_tag": "fob", "surveillance_positions": [[0, 0]]}
-                ),
-            )
-        with pytest.raises(InvalidInput, match="non-empty"):
-            apply_attack(
-                load_scenario(tagged),
-                AttackProfile(kind="A7", params={"target_tag": "fob", "surveillance_positions": []}),
-            )
+            install_pending(untagged)
+        error = load_error(
+            {"kind": "A7", "target_tag": "fob", "surveillance_positions": []}, tags=tagged
+        )
+        assert isinstance(error, InvalidInput) and "non-empty" in str(error)
 
     def test_a8_defaults_to_the_first_device(self):
-        profile = AttackProfile(kind="A8", params={"n_ids": 500})
-        scenario = apply_attack(load_scenario(doc()), profile)
+        scenario = attacked({"kind": "A8", "n_ids": 500})
         drain = scenario.injected[0]
         assert (drain.x, drain.y) == (0.0, 1.0)
         assert drain.interval_ms == 100.0
         assert drain.n_ids == 500
-        with pytest.raises(InvalidInput):
-            apply_attack(load_scenario(doc()), AttackProfile(kind="A8", params={"n_ids": 0}))
+        assert isinstance(load_error({"kind": "A8", "n_ids": 0}), InvalidInput)
 
-    def test_apply_attack_is_pure(self):
-        base = load_scenario(doc())
-        applied = apply_attack(base, AttackProfile(kind="A1"))
-        assert base.injected == () and base.extra_receivers == ()
-        assert base.attacks == () and applied.installed_count == 1
+    def test_install_pending_leaves_its_input_untouched(self):
+        # A1 and A2 add receivers, A2 adds an emitter and A4 rewires the deployment
+        declared = load_scenario(doc(attacks=[
+            {"kind": "A1"},
+            {"kind": "A2", "source_beacon": "b1", "fake_position": [40.0, 0.0]},
+            {"kind": "A4", "target_beacon": "b2", "new_id_hex": CC},
+        ]))
+        deployment = declared.deployment
+        scenario = install_pending(declared)
+        assert (declared.injected, declared.extra_receivers) == ((), ())
+        assert declared.deployment is deployment and deployment.beacon("b2").id_mode.id.hex() == BB
+        assert declared.installed_count == 0
+        assert (len(scenario.injected), len(scenario.extra_receivers)) == (1, 3)
+        assert scenario.deployment.beacon("b2").id_mode.id.hex() == CC
+        assert scenario.installed_count == 3
 
     def test_install_pending_is_idempotent(self):
         declared = doc(attacks=[{"kind": "A1"}])

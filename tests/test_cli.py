@@ -333,8 +333,10 @@ class TestCalibrationProcess:
          "error: calibration trace from 'cal24' contains impossible transitions: "
          "(('b1', 'UNKNOWN'), ('UNKNOWN', 'b2'), ('b1', 'UNKNOWN'))\n"),
         ([[AA, BB] * 6] * 19, "error: 19 usable calibration traces; need at least 20\n"),
-        ([[AA, BB] * 6] * 24 + [[AA, BB]], "error: 1 transitions is below the minimum of 3\n"),
-    ], ids=["contaminated", "insufficient", "too short"])
+        # a trace too short to score is not a usable one
+        ([[AA, BB] * 6] * 19 + [[AA, BB]],
+         "error: 19 usable calibration traces; need at least 20\n"),
+    ], ids=["contaminated", "insufficient", "insufficient with a short trace"])
     def test_calibration_findings_keep_their_messages(self, tmp_path, capsys, walks, message):
         dep = deployment_file(tmp_path)
         calibration = trace_file(tmp_path, "cal.jsonl",
@@ -343,6 +345,19 @@ class TestCalibrationProcess:
         assert main(["detect", "--deployment", dep, "--traces", traces,
                      "--calibration", calibration]) == 1
         assert capsys.readouterr().err == message
+
+    def test_a_too_short_calibration_trace_is_skipped(self, tmp_path, capsys):
+        dep = deployment_file(tmp_path)
+        traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)])
+        clean = [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(24)]
+        outputs = []
+        for name, calibration in (("cal.jsonl", clean + [walk_trace("cal24", [AA, BB])]),
+                                  ("clean.jsonl", clean)):
+            assert main(["detect", "--deployment", dep, "--traces", traces,
+                         "--calibration", trace_file(tmp_path, name, calibration)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err.startswith("threshold=")
 
     @pytest.mark.parametrize("case", ["ok", "bad calibration", "bad test file",
                                       "missing calibration", "missing test file",

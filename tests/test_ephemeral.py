@@ -8,9 +8,9 @@ from beaconlab import (
     BeaconId,
     EphemeralParams,
     IdSchedule,
+    BloomFilter,
     InvalidInput,
     bloom_contains,
-    bloom_insert,
     build_filter,
     ephemeral_id,
     expected_fp_rate,
@@ -18,11 +18,7 @@ from beaconlab import (
     verify_and_resolve,
     write_filter_file,
 )
-from beaconlab.ephemeral import (
-    RotatingResolver,
-    bloom_empty,
-    bloom_size_for,
-)
+from beaconlab.ephemeral import RotatingResolver, bloom_size_for
 from conftest import KEY1, KEY2
 
 K1 = bytes.fromhex(KEY1)
@@ -62,22 +58,20 @@ class TestEphemeralId:
 
 class TestBloom:
     def test_insert_then_contains(self):
-        filt = bloom_empty(256, 3)
-        filt = bloom_insert(filt, b"hello")
+        filt = BloomFilter.from_items(256, 3, [b"hello"])
         assert bloom_contains(filt, b"hello")
         assert filt.n_inserted == 1
 
-    def test_insert_is_pure(self):
-        filt = bloom_empty(256, 3)
-        bloom_insert(filt, b"hello")
+    def test_a_filter_of_no_items_holds_nothing(self):
+        filt = BloomFilter.from_items(256, 3, iter(()))
+        assert filt.bits == bytes(32) and filt.n_inserted == 0
         assert not bloom_contains(filt, b"hello")
 
     @given(st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=40))
     def test_no_false_negatives(self, items):
-        filt = bloom_empty(512, 4)
-        for item in items:
-            filt = bloom_insert(filt, item)
+        filt = BloomFilter.from_items(512, 4, iter(items))
         assert all(bloom_contains(filt, item) for item in items)
+        assert filt.n_inserted == len(items)  # a repeat counts again
 
     def test_expected_fp_formula(self):
         # (1 - e^{-kn/m})^k, the standard approximation
@@ -94,9 +88,10 @@ class TestBloom:
         with pytest.raises(InvalidInput):
             bloom_size_for(10, 1.5)
 
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(InvalidInput):
-            bloom_empty(0, 3)
+    @pytest.mark.parametrize("m_bits, k_hashes", [(0, 3), (-100, 3), (64, 0)])
+    def test_bad_geometry_rejected(self, m_bits, k_hashes):
+        with pytest.raises(InvalidInput, match="positive m and k"):
+            BloomFilter.from_items(m_bits, k_hashes, [b"hello"])
 
 
 class TestBuildFilter:

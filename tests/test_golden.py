@@ -287,3 +287,29 @@ def test_assess_output_matches_pinned_digest(motives, capabilities, fmt, capsys)
                  "--format", fmt])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == ASSESS[motives, capabilities, fmt]
+
+
+# sha256 of the filter file and of stdout for `beaconlab ephemeral build`,
+# per build: sized from --fp, and with explicit --m/--k (an m that leaves a
+# partial last byte, a negative slot, a narrow ID and a shorter slot). Pinned
+# before `build_filter` and the other filter builders shared one constructor.
+EPHEMERAL_BUILDS = {
+    "fp": (["--slot", "120", "--window", "3", "--fp", "0.001"],
+           ("dfc115f3386c47342cf54bd848c6b5b6b54ae582849bd7d086977ab15d93f420",
+            "8fe965c2d7ebf06307d5547a4d327eec4522bcbf2029a12de895dc2e47419f6d")),
+    "m-k": (["--slot", "-7", "--m", "101", "--k", "3", "--width", "8",
+             "--slot-duration", "30"],
+            ("f2b77d53629dce2e65ca56c4a54ea9ca8bc6f3a6044b242c258fd01927769a86",
+             "039a454748f90a2fefec94cbd8b40242baf5276b583e9cc82dfaa4766409ad3e")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPHEMERAL_BUILDS))
+def test_ephemeral_build_matches_pinned_digests(name, tmp_path, monkeypatch, capsys):
+    flags, pinned = EPHEMERAL_BUILDS[name]
+    monkeypatch.chdir(tmp_path)  # stdout names the file; keep the name relative
+    (tmp_path / "keys.yaml").write_text(yaml.safe_dump({"b1": KEY1, "b2": KEY2, "b3": "33" * 16}))
+    assert main(["ephemeral", "build", "--keys", "keys.yaml", "--out", "f.blf"] + flags) == 0
+    digests = (hashlib.sha256((tmp_path / "f.blf").read_bytes()).hexdigest(),
+               hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == pinned

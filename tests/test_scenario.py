@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beaconlab import (
-    ATTACK_KINDS,
     BeaconLabError,
     EphemeralParams,
     GuardianConfig,
@@ -197,7 +196,7 @@ class TestAnyOneFieldReplaced:
     def test_rich_doc_runs_every_attack_kind(self):
         result = run(load_scenario(_rich_doc()))
         kinds = [attack_metrics(result, i)["kind"] for i in range(len(result.scenario.attacks))]
-        assert set(kinds) == set(ATTACK_KINDS)
+        assert set(kinds) == set(KINDS)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([p for p in _paths(_rich_doc()) if p[0] == "attacks"]), _ANY_VALUE)

@@ -8,9 +8,7 @@ import pytest
 import yaml
 
 from beaconlab import (
-    AttackProfile,
     ValidationError,
-    apply_attack,
     attack_metrics,
     delivery_correctness,
     ephemeral,
@@ -19,7 +17,7 @@ from beaconlab import (
 )
 from beaconlab.actors import UserDevice
 from beaconlab.cli import main
-from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, EventLog
+from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, EventLog, event_line
 from beaconlab import sim
 from beaconlab.sim import (
     MAX_EVENTS,
@@ -52,7 +50,7 @@ def doc(**overrides):
 
 
 def event_lines(result):
-    return [e.to_json() for e in result.events]
+    return [event_line(*e) for e in result.events]
 
 
 class TestDeterminism:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from beaconlab import (
     BeaconId,
-    Event,
     InvalidInput,
     Observation,
     SchemaError,
@@ -22,7 +21,7 @@ from beaconlab import (
     write_traces_jsonl,
 )
 from beaconlab.radio import (
-    BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, EVENT_KINDS, EventLog, RECEIVE, event_line,
+    BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, EventLog, RECEIVE, event_line,
 )
 from beaconlab.storage import metric_rows
 from conftest import AA, BB
@@ -56,7 +55,7 @@ class TestEventsJsonl:
         log = sample_log()
         write_events_jsonl(path, log)
         loaded = read_events_jsonl(path)
-        assert [e.to_json() for e in loaded] == [e.to_json() for e in log]
+        assert [event_line(*e) for e in loaded] == [event_line(*e) for e in log]
         assert [e.seq for e in loaded] == [0, 1, 2]
 
     def test_header_line(self, tmp_path):
@@ -309,10 +308,10 @@ class TestLineByLine:
     def test_events_equal_a_splitlines_reader(self, tmp_path, end, final_end, bad_at):
         path = tmp_path / "events.jsonl"
         header = '{"format": "beaconlab.events", "version": 1}'
-        self._write(path, header, [e.to_json() for e in sample_log()], end, final_end, bad_at)
+        self._write(path, header, [event_line(*e) for e in sample_log()], end, final_end, bad_at)
         expected = self._splitlines_events(str(path))
         if bad_at is None:
-            assert [json.loads(e.to_json()) for e in read_events_jsonl(str(path))] == expected
+            assert [json.loads(event_line(*e)) for e in read_events_jsonl(str(path))] == expected
         else:
             with pytest.raises(SchemaError, match=f"events\\.jsonl:{expected}: bad event line"):
                 read_events_jsonl(str(path))
@@ -456,13 +455,12 @@ class TestSharedEncoder:
         data = {name: v for name, v in zip(EVENT_FIELDS[kind], values) if v is not None}
         return json.dumps({"t": time, "seq": seq, "kind": kind, "data": data}, sort_keys=True)
 
-    @pytest.mark.parametrize("kind", EVENT_KINDS)
+    @pytest.mark.parametrize("kind", list(EVENT_FIELDS))
     def test_event_line_of_each_kind_equals_json_dumps(self, kind):
         n = len(EVENT_FIELDS[kind])
         for start in range(len(self.ODD_VALUES)):
             values = (self.ODD_VALUES * 2)[start:start + n]
-            event = Event(1.25, 7, kind, values)
-            assert event.to_json() == self._expected(1.25, 7, kind, values)
+            assert event_line(1.25, 7, kind, values) == self._expected(1.25, 7, kind, values)
 
     @staticmethod
     def _first_error(time, seq, kind, values):
@@ -481,7 +479,7 @@ class TestSharedEncoder:
         return None if seq == 0 else "seq must be the event's position 0"
 
     @settings(max_examples=300, deadline=None)
-    @given(event=st.sampled_from(EVENT_KINDS).flatmap(lambda kind: st.tuples(
+    @given(event=st.sampled_from(list(EVENT_FIELDS)).flatmap(lambda kind: st.tuples(
         st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), _JSON),
         st.one_of(st.just(0), st.integers(min_value=0), _JSON),
         st.just(kind),
@@ -491,11 +489,11 @@ class TestSharedEncoder:
         line = event_line(*event)
         path.write_text(f'{{"format": "beaconlab.events", "version": 1}}\n{line}\n',
                         encoding="utf-8")
-        assert line == Event(*event).to_json() == self._expected(*event)
+        assert line == self._expected(*event)
         error = self._first_error(*event)
         if error is None:
             # read back; NaN never equals NaN, so compare the lines
-            assert [e.to_json() for e in read_events_jsonl(str(path))] == [line]
+            assert [event_line(*e) for e in read_events_jsonl(str(path))] == [line]
         else:
             with pytest.raises(SchemaError, match=r"events\.jsonl:2: bad event line: "
                                                   + re.escape(error)):

@@ -37,7 +37,7 @@ SKILLS = {"C1": "L", "C2": "L", "C3": "M", "C4": "H", "C5": "H", "C6": "H", "C7"
 class TestCanonicalMatrix:
     def test_attack_ids(self):
         assert set(MATRIX.attacks) == ALL_ATTACKS
-        assert MATRIX.attack_ids() == tuple(sorted(ALL_ATTACKS))
+        assert sorted(MATRIX.attacks) == sorted(ALL_ATTACKS)
 
     def test_required_capabilities(self):
         for aid, caps in REQUIRED.items():
