@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from beaconlab import (
     BeaconId,
+    BloomFilter,
     EphemeralParams,
     IdSchedule,
-    BloomFilter,
     InvalidInput,
     bloom_contains,
     build_filter,
