@@ -22,6 +22,7 @@ from .ephemeral import (
     DEFAULT_FP_TARGET,
     EphemeralParams,
     IdSchedule,
+    RotatingResolver,
     build_filter,
     ephemeral_id,
     expected_fp_rate,
@@ -38,11 +39,10 @@ from .outlier import (
     build_markov,
     calibrate_threshold,
     detect,
-    static_state_resolver,
     INVERSE_DISTANCE,
     UNIFORM,
 )
-from .scenario import load_scenario
+from .scenario import ephemeral_block, load_scenario
 from .sim import run
 from .storage import (
     DETECT_FIELDS,
@@ -139,6 +139,8 @@ def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"simulate: --jobs must be at least 1, got {args.jobs}")
     manifests = args.manifest
     out_root = Path(args.out)
     if len(manifests) == 1:
@@ -146,8 +148,11 @@ def cmd_simulate(args) -> int:
     else:
         tasks = [(m, str(out_root / Path(m).stem)) for m in manifests]
 
-    if args.jobs > 1 and len(tasks) > 1:
-        with _process_pool(args.jobs) as pool:
+    # a fork pool starts all its workers at the first submit, so ask for no
+    # more than there are manifests
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with _process_pool(workers) as pool:
             futures = [pool.submit(_simulate_one, m, d, args.seed) for m, d in tasks]
             summaries = [f.result() for f in futures]
     else:
@@ -182,23 +187,24 @@ def cmd_assess(args) -> int:
 # detect
 
 
-def _detector(deployment, p_stay: float, weighting: str):
-    """The Markov model and state resolver `detect` scores with; the
-    calibration process builds its own through this as well."""
-    return build_markov(deployment, p_stay=p_stay, weighting=weighting), \
-        static_state_resolver(deployment)
+def _detector(deployment, eph: EphemeralParams, p_stay: float, weighting: str):
+    """The Markov model `detect` scores with, and the resolver `sim.run` builds
+    under TV: static IDs first, then rotating IDs inside the acceptance window.
+    The calibration process builds its own through this as well."""
+    resolver = RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph))
+    return build_markov(deployment, p_stay=p_stay, weighting=weighting), resolver
 
 
-def _calibrate(path: str, deployment, p_stay: float, weighting: str, alpha: float,
-               debounce: bool, min_transitions: int) -> float:
+def _calibrate(path: str, deployment, eph: EphemeralParams, p_stay: float, weighting: str,
+               alpha: float, debounce: bool, min_transitions: int) -> float:
     """The threshold calibrated on the known-clean traces at path. Runs in the
     calibration process, so it takes only picklable values."""
-    model, resolver = _detector(deployment, p_stay, weighting)
+    model, resolver = _detector(deployment, eph, p_stay, weighting)
     return calibrate_threshold(model, read_traces_jsonl(path), resolver, alpha=alpha,
                                debounce=debounce, min_transitions=min_transitions)
 
 
-def _calibrate_while_reading(args, deployment):
+def _calibrate_while_reading(args, deployment, eph):
     """(threshold, test traces) with the calibration file read and scored in a
     second process while this one reads the test file.
 
@@ -207,7 +213,7 @@ def _calibrate_while_reading(args, deployment):
     first, as when the two ran one after the other.
     """
     with _process_pool(1) as pool:
-        threshold = pool.submit(_calibrate, args.calibration, deployment, args.p_stay,
+        threshold = pool.submit(_calibrate, args.calibration, deployment, eph, args.p_stay,
                                 args.weighting, args.alpha, not args.no_debounce,
                                 args.min_transitions)
         try:
@@ -218,14 +224,16 @@ def _calibrate_while_reading(args, deployment):
 
 
 def cmd_detect(args) -> int:
-    deployment = load_deployment(_read_text(args.deployment))
-    model, resolver = _detector(deployment, args.p_stay, args.weighting)
+    doc = _parse_document(_read_text(args.deployment))
+    deployment = load_deployment(doc)
+    eph = ephemeral_block(doc, deployment.id_width)[0]
+    model, resolver = _detector(deployment, eph, args.p_stay, args.weighting)
 
     traces = None
     if args.threshold is not None:
         threshold = args.threshold
     elif args.calibration:
-        threshold, traces = _calibrate_while_reading(args, deployment)
+        threshold, traces = _calibrate_while_reading(args, deployment, eph)
     else:
         raise _UsageError("detect: give --threshold or --calibration traces")
 
@@ -352,7 +360,7 @@ def build_parser() -> _Parser:
     p.add_argument("manifest", nargs="+", help="scenario manifest file(s)")
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
     p.add_argument("--seed", type=int, default=None, help="override the radio seed")
-    p.add_argument("--jobs", type=int, default=1, help="run manifests in parallel")
+    p.add_argument("--jobs", type=int, default=1, help="run up to N manifests in parallel")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("assess", help="threat assessment from motives and capabilities")

@@ -55,6 +55,8 @@ def ephemeral_id(key: bytes, slot: int, id_width: int = DEFAULT_ID_WIDTH) -> Bea
     """PRF(key, slot) truncated to id_width bytes; slot packs as signed 64-bit BE."""
     if len(key) < MIN_KEY_BYTES:
         raise InvalidInput(f"key must be at least {MIN_KEY_BYTES} bytes, got {len(key)}")
+    if not -(1 << 63) <= slot < 1 << 63:
+        raise InvalidInput("slot is outside the signed 64-bit range [-2**63, 2**63 - 1]")
     _check_id_width(id_width)
     digest = hmac.new(key, struct.pack(">q", slot), hashlib.sha256).digest()
     return BeaconId(digest[:id_width])
@@ -248,11 +250,11 @@ def read_filter_file(path: str) -> tuple[BloomFilter, int, EphemeralParams]:
 
 
 # ---------------------------------------------------------------------------
-# resolver helpers used by the simulator
+# the one ID-resolution rule, for the simulator and the detector
 
 
 class RotatingResolver:
-    """Owner-side lookup for the event loop: static IDs first, then the schedule.
+    """Owner-side lookup for the event loop and `detect`: static IDs first, then the schedule.
 
     Windowed (the TV defence), an owner ID resolves only inside the acceptance
     window of the current slot, through that slot's Bloom filter and the
@@ -270,7 +272,8 @@ class RotatingResolver:
         k_hashes: int | None = None,
         fp_target: float = DEFAULT_FP_TARGET,
     ):
-        self._static = dict(static_ids)
+        # keyed on the raw bytes: hashing them skips BeaconId's generated __hash__
+        self._static = {beacon_id.data: ref for beacon_id, ref in static_ids.items()}
         self._schedule = schedule
         self._params = schedule.params
         w = self._params.window_slots
@@ -291,7 +294,7 @@ class RotatingResolver:
         return filt
 
     def resolve(self, beacon_id: BeaconId, t: float) -> Optional[str]:
-        ref = self._static.get(beacon_id)
+        ref = self._static.get(beacon_id.data)
         if ref is not None or not self._schedule.owner_keys:
             return ref
         slot = self._params.slot_of(t)

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
+from .ephemeral import RotatingResolver
 from .errors import (
     ContaminatedCalibration,
     InsufficientData,
     InvalidInput,
     TooShort,
 )
-from .model import DeploymentMap, Observation, Trace
+from .model import DeploymentMap, Trace
 
 UNKNOWN = "UNKNOWN"
 
@@ -33,8 +34,6 @@ INVERSE_DISTANCE = "inverse_distance"
 MIN_CALIBRATION_TRACES = 20
 
 DEFAULT_P_STAY = 0.3  # a model's self-transition probability
-
-StateResolver = Callable[[Observation], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -129,31 +128,22 @@ def build_markov(
     return MarkovModel(states=states, probs=probs, p_stay=p_stay, weighting=weighting)
 
 
-def static_state_resolver(deployment: DeploymentMap) -> StateResolver:
-    """Map observations to beacon refs through the deployment's fixed IDs."""
-    # keyed on the raw bytes: hashing them skips BeaconId's generated __hash__
-    table = {beacon_id.data: ref for beacon_id, ref in deployment.static_ids().items()}
-
-    def resolve(obs: Observation) -> Optional[str]:
-        return table.get(obs.id.data)
-
-    return resolve
-
-
 def trace_transitions(
     trace: Trace,
-    resolver: StateResolver,
+    resolver: RotatingResolver,
     debounce: bool = True,
 ) -> list[tuple[str, str]]:
     """Turn a raw trace into state transitions.
 
-    Unresolvable identities become UNKNOWN. With debounce on, consecutive
+    Each observation resolves as the run resolves it, by its ID at its time;
+    unresolvable identities become UNKNOWN. With debounce on, consecutive
     repeats collapse so a stationary user parked next to one beacon does not
     manufacture evidence.
     """
+    resolve = resolver.resolve
     states: list[str] = []
     for obs in trace.observations:
-        state = resolver(obs)
+        state = resolve(obs.id, obs.time)
         if state is None:
             state = UNKNOWN
         if debounce and states and states[-1] == state:
@@ -198,7 +188,7 @@ def score_trace(
 def calibrate_threshold(
     model: MarkovModel,
     clean_traces: Iterable[Trace],
-    resolver: StateResolver,
+    resolver: RotatingResolver,
     alpha: float = DetectorParams.alpha,
     debounce: bool = DetectorParams.debounce,
     min_transitions: int = DetectorParams.min_transitions,
@@ -239,7 +229,7 @@ def detect(
     model: MarkovModel,
     trace: Trace,
     params: DetectorParams,
-    resolver: StateResolver,
+    resolver: RotatingResolver,
 ) -> Verdict:
     """Score one trace against a calibrated threshold."""
     if params.threshold is None:

@@ -165,6 +165,16 @@ _SCENARIO_KEYS = DEPLOYMENT_KEYS + (
 )
 
 
+def ephemeral_block(doc: dict, id_width: int) -> tuple[EphemeralParams, dict]:
+    """The slot length and window a document's `ephemeral:` block gives, the
+    defaults without one, and the block's Bloom sizing keys. `load_scenario`
+    and `detect` both read the block here, so a run and `detect` resolve
+    rotating IDs alike."""
+    eph = _fields(doc.get("ephemeral"), "ephemeral", _EPHEMERAL_READERS)
+    sizing = {k: eph.pop(k) for k in ("bloom_fp_target", "bloom_m", "bloom_k") if k in eph}
+    return _build(EphemeralParams, "ephemeral", id_width=id_width, **eph), sizing
+
+
 def load_scenario(document) -> Scenario:
     """Parse and validate a full scenario document (text or mapping)."""
     doc = _parse_document(document)
@@ -198,9 +208,8 @@ def load_scenario(document) -> Scenario:
     if "max_range_m" in radio:
         radio["max_range"] = radio.pop("max_range_m")
 
-    eph = _fields(doc.get("ephemeral"), "ephemeral", _EPHEMERAL_READERS)
+    eph, given = ephemeral_block(doc, deployment.id_width)
     # the Bloom sizing keys of the ephemeral block are Scenario fields, as is duration_s
-    given = {k: eph.pop(k) for k in ("bloom_fp_target", "bloom_m", "bloom_k") if k in eph}
     if doc.get("duration_s") is not None:
         given["duration_s"] = _number(doc["duration_s"], "duration_s")
 
@@ -234,7 +243,7 @@ def load_scenario(document) -> Scenario:
         tags=tuple(tags),
         attacks=attacks,
         radio=_build(RadioParams, "radio", **radio),
-        ephemeral=_build(EphemeralParams, "ephemeral", id_width=deployment.id_width, **eph),
+        ephemeral=eph,
         defences=frozenset(defences),
         attacker_caps=frozenset(caps),
         **given,

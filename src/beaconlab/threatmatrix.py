@@ -354,15 +354,6 @@ def attacks_for_capabilities(matrix: ThreatMatrix, capabilities: Iterable[str]) 
     )
 
 
-def likely_attacks(
-    matrix: ThreatMatrix,
-    motives: Iterable[str],
-    capabilities: Iterable[str],
-) -> frozenset[str]:
-    """Motivated and feasible: the intersection of the two screens."""
-    return attacks_for_motives(matrix, motives) & attacks_for_capabilities(matrix, capabilities)
-
-
 def impact_report(matrix: ThreatMatrix, attacks: Iterable[str]) -> list[tuple[str, Impact]]:
     """Impacts for the given attacks, ordered for reading: by attack id, the
     owner's exposure before the users', and heavier levels first."""

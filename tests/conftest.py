@@ -1,5 +1,7 @@
 import pytest
 
+from beaconlab.ephemeral import EphemeralParams, IdSchedule, RotatingResolver
+
 AA = "aa" * 20
 BB = "bb" * 20
 CC = "cc" * 20
@@ -7,6 +9,11 @@ DD = "dd" * 20
 
 KEY1 = "11" * 16
 KEY2 = "22" * 16
+
+
+def detector_resolver(deployment, eph=EphemeralParams()):
+    """The resolver `detect` builds for deployment: the one a run under TV uses."""
+    return RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph))
 
 
 def static_beacon(ref, x, id_hex, tx=-59.0, interval=1000.0, **extra):

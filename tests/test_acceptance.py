@@ -27,18 +27,16 @@ from beaconlab import (
     detect,
     estimate_distance,
     expected_fp_rate,
-    likely_attacks,
     load_deployment,
     load_scenario,
     mean_rssi,
     recommend_defences,
     run,
-    static_state_resolver,
 )
 from beaconlab.cli import main
 from beaconlab.radio import event_line
 from beaconlab.sim import OUTCOME_DELIVERED
-from conftest import AA, CC
+from conftest import AA, CC, detector_resolver
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -209,7 +207,7 @@ def test_ac4_outlier_detection_on_path_graph():
     t0 = time.perf_counter()
     dep = _path4_deployment()
     model = build_markov(dep)
-    resolver = static_state_resolver(dep)
+    resolver = detector_resolver(dep)
     rng = random.Random(42)
 
     threshold = calibrate_threshold(model, (_trace(_walk(rng)) for _ in range(50)),
@@ -380,7 +378,7 @@ def test_ac8_matrix_set_laws_exhaustively():
     monotone = all(feasible[s] <= feasible[s | {c}]
                    for s in cap_sets for c in caps if c not in s)
     intersects = all(
-        frozenset(likely_attacks(matrix, m, c)) == (motivated[m] & feasible[c])
+        assess(matrix, m, c).likely_attacks == tuple(sorted(motivated[m] & feasible[c]))
         for m in motive_sets for c in cap_sets
     )
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import beaconlab
 from beaconlab import (
     BeaconId,
     DetectorParams,
+    EphemeralParams,
     Observation,
     Trace,
     build_markov,
@@ -24,12 +26,12 @@ from beaconlab import (
     load_deployment,
     read_traces_jsonl,
     score_trace,
-    static_state_resolver,
     write_traces_jsonl,
 )
+from beaconlab import cli
 from beaconlab.cli import _process_pool, build_parser, main
-from conftest import AA, BB, CC, KEY1, KEY2, static_beacon
-from test_acceptance import _trace, _walk
+from conftest import AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, static_beacon
+from test_acceptance import _PATH_ADJ, _trace, _walk
 from test_golden import _detect_inputs
 
 
@@ -79,6 +81,24 @@ def walk_trace(device_ref, ids, t0=0.0):
         Observation(t0 + i, device_ref, BeaconId(bytes.fromhex(h)), -70.0, -59.0)
         for i, h in enumerate(ids)
     ))
+
+
+KEY3 = "33" * 16
+
+
+def rotating_walk_doc(path=((0.0, [0.0, 1.0]), (60.0, [40.0, 1.0]), (120.0, [0.0, 1.0])),
+                      **overrides):
+    """Three rotating beacons 20 m apart and a phone walking out and back."""
+    return {
+        "beacons": [ephemeral_beacon(f"b{i + 1}", 20.0 * i, key)
+                    for i, key in enumerate((KEY1, KEY2, KEY3))],
+        "content": [{"ref": f"b{i + 1}", "locator": f"app://{i + 1}"} for i in range(3)],
+        "adjacency_radius_m": 25,
+        "devices": [{"ref": "phone", "path": [list(wp) for wp in path]}],
+        "duration_s": path[-1][0],
+        "radio": {"seed": 8, "noise_sigma": 0.0, "max_range_m": 15.0},
+        **overrides,
+    }
 
 
 class TestAssess:
@@ -171,6 +191,30 @@ class TestSimulate:
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("jobs, asked", [("5000", [2]), ("1", [])])
+    def test_the_pool_has_no_more_workers_than_manifests(self, tmp_path, capsys, monkeypatch,
+                                                         jobs, asked):
+        # a fork pool starts every worker it is asked for at its first submit
+        workers = []
+
+        def recording_pool(n):
+            workers.append(n)
+            return ThreadPoolExecutor(1)
+
+        monkeypatch.setattr(cli, "_process_pool", recording_pool)
+        manifests = [write_manifest(tmp_path / f"{name}.yaml") for name in ("east", "west")]
+        assert main(["simulate", *manifests, "--out", str(tmp_path), "--jobs", jobs]) == 0
+        assert workers == asked
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        manifests = [write_manifest(tmp_path / f"{name}.yaml") for name in ("east", "west")]
+        assert main(["simulate", *manifests, "--out", str(tmp_path), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == \
+            f"error: simulate: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "east").exists()
+
 
 class TestDetect:
     def test_threshold_mode_and_exit_codes(self, tmp_path, capsys):
@@ -246,6 +290,38 @@ class TestDetect:
         traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB, AA, BB])])
         assert main(["detect", "--deployment", dep, "--traces", traces]) == 1
 
+    def test_a_rotating_walk_is_judged(self, tmp_path, capsys):
+        # resolved by the run's rule, a clean walk past rotating beacons has
+        # transitions to score, not a single UNKNOWN state
+        scenario = tmp_path / "rotating.yaml"
+        scenario.write_text(yaml.safe_dump(rotating_walk_doc()))
+        assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main(["detect", "--deployment", str(scenario),
+                     "--traces", str(tmp_path / "traces.jsonl"), "--threshold", "5"])
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert code == 0
+        assert len(rows) == 1 and rows[0].startswith("phone,") and rows[0].endswith(",0,normal")
+
+    def test_the_ephemeral_block_sets_the_slots_detect_resolves(self, tmp_path, capsys):
+        # 30 s slots over a 300 s walk: read with the default 60 s slots, the
+        # later IDs fall outside the acceptance window and read as UNKNOWN
+        path = ((0.0, [0.0, 1.0]), (150.0, [40.0, 1.0]), (300.0, [0.0, 1.0]))
+        doc = rotating_walk_doc(path, ephemeral={"slot_duration_s": 30})
+        scenario = tmp_path / "rotating.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        without_block = tmp_path / "deployment.yaml"
+        without_block.write_text(yaml.safe_dump({k: v for k, v in doc.items() if k != "ephemeral"}))
+        assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        verdicts = []
+        for deployment in (scenario, without_block):
+            code = main(["detect", "--deployment", str(deployment),
+                         "--traces", str(tmp_path / "traces.jsonl"), "--threshold", "5"])
+            verdicts.append((code, capsys.readouterr().out.splitlines()[2].split(",")[2:]))
+        assert verdicts[0] == (0, ["0", "normal"])
+        assert verdicts[1][0] == 3 and verdicts[1][1][1] == "anomalous"
+
     def test_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["detect", "--deployment", "d", "--traces", "t"])
         library = DetectorParams()
@@ -277,20 +353,58 @@ def _generated_inputs(tmp_path) -> list[str]:
             "--calibration", str(calibration), "--alpha", "0.02"]
 
 
+def _rotating_inputs(tmp_path) -> list[str]:
+    """AC-4's four-beacon path with rotating IDs in 30 s slots, one sighting
+    each 10 s: 30 clean calibration walks, then 10 clean test walks, 2 with a
+    jump and 2 with one sighting replayed from three slots back, at --alpha 0.1."""
+    rng = random.Random(14)
+    keys = {ref: f"{i + 1:02d}" * 16 for i, ref in enumerate(_PATH_ADJ)}
+    eph = EphemeralParams(slot_duration_s=30.0)
+    deployment = tmp_path / "rotating-deployment.yaml"
+    deployment.write_text(yaml.safe_dump({
+        "beacons": [ephemeral_beacon(ref, 20.0 * i, key)
+                    for i, (ref, key) in enumerate(keys.items())],
+        "content": [{"ref": ref, "locator": f"app://{ref}"} for ref in keys],
+        "adjacency": [["b1", "b2"], ["b2", "b3"], ["b3", "b4"]],
+        "ephemeral": {"slot_duration_s": eph.slot_duration_s},
+    }))
+
+    def rotating_trace(states, ref, stale_at=None):
+        sightings = []
+        for i, state in enumerate(states):
+            slot = eph.slot_of(10.0 * i) - (3 if i == stale_at else 0)
+            bid = ephemeral_id(bytes.fromhex(keys[state]), slot)
+            sightings.append(Observation(10.0 * i, ref, bid, -70.0, -59.0))
+        return Trace(ref, tuple(sightings))
+
+    calibration = tmp_path / "rotating-calibration.jsonl"
+    write_traces_jsonl(str(calibration),
+                       [rotating_trace(_walk(rng), f"cal{k}") for k in range(30)])
+    walks = [rotating_trace(_walk(rng), f"clean{k}") for k in range(10)]
+    walks += [rotating_trace(_walk(rng)[:10] + ["b4", "b1"], f"jump{k}") for k in range(2)]
+    walks += [rotating_trace(_walk(rng), f"stale{k}", stale_at=15) for k in range(2)]
+    traces = tmp_path / "rotating-traces.jsonl"
+    write_traces_jsonl(str(traces), walks)
+    return ["detect", "--deployment", str(deployment), "--traces", str(traces),
+            "--calibration", str(calibration), "--alpha", "0.1"]
+
+
 class TestCalibrationProcess:
     """`--calibration` is read and scored in a second process while the test
     file is read: the output, the exit code and which error wins must be those
     of the two steps run one after the other."""
 
-    @pytest.mark.parametrize("inputs", [_detect_inputs, _generated_inputs],
-                             ids=["pinned", "generated"])
+    @pytest.mark.parametrize("inputs", [_detect_inputs, _generated_inputs, _rotating_inputs],
+                             ids=["pinned", "generated", "rotating"])
     def test_output_equals_an_in_process_reference(self, tmp_path, capsys, inputs):
         argv = inputs(tmp_path)
         flags = dict(zip(argv[1::2], argv[2::2]))
-        deployment = load_deployment(Path(flags["--deployment"]).read_text())
+        doc = yaml.safe_load(Path(flags["--deployment"]).read_text())
+        deployment = load_deployment(doc)
+        eph = EphemeralParams(**doc.get("ephemeral", {}))
         threshold = calibrate_threshold(
             build_markov(deployment), read_traces_jsonl(flags["--calibration"]),
-            static_state_resolver(deployment), alpha=float(flags["--alpha"]))
+            detector_resolver(deployment, eph), alpha=float(flags["--alpha"]))
         code = main(argv)
         calibrated = capsys.readouterr()
         at = argv.index("--calibration")
@@ -379,6 +493,33 @@ class TestCalibrationProcess:
         assert main(["detect", "--deployment", dep, "--traces", traces,
                      "--calibration", calibration] + extra) == code
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["simulate", "generate", "build", "detect"])
+def test_a_slot_outside_signed_64_bit_is_an_input_error(tmp_path, capsys, case):
+    # slots pack as signed 64-bit: a tiny slot length, a huge --slot, a
+    # filter window running past 2**63 - 1 and a huge trace time all reach one
+    doc = {"beacons": [ephemeral_beacon("b1", 0, KEY1)],
+           "content": [{"ref": "b1", "locator": "app://one"}],
+           "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}], "duration_s": 10.0}
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump({**doc, "ephemeral": {"slot_duration_s": 1e-300}}))
+    deployment = tmp_path / "deployment.yaml"
+    deployment.write_text(yaml.safe_dump(doc))
+    keys = tmp_path / "keys.yaml"
+    keys.write_text(yaml.safe_dump({"b1": KEY1}))
+    sighting = Observation(1e300, "phone", ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
+    argv = {
+        "simulate": ["simulate", str(scenario), "--out", str(tmp_path / "out")],
+        "generate": ["ephemeral", "generate", "--key-hex", KEY1, "--slot", str(2**63)],
+        "build": ["ephemeral", "build", "--keys", str(keys), "--slot", str(2**63 - 2),
+                  "--out", str(tmp_path / "f.blf")],
+        "detect": ["detect", "--deployment", str(deployment), "--threshold", "5", "--traces",
+                   trace_file(tmp_path, "t.jsonl", [Trace("phone", (sighting,))])],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: slot is outside the signed 64-bit range [-2**63, 2**63 - 1]\n"
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

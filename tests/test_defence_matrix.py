@@ -10,9 +10,8 @@ from beaconlab import (
     detect,
     load_scenario,
     run,
-    static_state_resolver,
 )
-from conftest import AA, BB, CC, KEY1, KEY2, ephemeral_beacon, static_beacon
+from conftest import AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, static_beacon
 from test_acceptance import _STALE_AFTER_S, _replay_doc
 
 KEY3 = "33" * 16
@@ -146,47 +145,67 @@ class TestRotationVsFlooding:
         assert rotating["suppression_rate"] > 0.0
 
 
+@pytest.mark.parametrize("rotating", [False, True], ids=["static", "rotating"])
 class TestOutlierVsTampering:
-    def setup_method(self):
-        beacons = [static_beacon(f"b{i + 1}", i * 20.0, h) for i, h in enumerate([AA, BB, CC])]
-        self.doc = {
+    """`detect` resolves IDs by the run's rule, so OD judges rotating-ID
+    deployments as it judges static ones, and TV and OD compound on A2."""
+
+    @staticmethod
+    def walk_doc(rotating, path=((0.0, [0.0, 1.0]), (120.0, [40.0, 1.0])), **extra):
+        beacons, content = three_beacons(rotating, spacing=20.0)
+        return {
             "beacons": beacons,
-            "content": [{"id_hex": h, "locator": f"app://{i + 1}"}
-                        for i, h in enumerate([AA, BB, CC])],
+            "content": content,
             "adjacency_radius_m": 25,
-            "devices": [{"ref": "phone",
-                         "path": [[0.0, [0.0, 1.0]], [120.0, [40.0, 1.0]]]}],
-            "duration_s": 120.0,
+            "devices": [{"ref": "phone", "path": [list(wp) for wp in path]}],
+            "duration_s": path[-1][0],
             "radio": {"seed": 8, "noise_sigma": 0.0, "max_range_m": 15.0},
+            **extra,
         }
 
-    def detect_trace(self, result):
+    def detect_trace(self, doc):
+        result = run(load_scenario(doc))
         scenario = result.scenario
         model = build_markov(scenario.reference)
-        resolver = static_state_resolver(scenario.reference)
+        resolver = detector_resolver(scenario.reference, scenario.ephemeral)
         params = DetectorParams(threshold=10.0)
         return detect(model, result.traces[0], params, resolver)
 
-    def test_clean_walk_raises_no_flags(self):
-        verdict = self.detect_trace(run(load_scenario(self.doc)))
+    def test_clean_walk_raises_no_flags(self, rotating):
+        verdict = self.detect_trace(self.walk_doc(rotating))
         assert not verdict.anomalous
         assert verdict.hard_flags == ()
+        assert verdict.avg_nll is not None
 
-    def test_a2_nonadjacent_spoof_is_flagged(self):
+    def test_a2_nonadjacent_spoof_is_flagged(self, rotating):
         # a fake b3 advertiser parked next to b1 makes the walk read
         # b3 -> b1, a transition the mounting graph says cannot happen
-        doc = dict(self.doc)
-        doc["attacks"] = [{"kind": "A2", "sniff_mode": "pervasive",
-                           "source_beacon": "b3", "fake_position": [0.0, 0.0],
-                           "attacker_positions": [[40.0, 0.0]]}]
-        verdict = self.detect_trace(run(load_scenario(doc)))
+        doc = self.walk_doc(rotating, attacks=[{
+            "kind": "A2", "sniff_mode": "pervasive", "source_beacon": "b3",
+            "fake_position": [0.0, 0.0], "attacker_positions": [[40.0, 0.0]]}])
+        verdict = self.detect_trace(doc)
         assert verdict.anomalous
         assert "b3" in verdict.hard_flags[0]
 
-    def test_a4_unknown_id_is_flagged(self):
-        doc = dict(self.doc)
-        doc["attacks"] = [{"kind": "A4", "target_beacon": "b2",
-                           "new_id_hex": "dd" * 20}]
-        verdict = self.detect_trace(run(load_scenario(doc)))
+    def test_a4_unknown_id_is_flagged(self, rotating):
+        doc = self.walk_doc(rotating, attacks=[{
+            "kind": "A4", "target_beacon": "b2", "new_id_hex": "dd" * 20}])
+        verdict = self.detect_trace(doc)
         assert verdict.anomalous
         assert any("UNKNOWN" in flag for flag in verdict.hard_flags)
+
+    def test_a_stale_lunch_time_replay_is_flagged(self, rotating):
+        # b3's IDs are recorded in the first slot and replayed next to b1,
+        # which the phone reaches only at t = 195 s, after slot 0 has left
+        # the acceptance window (slots 0-2 at 60 s each). A static replay
+        # still reads as b3; a stale rotating one reads as UNKNOWN.
+        doc = self.walk_doc(
+            rotating, path=((0.0, [40.0, 1.0]), (120.0, [40.0, 1.0]), (240.0, [0.0, 1.0])),
+            attacks=[{"kind": "A2", "sniff_mode": "lunch_time", "source_beacon": "b3",
+                      "fake_position": [0.0, 0.0], "attacker_positions": [[40.0, 0.0]]}])
+        verdict = self.detect_trace(doc)
+        assert verdict.anomalous
+        states = {state for flag in verdict.hard_flags for state in flag}
+        assert "b1" in states
+        assert ("UNKNOWN" in states) is rotating
+        assert ("b3" in states) is not rotating

@@ -17,11 +17,10 @@ from beaconlab import (
     detect,
     load_deployment,
     score_trace,
-    static_state_resolver,
     trace_transitions,
 )
 from beaconlab.outlier import UNKNOWN
-from conftest import AA, BB, CC, DD
+from conftest import AA, BB, CC, DD, detector_resolver
 
 IDS = {"b1": AA, "b2": BB, "b3": CC, "b4": DD}
 
@@ -117,12 +116,12 @@ class TestBuildMarkov:
 
 class TestTraceTransitions:
     def test_debounce_collapses_repeats(self):
-        resolver = static_state_resolver(path3())
+        resolver = detector_resolver(path3())
         trace = trace_of(["b1", "b1", "b1", "b2", "b2", "b3"])
         assert trace_transitions(trace, resolver) == [("b1", "b2"), ("b2", "b3")]
 
     def test_no_debounce_keeps_repeats(self):
-        resolver = static_state_resolver(path3())
+        resolver = detector_resolver(path3())
         trace = trace_of(["b1", "b1", "b2"])
         assert trace_transitions(trace, resolver, debounce=False) == [
             ("b1", "b1"),
@@ -130,7 +129,7 @@ class TestTraceTransitions:
         ]
 
     def test_unresolvable_becomes_unknown(self):
-        resolver = static_state_resolver(path3())
+        resolver = detector_resolver(path3())
         trace = trace_of(["b1", UNKNOWN, "b2"])
         assert trace_transitions(trace, resolver) == [
             ("b1", UNKNOWN),
@@ -191,7 +190,7 @@ class TestCalibrateThreshold:
     def test_quantile_index(self):
         dep = deployment({"b1": (0, 0), "b2": (10, 0)}, [("b1", "b2")])
         model = build_markov(dep, p_stay=0.3)
-        resolver = static_state_resolver(dep)
+        resolver = detector_resolver(dep)
         traces = staircase_traces(25)
         threshold = calibrate_threshold(
             model, traces, resolver, alpha=0.05, debounce=False
@@ -204,7 +203,7 @@ class TestCalibrateThreshold:
     def test_contaminated_calibration_names_the_device(self):
         dep = deployment({"b1": (0, 0), "b2": (10, 0)}, [("b1", "b2")])
         model = build_markov(dep, p_stay=0.3)
-        resolver = static_state_resolver(dep)
+        resolver = detector_resolver(dep)
         traces = staircase_traces(25)
         traces[5] = trace_of(["b1", UNKNOWN, "b1", "b2"], device_ref="mole")
         with pytest.raises(ContaminatedCalibration, match="mole"):
@@ -213,7 +212,7 @@ class TestCalibrateThreshold:
     def test_insufficient_data(self):
         dep = deployment({"b1": (0, 0), "b2": (10, 0)}, [("b1", "b2")])
         model = build_markov(dep, p_stay=0.3)
-        resolver = static_state_resolver(dep)
+        resolver = detector_resolver(dep)
         with pytest.raises(InsufficientData):
             calibrate_threshold(model, staircase_traces(12), resolver, debounce=False)
 
@@ -222,7 +221,7 @@ class TestDetect:
     def setup_method(self):
         self.dep = path3()
         self.model = build_markov(self.dep, p_stay=0.3)
-        self.resolver = static_state_resolver(self.dep)
+        self.resolver = detector_resolver(self.dep)
 
     def test_requires_calibration(self):
         with pytest.raises(InvalidInput, match="calibrated"):

@@ -9,7 +9,6 @@ from beaconlab import (
     attacks_for_motives,
     default_matrix,
     impact_report,
-    likely_attacks,
     load_matrix,
     recommend_defences,
     skill_profile,
@@ -83,8 +82,10 @@ class TestScreens:
             attacks_for_motives(MATRIX, ["m2", "M9", "M0", "M2"])
 
     def test_likely_is_the_intersection(self):
-        likely = likely_attacks(MATRIX, {"M2", "M3"}, {"C1", "C2", "C3", "C6"})
-        assert likely == {"A2", "A3"}
+        report = assess(MATRIX, {"M2", "M3"}, {"C1", "C2", "C3", "C6"})
+        motivated = attacks_for_motives(MATRIX, {"M2", "M3"})
+        feasible = attacks_for_capabilities(MATRIX, {"C1", "C2", "C3", "C6"})
+        assert report.likely_attacks == tuple(sorted(motivated & feasible)) == ("A2", "A3")
 
 
 class TestDefences:
@@ -178,7 +179,7 @@ class TestLoadMatrix:
         matrix = load_matrix(doc)
         assert set(matrix.attacks) == {"X1"}
         assert matrix.defences["FW"] == "Firmware signing"
-        assert likely_attacks(matrix, {"M1"}, {"C1"}) == {"X1"}
+        assert assess(matrix, {"M1"}, {"C1"}).likely_attacks == ("X1",)
 
     def test_yaml_text_accepted(self):
         text = """
