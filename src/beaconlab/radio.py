@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInput
 
@@ -127,6 +127,16 @@ _IS_TYPE = {
     "list of str": lambda v: type(v) is list and all(type(x) is str for x in v),
 }
 
+
+def _field_refusal(kind: str, name: str, value) -> Optional[str]:
+    """Why `Event.from_json` refuses value in kind's field name, or None if
+    value is a FIELD_TYPES[name]."""
+    type_name = FIELD_TYPES[name]
+    if _IS_TYPE[type_name](value):
+        return None
+    return f"{kind} {name} must be a {type_name}, got {value!r}"
+
+
 # scan window outcomes, in rough order of how badly the user's day went
 OUTCOME_DELIVERED = "delivered"
 OUTCOME_DEBOUNCED = "debounced"
@@ -159,10 +169,11 @@ def _decode_line(line: str):
 
 
 # ---------------------------------------------------------------------------
-# line rendering: templates and the one value renderer
+# line rendering: templates, the one value renderer and its column form
 
 _float_repr = float.__repr__
 _int_repr = int.__repr__
+_isfinite = math.isfinite
 
 
 def render_value(value) -> str:
@@ -181,6 +192,27 @@ def render_value(value) -> str:
     elif cls is int:
         return _int_repr(value)
     return _dumps_sorted(value)
+
+
+def render_column(column: Sequence, field_type: str) -> Optional[Iterator[str]]:
+    """`render_value` of each value of column, in order, or None if some value
+    is not a field_type (a type of FIELD_TYPES).
+
+    One C-level pass reads the column's exact types. A column of str, of int
+    (a bool is not one) or of floats that are all finite takes that type's
+    renderer and is checked by its type, a count column by its minimum too;
+    any other column goes through `render_value` and is checked value by value.
+    """
+    types = set(map(type, column))
+    if types == {str}:
+        return map(encode_basestring_ascii, column) if field_type == "str" else None
+    if types == {float} and all(map(_isfinite, column)):
+        return map(_float_repr, column) if field_type == "number" else None
+    if types == {int}:
+        if field_type == "number" or field_type == "count" and min(column) >= 0:
+            return map(_int_repr, column)
+        return None
+    return map(render_value, column) if all(map(_IS_TYPE[field_type], column)) else None
 
 
 def json_template(fields: tuple) -> str:
@@ -255,9 +287,10 @@ class Event(NamedTuple):
             if name not in data:
                 if (kind, name) not in OPTIONAL_FIELDS:
                     raise InvalidInput(f"{kind} is missing field {name!r}")
-            elif not _IS_TYPE[FIELD_TYPES[name]](data[name]):
-                raise InvalidInput(f"{kind} {name} must be a {FIELD_TYPES[name]}, "
-                                   f"got {data[name]!r}")
+            else:
+                refusal = _field_refusal(kind, name, data[name])
+                if refusal is not None:
+                    raise InvalidInput(refusal)
         return cls(time, seq, kind, tuple(map(data.get, fields)))
 
 

@@ -8,13 +8,27 @@ equals what `json.dumps(..., sort_keys=True)` writes for it.
 A JSONL line is a %-template filled with rendered values. Each event kind has
 one template, built once from its sorted field tuple in `radio.EVENT_FIELDS`
 (a field whose value is None is left out of the line); trace lines share one
-five-field template. One value renderer, `radio.render_value`, fills both: a
-str goes through `encode_basestring_ascii`, a finite float through
-`float.__repr__`, an int (not a bool) through `int.__repr__`, and anything
-else through `radio._dumps_sorted`, the encoder with `json.dumps`'s options.
-Lines go to the file as they are rendered, so no writer holds a whole file.
-The trace writer first checks every value against the trace reader's rule,
-so it never writes a file that reader refuses.
+five-field template. Writers render a block of `_BLOCK` events, or of one
+trace's observations, at a time, a column at a time. The event writer groups
+a block's events by kind, transposes each kind's values into field columns
+and adds its `seq` and `t` columns; the trace writer transposes the block's
+observations. `radio.render_column` reads a column's exact types in one
+C-level pass: a column of str goes through `encode_basestring_ascii`, of ints
+(not bools) through `int.__repr__`, and of floats that are all finite through
+`float.__repr__`; any other column goes value by value through
+`radio.render_value`, the renderer whose text is `json.dumps`'s. Each kind's
+template is then filled a row at a time, and the block's lines are written in
+seq order. An event whose optional field is empty goes through
+`radio.event_line`, the per-event reference. No writer holds more than one
+block's columns and lines.
+
+The same passes check each column against its reader's rule, so no writer
+writes a file its reader refuses: an event value outside `radio.FIELD_TYPES`
+or a `t` that is not a finite number raises InvalidInput naming the event's
+seq, kind and field in the reader's words, and a trace value
+`read_traces_jsonl` refuses raises it naming the device. Only a column that
+fails is walked value by value. A writer that raises removes its partial
+file.
 
 Readers take a file one line at a time through `_body_lines`, so no reader
 holds the file's text. A line ends only at a newline: text mode has already
@@ -38,14 +52,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import count, starmap
+import os
+from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
 from .model import BeaconId, Observation, Trace
 from .radio import (
-    Event, EventLog, _decode_line, _dumps_sorted, event_line, json_template, render_value,
+    _EVENT_TEMPLATES, _IS_TYPE, EVENT_FIELDS, FIELD_TYPES, OPTIONAL_FIELDS, Event, EventLog,
+    _decode_line, _dumps_sorted, _field_refusal, event_line, json_template, render_column,
 )
 
 FORMAT_VERSION = 1
@@ -71,11 +89,101 @@ def _check_header(line: str, fmt: str, path: str) -> None:
         raise SchemaError(f"{path}: unsupported {fmt} version {head.get('version')!r}")
 
 
+# Events (and observations of one trace) rendered together: a writer holds one
+# block's columns and lines, never a whole file's.
+_BLOCK = 1024
+
+
+def _write_jsonl(path: str, fmt: str, blocks: Iterable[list[str]]) -> None:
+    """The header line, then each block's lines. A block that raises
+    InvalidInput leaves no file."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_header_line(fmt) + "\n")
+            for lines in blocks:
+                fh.write("\n".join(lines) + "\n")
+    except InvalidInput:
+        os.remove(path)
+        raise
+
+
 def write_events_jsonl(path: str, events: EventLog) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header_line(EVENTS_FORMAT) + "\n")
-        rows = zip(events.times, count(), events.kinds, events.values)
-        fh.writelines(line + "\n" for line in starmap(event_line, rows))
+    """Write the events, a block at a time. A value that `read_events_jsonl`
+    would refuse raises InvalidInput naming the event's seq, kind and field,
+    and leaves no file."""
+    times, kinds, values = events.times, events.kinds, events.values
+    blocks = (_event_block(times[i:i + _BLOCK], kinds[i:i + _BLOCK], values[i:i + _BLOCK], i)
+              for i in range(0, len(times), _BLOCK))
+    _write_jsonl(path, EVENTS_FORMAT, blocks)
+
+
+def _event_block(times: list, kinds: list, values: list, start: int) -> list[str]:
+    """The lines of a block of events whose first seq is start, in seq order."""
+    seqs = range(start, start + len(times))
+    lines_of: dict[str, Iterator[str]] = {}
+    for kind in dict.fromkeys(kinds):
+        picked = list(map(kind.__eq__, kinds))
+        columns = (tuple(compress(column, picked)) for column in (seqs, times, values))
+        lines_of[kind] = iter(_kind_lines(kind, *columns))
+    return list(map(next, map(lines_of.__getitem__, kinds)))
+
+
+def _kind_lines(kind: str, seqs: tuple, times: tuple, values: tuple) -> Iterable[str]:
+    """The lines of events of one kind, in order: each column rendered by
+    `render_column`, then the kind's template filled a row at a time. An event
+    whose optional field is empty (None) goes through `event_line`."""
+    fields = EVENT_FIELDS.get(kind)
+    if fields is None or set(map(len, values)) != {len(fields)}:
+        # event_line raises InvalidInput at the first event it has no template for
+        return list(map(event_line, times, seqs, repeat(kind), values))
+    rendered_times = render_column(times, "number")
+    if rendered_times is None:
+        raise _first_refusal(kind, "t", seqs, times)
+    rendered = []
+    for name, column in zip(fields, zip(*values)):
+        rendered_column = render_column(column, FIELD_TYPES[name])
+        if rendered_column is None:
+            if (kind, name) in OPTIONAL_FIELDS and None in column:
+                return _split_empty(kind, seqs, times, values, column)
+            raise _first_refusal(kind, name, seqs, column)
+        rendered.append(rendered_column)
+    rendered += (render_column(seqs, "count"), rendered_times)
+    return map(_EVENT_TEMPLATES[kind].__mod__, zip(*rendered))
+
+
+def _split_empty(kind: str, seqs: tuple, times: tuple, values: tuple, column: tuple) -> list[str]:
+    """`_kind_lines` of the events whose value in column is not None, merged
+    in order with `event_line` of each other one, once its values are checked."""
+    empty = [value is None for value in column]
+    e_seqs, e_times, e_values = zip(*compress(zip(seqs, times, values), empty))
+    for name, e_column in zip(("t",) + EVENT_FIELDS[kind], (e_times, *zip(*e_values))):
+        refusal = _first_refusal(kind, name, e_seqs, e_column)
+        if refusal is not None:
+            raise refusal
+    lines = map(event_line, e_times, e_seqs, repeat(kind), e_values)
+    if all(empty):
+        return list(lines)
+    full = [not e for e in empty]
+    full_lines = iter(_kind_lines(kind, *(tuple(compress(c, full)) for c in (seqs, times, values))))
+    return [next(lines if e else full_lines) for e in empty]
+
+
+def _first_refusal(kind: str, name: str, seqs: tuple, column: tuple) -> Optional[InvalidInput]:
+    """The error for the first value of column (`t` or a field of kind) that
+    `read_events_jsonl` refuses, in its words; None if it refuses none."""
+    for seq, value in zip(seqs, column):
+        if name == "t":
+            if not _IS_TYPE["number"](value):
+                return InvalidInput(f"event {seq}: {kind} t must be a finite number, "
+                                    f"got {value!r}")
+        elif value is None:
+            if (kind, name) not in OPTIONAL_FIELDS:
+                return InvalidInput(f"event {seq}: {kind} is missing field {name!r}")
+        else:
+            refusal = _field_refusal(kind, name, value)
+            if refusal is not None:
+                return InvalidInput(f"event {seq}: {refusal}")
+    return None
 
 
 def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
@@ -116,34 +224,24 @@ def read_events_jsonl(path: str) -> list[Event]:
 _TRACE_TEMPLATE = json_template(("claimed_tx", "device", "id_hex", "rssi", "t"))
 
 
-def _trace_lines(traces: Iterable[Trace]) -> Iterator[str]:
-    for trace in traces:
-        for obs in trace.observations:
-            values = (obs.claimed_tx_power, obs.receiver_ref, obs.id.hex(), obs.rssi, obs.time)
-            yield _TRACE_TEMPLATE % tuple(map(render_value, values)) + "\n"
-
-
-def write_traces_jsonl(path: str, traces: Sequence[Trace]) -> None:
-    """Write the traces, after checking every trace against the rule of
-    `read_traces_jsonl`: a value it would refuse raises InvalidInput, naming
-    the device, before the file is opened. The traces are walked twice, so
-    they come as a sequence."""
-    for trace in traces:
-        _check_trace(trace)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header_line(TRACES_FORMAT) + "\n")
-        fh.writelines(_trace_lines(traces))
+def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
+    """Write the traces, a block of one trace's observations at a time. A value
+    that `read_traces_jsonl` would refuse raises InvalidInput naming the
+    device, and leaves no file."""
+    blocks = (_trace_block(trace.device_ref, trace.observations[i:i + _BLOCK])
+              for trace in traces for i in range(0, len(trace.observations), _BLOCK))
+    _write_jsonl(path, TRACES_FORMAT, blocks)
 
 
 _NUMBER_TYPES = frozenset((int, float))
+_id_bytes = attrgetter("data")
 
 
-def _check_trace(trace: Trace) -> None:
-    """Each column in one pass of C-level calls; only a column that fails is
-    walked value by value, to name its first bad value."""
-    if not trace.observations:
-        return
-    times, devices, _, rssis, claimed = zip(*trace.observations)
+def _trace_block(device_ref: str, observations: tuple) -> list[str]:
+    """The lines of a block of a trace's observations, once every column is
+    checked in one pass of C-level calls; only a column that fails is walked
+    value by value, to name its first bad value."""
+    times, devices, ids, rssis, claimed = zip(*observations)
     for name, column in (("t", times), ("rssi", rssis), ("claimed_tx", claimed)):
         try:
             if _NUMBER_TYPES.issuperset(map(type, column)) and all(map(math.isfinite, column)):
@@ -154,11 +252,16 @@ def _check_trace(trace: Trace) -> None:
             try:
                 _finite(value, name)
             except (ValueError, OverflowError) as exc:
-                raise InvalidInput(f"trace of device {trace.device_ref!r}: {exc}") from exc
-    if set(map(type, devices)) != {str}:
+                raise InvalidInput(f"trace of device {device_ref!r}: {exc}") from exc
+    rendered_devices = render_column(devices, "str")
+    if rendered_devices is None:
         bad = next(d for d in devices if type(d) is not str)
-        raise InvalidInput(f"trace of device {trace.device_ref!r}: "
-                           f"device must be a str, got {bad!r}")
+        raise InvalidInput(f"trace of device {device_ref!r}: device must be a str, got {bad!r}")
+    hexes = map(bytes.hex, map(_id_bytes, ids))
+    columns = (render_column(claimed, "number"), rendered_devices,
+               map(encode_basestring_ascii, hexes), render_column(rssis, "number"),
+               render_column(times, "number"))
+    return list(map(_TRACE_TEMPLATE.__mod__, zip(*columns)))
 
 
 def _finite(value, name: str) -> float:

@@ -522,6 +522,35 @@ def test_a_slot_outside_signed_64_bit_is_an_input_error(tmp_path, capsys, case):
     assert err == "error: slot is outside the signed 64-bit range [-2**63, 2**63 - 1]\n"
 
 
+@pytest.mark.parametrize("case", ["simulate", "build", "detect"])
+def test_a_window_of_too_many_ids_is_refused_before_any_is_derived(tmp_path, capsys,
+                                                                   monkeypatch, case):
+    def derive(*args):
+        raise AssertionError("an ID was derived")
+
+    monkeypatch.setattr(beaconlab.ephemeral, "ephemeral_id", derive)
+    doc = {"beacons": [ephemeral_beacon("b1", 0, KEY1)],
+           "content": [{"ref": "b1", "locator": "app://one"}],
+           "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]}], "duration_s": 10.0,
+           "ephemeral": {"window_slots": 100_000_000}}
+    document = tmp_path / "scenario.yaml"
+    document.write_text(yaml.safe_dump(doc))
+    keys = tmp_path / "keys.yaml"
+    keys.write_text(yaml.safe_dump({"b1": KEY1}))
+    sighting = Observation(1.0, "phone", BeaconId.from_hex(AA), -70.0, -59.0)
+    argv = {
+        "simulate": ["simulate", str(document), "--out", str(tmp_path / "out")],
+        "build": ["ephemeral", "build", "--keys", str(keys), "--slot", "0",
+                  "--window", "100000000", "--out", str(tmp_path / "f.blf")],
+        "detect": ["detect", "--deployment", str(document), "--threshold", "5", "--traces",
+                   trace_file(tmp_path, "t.jsonl", [Trace("phone", (sighting,))])],
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: window_slots 100000000 with 1 owner key(s) "
+                                       "makes 200,000,001 IDs per window; the limit is 100,000\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "f.blf").exists()
+
+
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     src = str(Path(beaconlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -18,7 +18,7 @@ from beaconlab import (
     verify_and_resolve,
     write_filter_file,
 )
-from beaconlab.ephemeral import RotatingResolver, bloom_size_for
+from beaconlab.ephemeral import MAX_WINDOW_IDS, RotatingResolver, bloom_size_for
 from conftest import KEY1, KEY2
 
 K1 = bytes.fromhex(KEY1)
@@ -172,6 +172,13 @@ class TestIdSchedule:
         tag_id = schedule.id_at(tag_key, 3)
         assert schedule.owner(tag_id, PARAMS.window(3)) is None
         assert schedule.owner(schedule.id_at(K2, 3), PARAMS.window(3)) == "b2"
+
+    def test_the_window_bounds_the_ids_a_schedule_may_derive(self):
+        # two keys over 2w + 1 slots: 99,998 IDs at w = 24,999, 100,002 at w = 25,000
+        assert len(KEYS) == 2 and MAX_WINDOW_IDS == 100_000
+        IdSchedule(KEYS, EphemeralParams(window_slots=24_999))
+        with pytest.raises(InvalidInput, match="^window_slots 25000 with 2 owner key"):
+            IdSchedule(KEYS, EphemeralParams(window_slots=25_000))
 
 
 def _colliding_slots(params: EphemeralParams) -> tuple[int, int]:

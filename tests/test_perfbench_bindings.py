@@ -6,6 +6,7 @@ and not only when the benchmark's traced run is next made.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import beaconlab
@@ -60,3 +61,29 @@ def test_every_reception_draws_its_noise_through_the_traced_binding():
     receives = [e for e in result.events if e.kind == "Receive"]
     assert {e.data["receiver"] for e in receives} == {"phone", "atk0.rx0", "atk1.rx0"}
     assert tracer.totals([0])["radio.shadowing"][0] == len(receives)
+
+
+def test_simulate_writes_its_logs_under_the_traced_storage_spans(tmp_path):
+    # the benchmark's storage.us_per_event_written reads these two spans: a
+    # refactor that writes the logs from under other names would read 0 there
+    doc = {
+        "beacons": [static_beacon("b1", 0, AA)],
+        "content": [{"id_hex": AA, "locator": "app://one"}],
+        "devices": [{"ref": "phone", "path": [[0.0, [0.0, 1.0]], [6.0, [4.0, 1.0]]]}],
+        "duration_s": 6.0,
+    }
+    manifest = tmp_path / "scenario.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        code = beaconlab.cli.main(["simulate", str(manifest), "--out", str(tmp_path / "out")])
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    totals = tracer.totals([0])
+    assert totals["storage.write_events"][0] == 1
+    assert totals["storage.write_traces"][0] == 1
+    assert (tmp_path / "out" / "events.jsonl").stat().st_size > 100

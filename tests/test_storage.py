@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -20,8 +21,10 @@ from beaconlab import (
     write_metrics_csv,
     write_traces_jsonl,
 )
+from beaconlab import storage
 from beaconlab.radio import (
-    BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, EventLog, RECEIVE, event_line,
+    BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, JAMMED, NO_ACTION, OPTIONAL_FIELDS, RECEIVE,
+    EventLog, event_line,
 )
 from beaconlab.storage import metric_rows
 from conftest import AA, BB
@@ -553,6 +556,131 @@ class TestSharedEncoder:
             with pytest.raises(InvalidInput, match="^trace of device 'dev': "):
                 write_traces_jsonl(str(written), [trace])
             assert not written.exists()
+
+
+EVENTS_HEADER = '{"format": "beaconlab.events", "version": 1}'
+B = storage._BLOCK
+# log lengths on each side of the block boundaries
+_LENGTHS = st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 7])
+_ODD_TEXT = _TEXT | st.just("caf\u00e9 \u6771\u4eac\x00\n\u2028")
+_ODD_NUMBER = _NUMBER | st.sampled_from([-0.0, 10**40, 0, 5.0])
+
+
+def _field_strategy(kind, name):
+    values = _ODD_TEXT if _FIELD_RULES[name][1] is _TEXT else _FIELD_RULES[name][1]
+    return values | st.none() if (kind, name) in OPTIONAL_FIELDS else values
+
+
+_VALID_EVENT = st.sampled_from(list(EVENT_FIELDS)).flatmap(lambda kind: st.tuples(
+    _ODD_NUMBER, st.just(kind), st.tuples(*[_field_strategy(kind, n) for n in EVENT_FIELDS[kind]])))
+# always in the pool: an empty window's NoAction, a bool, a list and an int rssi
+_FIXED_EVENTS = [
+    (2.5, NO_ACTION, (None, "phone", "empty")),
+    (3.0, CONTENT_DELIVERED, ("b1", "app://\u00fcber", False, "phone")),
+    (3.5, JAMMED, (["phone", "t\u00e9l\u00e9"], 12, "fob")),
+    (4, RECEIVE, (-59, "b1", AA, "phone", -61)),
+]
+
+
+class TestBlockWriters:
+    """The writers render a block of columns at a time; every byte must equal
+    the per-line reference: `event_line` and `json.dumps(..., sort_keys=True)`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool=st.lists(_VALID_EVENT, max_size=10), n=_LENGTHS, seed=st.integers(0, 2**32))
+    def test_the_event_writer_writes_event_line_of_each_event(self, tmp_path_factory, pool, n,
+                                                              seed):
+        pool, rnd = pool + _FIXED_EVENTS, random.Random(seed)
+        log = EventLog()
+        for _ in range(n):
+            time, kind, values = rnd.choice(pool)
+            log.append(time, kind, *values)
+        path = tmp_path_factory.mktemp("events") / "events.jsonl"
+        write_events_jsonl(str(path), log)
+        expected = "".join(f"{event_line(*event)}\n" for event in log)
+        assert path.read_text(encoding="utf-8") == f"{EVENTS_HEADER}\n{expected}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.sampled_from([0, 1, B, B + 1, 2 * B + 3]), min_size=1, max_size=3),
+           numbers=st.lists(_ODD_NUMBER, min_size=1, max_size=8),
+           devices=st.lists(_ODD_TEXT, min_size=3, max_size=3), seed=st.integers(0, 2**32))
+    def test_the_trace_writer_writes_json_dumps_of_each_observation(
+            self, tmp_path_factory, lengths, numbers, devices, seed):
+        rnd = random.Random(seed)
+        ids = [BeaconId.from_hex(AA), BeaconId.from_hex(BB), BeaconId(b"\x00\xff")]
+        traces = []
+        for device, n in zip(devices, lengths + [B + 1]):  # one trace is longer than a block
+            times = sorted(rnd.choice(numbers) for _ in range(n))
+            traces.append(Trace(device, tuple(
+                Observation(t, device, rnd.choice(ids), rnd.choice(numbers), rnd.choice(numbers))
+                for t in times)))
+        path = tmp_path_factory.mktemp("traces") / "traces.jsonl"
+        write_traces_jsonl(str(path), traces)
+        expected = "".join(
+            json.dumps({"t": o.time, "device": o.receiver_ref, "id_hex": o.id.hex(),
+                        "rssi": o.rssi, "claimed_tx": o.claimed_tx_power}, sort_keys=True) + "\n"
+            for trace in traces for o in trace.observations)
+        assert path.read_text(encoding="utf-8") == f"{TRACES_HEADER}\n{expected}"
+
+    # one value of each FIELD_TYPES type that the reader refuses, and a t
+    @pytest.mark.parametrize("time, kind, values, message", [
+        (1.0, RECEIVE, (-59.0, "b1", AA, "phone", True),
+         "Receive rssi must be a number, got True"),
+        (1.0, RECEIVE, (-59.0, "b1", AA, "phone", math.nan),
+         "Receive rssi must be a number, got nan"),
+        (1.0, RECEIVE, (-59.0, "b1", AA, {"ref": "phone"}, -60.0),
+         "Receive receiver must be a str, got {'ref': 'phone'}"),
+        (1.0, BROADCAST, (-59.0, "b1", -1, AA), "Broadcast frame must be a count, got -1"),
+        (1.0, CONTENT_DELIVERED, ("b1", "app://one", 1, "phone"),
+         "ContentDelivered correct must be a bool, got 1"),
+        (1.0, JAMMED, (["phone", 7], 3, "fob"),
+         "Jammed blocked must be a list of str, got ['phone', 7]"),
+        ("1.0", RECEIVE, (-59.0, "b1", AA, "phone", -60.0),
+         "t must be a finite number, got '1.0'"),
+        (1.0, NO_ACTION, (None, None, "empty"), "NoAction is missing field 'device'"),
+    ], ids=["number", "number-nan", "str", "count", "bool", "list-of-str", "t", "missing"])
+    def test_the_event_writer_refuses_what_the_reader_refuses(self, tmp_path, time, kind, values,
+                                                              message):
+        log = EventLog()
+        for k in range(B + 500):  # the bad event is in the second block, among good ones
+            for event in _FIXED_EVENTS[k % 4:k % 4 + 1]:
+                log.append(*event[:2], *event[2])
+        log.append(time, kind, *values)
+        log.append(*_FIXED_EVENTS[0][:2], *_FIXED_EVENTS[0][2])
+        path = tmp_path / "events.jsonl"
+        written = message if message.startswith(kind) else f"{kind} {message}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(f'event {B + 500}: {written}')}$"):
+            write_events_jsonl(str(path), log)
+        assert not path.exists()
+        # the reader's words for the same event, written by hand
+        path.write_text(f"{EVENTS_HEADER}\n{event_line(time, 0, kind, values)}\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"events.jsonl:2: bad event line: {message}")):
+            read_events_jsonl(str(path))
+
+    @staticmethod
+    def _peak(write, path, data) -> int:
+        write(path, data)  # warm: the first call may fill module caches
+        tracemalloc.start()
+        try:
+            write(path, data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_the_writers_hold_one_block_not_the_file(self, tmp_path):
+        path = str(tmp_path / "out.jsonl")
+        events = [EventLog(), EventLog()]
+        observations = [[], []]
+        for log, obs, n in zip(events, observations, (2 * B, 16 * B)):
+            for k in range(n):
+                log.append(*_FIXED_EVENTS[k % 4][:2], *_FIXED_EVENTS[k % 4][2])
+                obs.append(Observation(float(k), "phone", BeaconId.from_hex(AA), -60.0 - k % 7, -59.0))
+        short, long = (self._peak(write_events_jsonl, path, log) for log in events)
+        assert abs(long - short) < 1 << 18
+        short, long = (self._peak(write_traces_jsonl, path, [Trace("phone", tuple(obs))])
+                       for obs in observations)
+        assert abs(long - short) < 1 << 18
 
 
 class TestMetricsCsv:
