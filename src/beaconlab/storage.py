@@ -101,7 +101,8 @@ def _write_jsonl(path: str, fmt: str, blocks: Iterable[list[str]]) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_header_line(fmt) + "\n")
             for lines in blocks:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join(lines))
+                fh.write("\n")
     except InvalidInput:
         os.remove(path)
         raise
