@@ -582,6 +582,11 @@ _FIXED_EVENTS = [
 ]
 
 
+def _append(log, event):
+    time, kind, values = event
+    log.append(time, kind, *values)
+
+
 class TestBlockWriters:
     """The writers render a block of columns at a time; every byte must equal
     the per-line reference: `event_line` and `json.dumps(..., sort_keys=True)`."""
@@ -593,8 +598,7 @@ class TestBlockWriters:
         pool, rnd = pool + _FIXED_EVENTS, random.Random(seed)
         log = EventLog()
         for _ in range(n):
-            time, kind, values = rnd.choice(pool)
-            log.append(time, kind, *values)
+            _append(log, rnd.choice(pool))
         path = tmp_path_factory.mktemp("events") / "events.jsonl"
         write_events_jsonl(str(path), log)
         expected = "".join(f"{event_line(*event)}\n" for event in log)
@@ -643,10 +647,9 @@ class TestBlockWriters:
                                                               message):
         log = EventLog()
         for k in range(B + 500):  # the bad event is in the second block, among good ones
-            for event in _FIXED_EVENTS[k % 4:k % 4 + 1]:
-                log.append(*event[:2], *event[2])
+            _append(log, _FIXED_EVENTS[k % 4])
         log.append(time, kind, *values)
-        log.append(*_FIXED_EVENTS[0][:2], *_FIXED_EVENTS[0][2])
+        _append(log, _FIXED_EVENTS[0])
         path = tmp_path / "events.jsonl"
         written = message if message.startswith(kind) else f"{kind} {message}"
         with pytest.raises(InvalidInput, match=f"^{re.escape(f'event {B + 500}: {written}')}$"):
@@ -655,7 +658,8 @@ class TestBlockWriters:
         # the reader's words for the same event, written by hand
         path.write_text(f"{EVENTS_HEADER}\n{event_line(time, 0, kind, values)}\n",
                         encoding="utf-8")
-        with pytest.raises(SchemaError, match=re.escape(f"events.jsonl:2: bad event line: {message}")):
+        with pytest.raises(SchemaError,
+                           match=re.escape(f"events.jsonl:2: bad event line: {message}")):
             read_events_jsonl(str(path))
 
     @staticmethod
@@ -674,8 +678,9 @@ class TestBlockWriters:
         observations = [[], []]
         for log, obs, n in zip(events, observations, (2 * B, 16 * B)):
             for k in range(n):
-                log.append(*_FIXED_EVENTS[k % 4][:2], *_FIXED_EVENTS[k % 4][2])
-                obs.append(Observation(float(k), "phone", BeaconId.from_hex(AA), -60.0 - k % 7, -59.0))
+                _append(log, _FIXED_EVENTS[k % 4])
+                obs.append(Observation(float(k), "phone", BeaconId.from_hex(AA), -60.0 - k % 7,
+                                       -59.0))
         short, long = (self._peak(write_events_jsonl, path, log) for log in events)
         assert abs(long - short) < 1 << 18
         short, long = (self._peak(write_traces_jsonl, path, [Trace("phone", tuple(obs))])
