@@ -26,9 +26,9 @@ from .model import DEFAULT_ID_WIDTH, MIN_KEY_BYTES, BeaconId, _check_id_width
 MAX_BUILD_FP = 0.10
 DEFAULT_FP_TARGET = 0.01  # Bloom false-positive rate a filter is sized for
 # The most IDs one acceptance window may hold: owner keys x (2 * window_slots
-# + 1). A filter build derives and keeps every one, at about 10 us and 450
-# bytes each, so the largest allowed build takes about 1.5 s and 45 MB on a
-# 2-vCPU Xeon VM.
+# + 1), or with TV off owner keys x every slot of the run. A filter build
+# derives and keeps every one, at about 10 us and 450 bytes each, so the
+# largest allowed build takes about 1.5 s and 45 MB on a 2-vCPU Xeon VM.
 MAX_WINDOW_IDS = 100_000
 
 _FILTER_MAGIC = b"BLF1"
@@ -271,7 +271,8 @@ class RotatingResolver:
     window of the current slot, through that slot's Bloom filter and the
     schedule's exact lookup. Given max_slot (TV off), an owner ID of any slot
     the run can produce resolves, replayed IDs never expire and no filter is
-    built. Verdicts are memoized per (id, slot).
+    built; owner keys x those slots above MAX_WINDOW_IDS raise InvalidInput
+    before any ID is derived. Verdicts are memoized per (id, slot).
     """
 
     def __init__(
@@ -289,6 +290,14 @@ class RotatingResolver:
         self._params = schedule.params
         w = self._params.window_slots
         self._any_slot = None if max_slot is None else range(-w, max_slot + w + 1)
+        if self._any_slot is not None:
+            n_keys, n_slots = len(schedule.owner_keys), len(self._any_slot)
+            if n_keys * n_slots > MAX_WINDOW_IDS:
+                slot_s = self._params.slot_duration_s
+                raise InvalidInput(
+                    f"without TV, {n_keys} owner key(s) x {n_slots:,} slots of {slot_s!r} s "
+                    f"(up to {max_slot * slot_s:.6g} s) make {n_keys * n_slots:,} IDs; "
+                    f"the limit is {MAX_WINDOW_IDS:,}")
         self._m = m_bits
         self._k = k_hashes
         self._fp = fp_target

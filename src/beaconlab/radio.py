@@ -303,8 +303,10 @@ class EventLog:
     `values` (each a tuple in the order of EVENT_FIELDS[kind]).
 
     An event's seq is its 0-based position, so it is not stored. Read the
-    columns or iterate the log, which builds each Event as it goes; `append`
-    is the one way in.
+    columns or iterate the log, which builds each Event as it goes. `append`
+    checks each event's kind and count of values; the simulator's loop
+    appends to the three columns itself and checks every row's kind and count
+    once, after the loop (`sim._check_rows`).
     """
 
     __slots__ = ("times", "kinds", "values")

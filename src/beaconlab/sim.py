@@ -27,16 +27,20 @@ from .actors import UserDevice, mean_distance, proximity_decision
 from .attacks import InjectedEmitter, LUNCH_TIME, delivery_correctness, drain_id, harvest_window
 from .attacks import install_pending
 from .ephemeral import IdSchedule, RotatingResolver
-from .errors import ValidationError
+from .errors import InvalidInput, ValidationError
 from .guardian import jam_succeeds
 from .model import BeaconId, Observation, StaticId, Trace
-from .radio import BROADCAST, CONTENT_DELIVERED, FLAGGED, JAMMED, NO_ACTION, RECEIVE, EventLog
+from .radio import BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, FLAGGED, JAMMED, NO_ACTION, RECEIVE
+from .radio import EventLog
 from .radio import OUTCOME_BUDGET, OUTCOME_DEBOUNCED, OUTCOME_DELIVERED, OUTCOME_EMPTY
 from .radio import OUTCOME_FAR, OUTCOME_FLAGGED, mean_rssi, shadowing_db
 from .scenario import Scenario
 
 _EPS = 1e-9
 _by_time = operator.attrgetter("time")
+# Observation(...) and WindowRecord(...) without the Python frame of the
+# generated __new__: the loop passes every field, defaults included
+_new_tuple = tuple.__new__
 
 # The most events a run may log, at about 250 bytes an event some 2.5 GB: a
 # run whose bound is above it is refused before its loop. The largest run in
@@ -216,11 +220,29 @@ def _check_event_bound(emitters: list[_Emitter], devices, duration: float,
     return total
 
 
+def _check_rows(log: EventLog) -> None:
+    """Raise InvalidInput naming the kind if a row of log has a kind
+    EVENT_FIELDS does not know, or a count of values other than that kind's
+    fields: what `EventLog.append` checks per event, in one pass."""
+    for kind, n in sorted(set(zip(log.kinds, map(len, log.values)))):
+        fields = EVENT_FIELDS.get(kind)
+        if fields is None:
+            raise InvalidInput(f"the run logged an event of unknown kind {kind!r}")
+        if n != len(fields):
+            raise InvalidInput(f"the run logged a {kind} event of {n} values; "
+                               f"a {kind} event has {len(fields)} values {fields}")
+
+
 def run(scenario: Scenario) -> RunResult:
     """Simulate the scenario for its configured duration.
 
     Raises ValidationError, before the loop, when the run could log more than
-    MAX_EVENTS events (see `_check_event_bound`).
+    MAX_EVENTS events (see `_check_event_bound`). The loop appends its rows to
+    the log's columns itself, not through `EventLog.append`, and one pass after
+    it checks them (see `_check_rows`): a row whose kind is unknown or whose
+    values do not match that kind's fields raises InvalidInput naming the kind.
+    With TV off, RotatingResolver raises InvalidInput before the loop when the
+    run's slots would derive more than MAX_WINDOW_IDS owner IDs.
     """
     scenario = install_pending(scenario)
     reference = scenario.reference
@@ -270,8 +292,11 @@ def run(scenario: Scenario) -> RunResult:
         emitters.append(_Emitter(inj.ref, "injected", inj.interval_ms / 1000.0, inj.tx_power_1m,
                                  inj, (inj.x, inj.y)))
 
+    # a row is (time, kind, values in radio.EVENT_FIELDS[kind] order), one
+    # append to each column; `_check_rows` checks them after the loop
     log = EventLog()
-    log_append = log.append  # (time, kind, *values in radio.EVENT_FIELDS[kind] order)
+    time_append, kind_append, values_append = (
+        log.times.append, log.kinds.append, log.values.append)
     buffers: dict[str, list[tuple[Observation, str]]] = {d.ref: [] for d in devices}
     traces: dict[str, list[Observation]] = {d.ref: [] for d in devices}
     window_records: list[WindowRecord] = []
@@ -349,17 +374,12 @@ def run(scenario: Scenario) -> RunResult:
             em.links.append((role, ref, rx_pos, device, reach, exempt, d, rssi, sink))
     _check_event_bound(emitters, devices, duration, protected_tag)
 
-    def emitter_frame(em: _Emitter, t: float):
-        """(position, id, id hex, claimed_tx) for this tick, or None when silent."""
-        if em.family != "injected":
-            if em.key is None:
-                bid, id_hex = em.fixed_id
-            else:
-                bid, id_hex = schedule.id_and_hex(em.key, eph.slot_of(t))
-            pos = em.position
-            if pos is None:
-                pos = device_by_ref[em.obj.carried_by].position_at(t)
-            return pos, bid, id_hex, em.tx_power_1m
+    id_and_hex = schedule.id_and_hex
+    slot_of = eph.slot_of
+
+    def injected_frame(em: _Emitter):
+        """An injected emitter's (id, id hex, claimed_tx) for this tick, or
+        None when it stays silent."""
         inj: InjectedEmitter = em.obj
         if inj.mode == "drain":
             index = em.frame % inj.n_ids
@@ -367,7 +387,7 @@ def run(scenario: Scenario) -> RunResult:
             if cached is None:
                 cached = em.ids[index] = _with_hex(drain_id(inj.profile_index, index, id_width))
             claimed = inj.claimed_tx_power if inj.claimed_tx_power is not None else inj.tx_power_1m
-            return em.position, cached[0], cached[1], claimed
+            return cached[0], cached[1], claimed
         known = knowledge.get(inj.profile_index, {}).get(inj.source_ref)
         if not known:
             return None  # nothing harvested yet: the replayer stays quiet
@@ -377,17 +397,30 @@ def run(scenario: Scenario) -> RunResult:
         )
         entry = known[raw]
         claimed = inj.claimed_tx_power if inj.claimed_tx_power is not None else entry.claimed
-        return em.position, BeaconId(raw), raw.hex(), claimed
+        return BeaconId(raw), raw.hex(), claimed
 
     def broadcast(t: float, em: _Emitter) -> None:
-        frame = emitter_frame(em, t)
-        if frame is None:
-            return
-        pos, bid, id_hex, claimed = frame
+        tx = em.tx_power_1m
+        pos = em.position
+        if em.family == "injected":
+            frame = injected_frame(em)
+            if frame is None:
+                return
+            bid, id_hex, claimed = frame
+        else:
+            key = em.key
+            if key is None:
+                bid, id_hex = em.fixed_id
+            else:
+                bid, id_hex = id_and_hex(key, slot_of(t))
+            if pos is None:
+                pos = device_by_ref[em.obj.carried_by].position_at(t)
+            claimed = tx
         em_ref = em.ref
         n = em.frame
-        tx = em.tx_power_1m
-        log_append(t, BROADCAST, claimed, em_ref, n, id_hex)
+        time_append(t)
+        kind_append(BROADCAST)
+        values_append((claimed, em_ref, n, id_hex))
         sent = em.sent_ids
         if sent is None:
             sent = em.sent_ids = broadcast_ids.setdefault(em_ref, set())
@@ -409,10 +442,12 @@ def run(scenario: Scenario) -> RunResult:
             if rssi is None:
                 rssi = mean_rssi(tx, max(d, 1.0), exponent)
             rssi += shadowing_db(seed, em_ref, n, ref, sigma)
-            log_append(t, RECEIVE, claimed, em_ref, id_hex, ref, rssi)
+            time_append(t)
+            kind_append(RECEIVE)
+            values_append((claimed, em_ref, id_hex, ref, rssi))
             if role == _PHONE:
                 buffer, trace = sink
-                obs = Observation(t, ref, bid, rssi, claimed)
+                obs = _new_tuple(Observation, (t, ref, bid, rssi, claimed))
                 buffer.append((obs, em_ref))
                 trace.append(obs)
             elif role == "surveillance":
@@ -435,9 +470,12 @@ def run(scenario: Scenario) -> RunResult:
                         entry.claimed = claimed
 
         if jammed:
-            log_append(t, JAMMED, sorted(blocked), n, em_ref)
+            time_append(t)
+            kind_append(JAMMED)
+            values_append((sorted(blocked), n, em_ref))
 
-    def process_window(t_end: float, device: UserDevice) -> None:
+    def process_window(t_end: float, device: UserDevice) -> tuple[tuple, str, tuple]:
+        """The window's WindowRecord fields, all 11, and its event's kind and values."""
         dev = device.ref
         # the buffer is time-ordered: the window is the prefix before t_end
         buffer = buffers[dev]
@@ -446,10 +484,8 @@ def run(scenario: Scenario) -> RunResult:
         while n_frames and buffer[n_frames - 1][0].time >= cutoff:
             n_frames -= 1
         if not n_frames:
-            window_records.append(WindowRecord(dev, t_end, 0, 0, 0, _NO_EMITTERS, False,
-                                               OUTCOME_EMPTY))
-            log_append(t_end, NO_ACTION, None, dev, OUTCOME_EMPTY)
-            return
+            return ((dev, t_end, 0, 0, 0, _NO_EMITTERS, False, OUTCOME_EMPTY, None, None, True),
+                    NO_ACTION, (None, dev, OUTCOME_EMPTY))
         window = buffer[:n_frames]
         del buffer[:n_frames]
 
@@ -479,9 +515,8 @@ def run(scenario: Scenario) -> RunResult:
 
         if not groups:
             outcome = OUTCOME_BUDGET if n_ids > budget else OUTCOME_FLAGGED
-            window_records.append(WindowRecord(*heard, False, outcome))
-            log_append(t_end, FLAGGED, dev, n_frames, n_rejected, outcome)
-            return
+            return ((*heard, False, outcome, None, None, True),
+                    FLAGGED, (dev, n_frames, n_rejected, outcome))
 
         if len(groups) == 1:
             ref, frames = next(iter(groups.items()))
@@ -492,30 +527,24 @@ def run(scenario: Scenario) -> RunResult:
             frames.sort(key=_by_time)
         near = proximity_decision(frames, device.proximity_threshold_m, exponent)
         if not near:
-            window_records.append(WindowRecord(*heard, False, OUTCOME_FAR, ref))
-            log_append(t_end, NO_ACTION, ref, dev, OUTCOME_FAR)
-            return
+            return (*heard, False, OUTCOME_FAR, ref, None, True), NO_ACTION, (ref, dev, OUTCOME_FAR)
 
         content = reference.content_by_ref.get(ref)
         if content is None:
-            window_records.append(WindowRecord(*heard, True, OUTCOME_FLAGGED, ref))
-            log_append(t_end, FLAGGED, dev, n_frames, n_rejected, "no_content")
-            return
+            return ((*heard, True, OUTCOME_FLAGGED, ref, None, True),
+                    FLAGGED, (dev, n_frames, n_rejected, "no_content"))
 
         last = delivered_at.get((dev, content.locator))
         if last is not None and device.content_retrigger_s > 0 and \
                 t_end - last < device.content_retrigger_s - _EPS:
-            window_records.append(WindowRecord(*heard, True, OUTCOME_DEBOUNCED, ref,
-                                               content.locator))
-            log_append(t_end, NO_ACTION, ref, dev, OUTCOME_DEBOUNCED)
-            return
+            return ((*heard, True, OUTCOME_DEBOUNCED, ref, content.locator, True),
+                    NO_ACTION, (ref, dev, OUTCOME_DEBOUNCED))
 
         correct = any(device.within_threshold(p, t_end)
                       for p in served_from.get(content.locator, ()))
         delivered_at[(dev, content.locator)] = t_end
-        window_records.append(WindowRecord(*heard, True, OUTCOME_DELIVERED, ref, content.locator,
-                                           correct))
-        log_append(t_end, CONTENT_DELIVERED, ref, content.locator, correct, dev)
+        return ((*heard, True, OUTCOME_DELIVERED, ref, content.locator, correct),
+                CONTENT_DELIVERED, (ref, content.locator, correct, dev))
 
     # Heap entries are (time, push order, kind, emitter or device index, window
     # number); the push order breaks time ties deterministically.
@@ -544,13 +573,18 @@ def run(scenario: Scenario) -> RunResult:
                     heapq.heappush(heap, (nxt, next(order), _EMIT, i, 0))
             else:
                 device = devices[i]
-                process_window(t, device)
+                record, event_kind, values = process_window(t, device)
+                window_records.append(_new_tuple(WindowRecord, record))
+                time_append(t)
+                kind_append(event_kind)
+                values_append(values)
                 nxt = (k + 1) * device.scan_window_s
                 if nxt <= duration + _EPS:
                     heapq.heappush(heap, (nxt, next(order), _WINDOW, i, k + 1))
     finally:
         if collecting:
             gc.enable()
+    _check_rows(log)
 
     trace_objs = tuple(Trace(d.ref, tuple(traces[d.ref])) for d in devices)
     return RunResult(

@@ -18,6 +18,7 @@ from beaconlab import (
     verify_and_resolve,
     write_filter_file,
 )
+from beaconlab import ephemeral
 from beaconlab.ephemeral import MAX_WINDOW_IDS, RotatingResolver, bloom_size_for
 from conftest import KEY1, KEY2
 
@@ -215,6 +216,18 @@ class TestResolvers:
         assert resolver.resolve(BeaconId(b"\x01" * 20), 0.0) == "s1"
         assert resolver.resolve(BeaconId(b"\x00" * 20), 0.0) is None
         assert resolver.filters_built == 0
+
+    def test_without_tv_the_run_s_slots_bound_the_ids(self, monkeypatch):
+        # 2 keys x (max_slot + 2 * 2 + 1) slots: 100,000 IDs at max_slot 49,995
+        def derive(*_):
+            raise AssertionError("an ID was derived")
+
+        monkeypatch.setattr(ephemeral, "ephemeral_id", derive)
+        RotatingResolver({}, IdSchedule(KEYS, PARAMS), max_slot=49_995)
+        with pytest.raises(InvalidInput, match=r"^without TV, 2 owner key\(s\) x 50,001 slots "
+                                               r"of 60\.0 s \(up to 2\.99976e\+06 s\) make "
+                                               r"100,002 IDs; the limit is 100,000$"):
+            RotatingResolver({}, IdSchedule(KEYS, PARAMS), max_slot=49_996)
 
     @pytest.mark.parametrize("keys", [KEYS, {"b2": K2, "b1": K1}])
     def test_truncated_collision_resolves_to_the_first_key(self, keys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import beaconlab
 import beaconlab.cli  # the tracer patches cmd_simulate and cmd_detect
-from conftest import AA, CC, static_beacon
+from conftest import AA, CC, KEY1, KEY2, ephemeral_beacon, static_beacon
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,6 +61,33 @@ def test_every_reception_draws_its_noise_through_the_traced_binding():
     receives = [e for e in result.events if e.kind == "Receive"]
     assert {e.data["receiver"] for e in receives} == {"phone", "atk0.rx0", "atk1.rx0"}
     assert tracer.totals([0])["radio.shadowing"][0] == len(receives)
+
+
+def test_each_slot_a_window_resolves_in_builds_one_traced_filter():
+    # the benchmark checks, under TV with no static IDs, that the traced
+    # filter builds equal the distinct slots of the windows that heard a
+    # frame: a lookup made outside the traced binding would read short
+    doc = {
+        "beacons": [ephemeral_beacon("b1", 0, KEY1), ephemeral_beacon("b2", 15, KEY2)],
+        "content": [{"ref": "b1", "locator": "app://one"}, {"ref": "b2", "locator": "app://two"}],
+        "devices": [{"ref": "phone", "path": [[0.0, [-5.0, 1.0]], [40.0, [60.0, 1.0]]]}],
+        "duration_s": 40.0,
+        "defences": ["TV"],
+        "ephemeral": {"slot_duration_s": 5.0, "window_slots": 1},
+        "radio": {"seed": 1},
+    }
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        result = beaconlab.run(beaconlab.load_scenario(doc))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    eph = result.scenario.ephemeral
+    slots = {eph.slot_of(w.t_end) for w in result.window_records if w.n_frames > 0}
+    assert len(slots) > 3
+    assert tracer.totals([0])["ephemeral.filter_build"][0] == len(slots)
 
 
 def test_simulate_writes_its_logs_under_the_traced_storage_spans(tmp_path):

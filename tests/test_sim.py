@@ -6,8 +6,10 @@ import tracemalloc
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from beaconlab import (
+    InvalidInput,
     ValidationError,
     attack_metrics,
     delivery_correctness,
@@ -17,7 +19,8 @@ from beaconlab import (
 )
 from beaconlab.actors import UserDevice
 from beaconlab.cli import main
-from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, EventLog, event_line
+from beaconlab import radio
+from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, Event, EventLog, event_line
 from beaconlab import sim
 from beaconlab.sim import (
     MAX_EVENTS,
@@ -27,8 +30,9 @@ from beaconlab.sim import (
     OUTCOME_EMPTY,
     OUTCOME_FAR,
     OUTCOME_FLAGGED,
+    WindowRecord,
 )
-from conftest import AA, BB, CC, static_beacon
+from conftest import AA, BB, CC, ephemeral_beacon, static_beacon
 from test_acceptance import _replay_doc
 from test_golden import SCENARIOS, _walking_doc
 
@@ -309,10 +313,17 @@ class TestEventBound:
 
     @pytest.fixture
     def no_loop(self, monkeypatch):
-        def append(*_):
-            raise AssertionError("the run's loop started")
+        # the loop appends each event's time to the log's times column
+        class Refusing(list):
+            def append(self, _):
+                raise AssertionError("the run's loop started")
 
-        monkeypatch.setattr(EventLog, "append", append)
+        def refusing_log():
+            log = EventLog()
+            log.times = Refusing()
+            return log
+
+        monkeypatch.setattr(sim, "EventLog", refusing_log)
 
     @pytest.mark.parametrize("repro", sorted(REPROS))
     def test_a_tiny_interval_loads_and_its_run_is_refused(self, no_loop, repro):
@@ -406,3 +417,119 @@ class TestEventBound:
             # at most one frame too many at each end of a span, a span a piece
             pieces = len(a.path) + len(getattr(b, "path", ())) + 1
             assert exact <= counted <= exact + 2 * pieces
+
+
+_OUTCOMES = {OUTCOME_BUDGET, OUTCOME_DEBOUNCED, OUTCOME_DELIVERED, OUTCOME_EMPTY, OUTCOME_FAR,
+             OUTCOME_FLAGGED}
+
+
+@st.composite
+def small_docs(draw):
+    """1-4 static or rotating beacons, standing or walking phones, maybe a
+    tag under a guardian, some of A2, A3, A4, A7 and A8, TV on or off."""
+    duration = draw(st.sampled_from([10.0, 25.0, 40.0]))
+    beacons, content = [], []
+    for i in range(draw(st.integers(1, 4))):
+        ref, interval = f"b{i + 1}", draw(st.sampled_from([500.0, 900.0, 1000.0]))
+        if draw(st.booleans()):
+            beacons.append(ephemeral_beacon(ref, 12.0 * i, f"{i + 1:02x}" * 16,
+                                            interval=interval))
+            content.append({"ref": ref, "locator": f"app://{ref}"})
+        else:
+            id_hex = f"{i + 1:02x}" * 20
+            beacons.append(static_beacon(ref, 12.0 * i, id_hex, interval=interval))
+            content.append({"id_hex": id_hex, "locator": f"app://{ref}"})
+    devices = []
+    for k in range(draw(st.integers(1, 2))):
+        x = draw(st.sampled_from([0.0, 10.0, 30.0, 200.0]))  # 200 m: empty windows
+        path = [[0.0, [x, 1.0]]]
+        if draw(st.booleans()):
+            path.append([duration, [40.0 - x, 2.0]])
+        devices.append({"ref": f"p{k}", "path": path, "scan_window_s": draw(
+            st.sampled_from([1.0, 2.0, 3.0])), "lookup_budget": draw(st.sampled_from([1, 4]))})
+    doc = {"beacons": beacons, "content": content, "adjacency_radius_m": 25,
+           "devices": devices, "duration_s": duration,
+           "radio": {"seed": draw(st.integers(0, 99)), "noise_sigma": 2.0},
+           "ephemeral": {"slot_duration_s": 10.0, "window_slots": 1}}
+    defences = ["TV"] if draw(st.booleans()) else []
+    attacks = []
+    if draw(st.booleans()):
+        tag = {"ref": "fob", "carried_by": "p0", "adv_interval_ms": 600.0}
+        tag.update({"key_hex": "ab" * 16} if draw(st.booleans()) else {"id_hex": "ee" * 20})
+        doc["tags"] = [tag]
+        doc["guardian"] = {"protected_tag": "fob", "jam_radius_m": 12.0,
+                           "reaction_reliability": 0.6}
+        defences.append("SJ")
+        if draw(st.booleans()):
+            attacks.append({"kind": "A7", "target_tag": "fob",
+                            "surveillance_positions": [[5.0, 3.0]]})
+    last = beacons[-1]["ref"]
+    optional = {
+        "A2": {"kind": "A2", "sniff_mode": draw(st.sampled_from(["pervasive", "lunch_time"])),
+               "source_beacon": "b1", "fake_position": [30.0, 0.0]},
+        "A3": {"kind": "A3", "target_beacon": last},
+        "A4": {"kind": "A4", "target_beacon": last, "new_id_hex": "dd" * 20},
+        "A8": {"kind": "A8", "n_ids": draw(st.integers(1, 6)), "interval_ms": 400.0,
+               "position": [6.0, 2.0]},
+    }
+    attacks += [optional[k] for k in draw(st.lists(st.sampled_from(sorted(optional)),
+                                                   unique=True, max_size=3))]
+    return {**doc, "defences": defences, "attacks": attacks}
+
+
+class TestLoopRows:
+    """The loop appends its rows to the log's columns itself: each must be one
+    that `EventLog.append` and the JSONL reader accept."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_docs())
+    def test_every_row_is_one_the_log_and_the_reader_accept(self, doc):
+        result = run(load_scenario(doc))
+        log = result.events
+        assert len(log.times) == len(log.kinds) == len(log.values) > 0
+        for event in log:
+            EventLog().append(event.time, event.kind, *event.values)
+            assert Event.from_json(event_line(*event)) == event
+        for record in result.window_records:
+            assert type(record) is WindowRecord and len(record) == 11
+            assert record.outcome in _OUTCOMES
+
+    def test_a_row_of_the_wrong_arity_is_refused_after_the_loop(self, monkeypatch):
+        monkeypatch.setitem(radio.EVENT_FIELDS, RECEIVE, ("claimed_tx", "emitter", "id", "rssi"))
+        with pytest.raises(InvalidInput, match="^the run logged a Receive event of 5 values; "
+                                               "a Receive event has 4 values"):
+            run(load_scenario(doc()))
+
+
+class TestTvOffIdBound:
+    """With TV off every owner key's ID of every slot of the run can resolve,
+    so owner keys x slots are bounded by MAX_WINDOW_IDS before any ID is
+    derived: three rotating beacons at 1 ms slots for 60 s would derive
+    180,018. The run is never made, since deriving an ID fails the test."""
+
+    @pytest.fixture
+    def repro(self, monkeypatch):
+        def derive(*_):
+            raise AssertionError("an ID was derived")
+
+        monkeypatch.setattr(ephemeral, "ephemeral_id", derive)
+        keys = ("11" * 16, "22" * 16, "33" * 16)
+        return doc(beacons=[ephemeral_beacon(f"b{i}", 10.0 * i, key)
+                            for i, key in enumerate(keys)],
+                   content=[{"ref": f"b{i}", "locator": f"app://{i}"} for i in range(3)],
+                   defences=[], duration_s=60.0, ephemeral={"slot_duration_s": 0.001})
+
+    MESSAGE = ("without TV, 3 owner key(s) x 60,006 slots of 0.001 s (up to 60.001 s) make "
+               "180,018 IDs; the limit is 100,000")
+
+    def test_the_run_is_refused(self, repro):
+        with pytest.raises(InvalidInput) as refused:
+            run(load_scenario(repro))
+        assert str(refused.value) == self.MESSAGE
+
+    def test_simulate_refuses_it_with_exit_1(self, repro, tmp_path, capsys):
+        manifest = tmp_path / "m.yaml"
+        manifest.write_text(yaml.safe_dump(repro))
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert not (tmp_path / "out").exists()
