@@ -27,8 +27,23 @@ writes a file its reader refuses: an event value outside `radio.FIELD_TYPES`
 or a `t` that is not a finite number raises InvalidInput naming the event's
 seq, kind and field in the reader's words, and a trace value
 `read_traces_jsonl` refuses raises it naming the device. Only a column that
-fails is walked value by value. A writer that raises removes its partial
-file.
+fails is walked value by value.
+
+A file of two blocks or more is rendered by two processes, where the
+platform forks, this process may run on two CPUs or more and it runs one
+thread. A forked child renders the second half of the blocks into an
+unlinked temporary file beside the output while this process renders the
+first half into the output itself; this process then copies the child's
+bytes after its own, `_CHUNK` bytes at a time, so each process holds one
+block and the bytes are those of one process rendering every block.
+Errors come in the same order too: an error in this process's half wins,
+and the child's error, sent back pickled through a pipe, is raised as it
+was raised there. A child that exits nonzero or is killed without
+reporting an error raises ChildProcessError. Anywhere else, on one CPU,
+where the two processes would take turns, and where the fork itself fails,
+one process renders every block. The
+child has ended and been reaped when a writer returns or raises, and a
+writer that raises, whatever it raises, leaves no file.
 
 Readers take a file one line at a time through `_body_lines`, so no reader
 holds the file's text. A line ends only at a newline: text mode has already
@@ -56,7 +71,7 @@ import os
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
@@ -94,20 +109,131 @@ def _check_header(line: str, fmt: str, path: str) -> None:
 # logs the two writers peak at 0.67 MB under tracemalloc with 1,024-row
 # blocks, and at 5.2 MB with 8,192.
 _BLOCK = 1024
+# Bytes of the child's rendered blocks copied into the output at a time.
+_CHUNK = 1 << 16
 
 
-def _write_jsonl(path: str, fmt: str, blocks: Iterable[list[str]]) -> None:
-    """The header line, then each block's lines. A block that raises
-    InvalidInput leaves no file."""
+def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]], blocks: int) -> None:
+    """The header line, then the lines render(j) gives for each block j in
+    range(blocks). Where `_may_fork(blocks)`, a forked child renders the
+    second half of the blocks while this process renders the first. A writer
+    that raises, for whatever reason and in either process, leaves no file."""
+    split = blocks // 2 if _may_fork(blocks) else blocks
+    child = None
+    fh = open(path, "w", encoding="utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with fh:
+            if split < blocks:
+                try:
+                    child = _Child(path, render, range(split, blocks))
+                except OSError:  # no fork to be had: render every block here
+                    split = blocks
             fh.write(_header_line(fmt) + "\n")
-            for lines in blocks:
-                fh.write("\n".join(lines))
-                fh.write("\n")
-    except InvalidInput:
+            _write_blocks(fh, render, range(split))
+            if child is not None:
+                child.append_to(fh)
+    except BaseException:
         os.remove(path)
         raise
+    finally:
+        if child is not None:
+            child.close()
+
+
+def _write_blocks(fh, render: Callable[[int], list[str]], blocks: range) -> None:
+    for j in blocks:
+        fh.write("\n".join(render(j)))
+        fh.write("\n")
+
+
+def _may_fork(blocks: int) -> bool:
+    """Whether a child should render half of the blocks: there are two or
+    more, the platform forks, this process may run on two CPUs or more (on
+    one, the two processes take turns and the fork is a loss), and it runs
+    one thread (a fork copies only the calling thread)."""
+    if blocks < 2 or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return False
+    import threading
+    return threading.active_count() == 1
+
+
+class _Child:
+    """A forked process that renders blocks into an unlinked temporary file
+    beside the output, and sends back its error, if it raises one, pickled
+    through a pipe. Imports here, not with the module, keep the package's
+    import as it was."""
+
+    def __init__(self, path: str, render: Callable[[int], list[str]], blocks: range):
+        import tempfile
+        self.blocks, self.pid = blocks, None
+        self.file = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+        self.report, report_w = os.pipe()
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                _render_and_exit(render, blocks, self.file.fileno(), report_w)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(report_w)
+
+    def append_to(self, fh) -> None:
+        """Wait for the child; raise its error, or append its bytes to fh."""
+        with open(self.report, "rb", closefd=False) as pipe:
+            error = pipe.read()
+        code = self._reap()
+        if error:
+            import pickle
+            raise pickle.loads(error)
+        if code != 0:
+            raise ChildProcessError(f"{fh.name}: the process rendering blocks {self.blocks.start}"
+                                    f"-{self.blocks.stop - 1} ended with exit code {code} "
+                                    f"and no error")
+        fh.flush()
+        self.file.seek(0)
+        chunk = memoryview(bytearray(_CHUNK))
+        while n := self.file.readinto(chunk):
+            fh.buffer.write(chunk[:n])
+
+    def _reap(self) -> int:
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def close(self) -> None:
+        """Kill the child if it has not been reaped, reap it, and close its
+        pipe and file."""
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        os.close(self.report)
+        self.file.close()
+
+
+def _render_and_exit(render: Callable[[int], list[str]], blocks: range, fd: int,
+                     report: int) -> NoReturn:
+    """The child's whole life: write the blocks to fd, or their error to
+    report, and exit without running any of the parent's exit handlers or
+    flushing any of its buffers."""
+    code = 1
+    try:
+        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+            _write_blocks(fh, render, blocks)
+        code = 0
+    except BaseException as exc:
+        import pickle
+        try:
+            with open(report, "wb", closefd=False) as pipe:
+                pipe.write(pickle.dumps(exc))
+        except BaseException:
+            pass  # the parent reports a child that ended without an error
+    finally:
+        os._exit(code)
 
 
 def write_events_jsonl(path: str, events: EventLog) -> None:
@@ -115,9 +241,12 @@ def write_events_jsonl(path: str, events: EventLog) -> None:
     would refuse raises InvalidInput naming the event's seq, kind and field,
     and leaves no file."""
     times, kinds, values = events.times, events.kinds, events.values
-    blocks = (_event_block(times[i:i + _BLOCK], kinds[i:i + _BLOCK], values[i:i + _BLOCK], i)
-              for i in range(0, len(times), _BLOCK))
-    _write_jsonl(path, EVENTS_FORMAT, blocks)
+
+    def render(j: int) -> list[str]:
+        i = j * _BLOCK
+        return _event_block(times[i:i + _BLOCK], kinds[i:i + _BLOCK], values[i:i + _BLOCK], i)
+
+    _write_jsonl(path, EVENTS_FORMAT, render, -(-len(times) // _BLOCK))
 
 
 def _event_block(times: list, kinds: list, values: list, start: int) -> list[str]:
@@ -231,9 +360,14 @@ def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
     """Write the traces, a block of one trace's observations at a time. A value
     that `read_traces_jsonl` would refuse raises InvalidInput naming the
     device, and leaves no file."""
-    blocks = (_trace_block(trace.device_ref, trace.observations[i:i + _BLOCK])
-              for trace in traces for i in range(0, len(trace.observations), _BLOCK))
-    _write_jsonl(path, TRACES_FORMAT, blocks)
+    blocks = [(trace.device_ref, trace.observations, i)
+              for trace in traces for i in range(0, len(trace.observations), _BLOCK)]
+
+    def render(j: int) -> list[str]:
+        device_ref, observations, i = blocks[j]
+        return _trace_block(device_ref, observations[i:i + _BLOCK])
+
+    _write_jsonl(path, TRACES_FORMAT, render, len(blocks))
 
 
 _NUMBER_TYPES = frozenset((int, float))

@@ -563,6 +563,19 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert out == "[]\n"
 
 
+def test_importing_the_package_loads_none_of_the_writer_s_fork_modules():
+    # the JSONL writers import these only when they fork
+    src = str(Path(beaconlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    probe = ("import sys; before = set(sys.modules); import beaconlab, beaconlab.cli; "
+             "print(sorted(set(sys.modules) - before & "
+             "{'pickle', '_pickle', 'tempfile', 'signal', 'threading'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 _MARK = {}
 
 

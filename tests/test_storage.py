@@ -1,7 +1,12 @@
+import contextlib
+import errno
 import json
 import math
+import os
 import random
 import re
+import signal
+import threading
 import tracemalloc
 
 import pytest
@@ -686,6 +691,195 @@ class TestBlockWriters:
         short, long = (self._peak(write_traces_jsonl, path, [Trace("phone", tuple(obs))])
                        for obs in observations)
         assert abs(long - short) < 1 << 18
+
+    def test_the_in_process_writers_hold_one_block_not_the_file(self, tmp_path, monkeypatch):
+        # tracemalloc sees only this process, so the bound is checked without
+        # a child too
+        monkeypatch.delattr(os, "fork")
+        self.test_the_writers_hold_one_block_not_the_file(tmp_path)
+
+
+def _log(n: int, bad: tuple = ()) -> EventLog:
+    """n of `_FIXED_EVENTS` in turn, with a Receive whose rssi is True at each
+    seq in bad."""
+    log = EventLog()
+    for k in range(n):
+        if k in bad:
+            log.append(1.0, RECEIVE, -59.0, "b1", AA, "phone", True)
+        else:
+            _append(log, _FIXED_EVENTS[k % 4])
+    return log
+
+
+def _traces(lengths, bad_device=None) -> list:
+    """One trace per length, of devices d0, d1, ...; the trace of bad_device
+    ends in a NaN rssi."""
+    traces = []
+    for d, n in enumerate(lengths):
+        device = f"d{d}"
+        obs = [Observation(float(k), device, BeaconId.from_hex(AA), -60.0 - k % 7, -59.0)
+               for k in range(n)]
+        if device == bad_device:
+            obs[-1] = obs[-1]._replace(rssi=math.nan)
+        traces.append(Trace(device, tuple(obs)))
+    return traces
+
+
+def _refusal(write, path, data) -> str:
+    with pytest.raises(InvalidInput) as info:
+        write(str(path), data)
+    assert not path.exists()
+    return str(info.value)
+
+
+@pytest.mark.skipif(not storage._may_fork(2), reason="the writers fork only where the "
+                    "platform forks and this process may run on two CPUs")
+class TestSplitWriters:
+    """A writer with two blocks or more renders the second half in a forked
+    child. Its bytes, its errors and its partial files are those of the writer
+    that renders every block in one process."""
+
+    @pytest.fixture(autouse=True)
+    def out(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        yield out
+        # every child was reaped, and none left a file behind
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert {p.name for p in out.iterdir()} <= {"split.jsonl", "serial.jsonl"}
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def _serial(monkeypatch, write, path, data):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            write(str(path), data)
+
+    @pytest.mark.parametrize("write, data", [
+        (write_events_jsonl, _log(3 * B + 7)),
+        (write_traces_jsonl, _traces([B + 1, 5, 2 * B, 0, 3])),
+    ], ids=["events", "traces"])
+    def test_the_split_writes_the_serial_bytes(self, monkeypatch, out, forks, write, data):
+        write(str(out / "split.jsonl"), data)
+        assert forks == [1]
+        self._serial(monkeypatch, write, out / "serial.jsonl", data)
+        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("write, data", [
+        (write_events_jsonl, _log(4 * B, bad=(3 * B + 5,))),
+        (write_traces_jsonl, _traces([B, B, B, B], bad_device="d3")),
+    ], ids=["events", "traces"])
+    def test_a_refusal_in_the_child_s_half_is_the_serial_writer_s(self, monkeypatch, out, forks,
+                                                                  write, data):
+        split = _refusal(write, out / "split.jsonl", data)
+        assert forks == [1]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert _refusal(write, out / "serial.jsonl", data) == split
+
+    def test_with_refusals_in_both_halves_the_parent_s_wins(self, out, forks):
+        # as in one process, where the lower block is rendered first
+        message = _refusal(write_events_jsonl, out / "split.jsonl",
+                           _log(4 * B, bad=(5, 3 * B + 5)))
+        assert message == "event 5: Receive rssi must be a number, got True"
+        assert forks == [1]
+
+    @pytest.mark.parametrize("where", ["parent", "child", "serial"])
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["ENOSPC", "interrupt"])
+    def test_a_writer_that_raises_leaves_no_file(self, monkeypatch, out, forks, where, error):
+        # the parent renders blocks 0 and 1 and the child 2 and 3, or one
+        # process all four
+        fail_at = {"parent": B, "child": 3 * B, "serial": 2 * B}[where]
+        render = storage._event_block
+
+        def failing(times, kinds, values, start):
+            if start == fail_at:
+                raise error
+            return render(times, kinds, values, start)
+
+        monkeypatch.setattr(storage, "_event_block", failing)
+        if where == "serial":
+            monkeypatch.delattr(os, "fork")
+        path = out / "split.jsonl"
+        with pytest.raises(type(error)) as info:
+            write_events_jsonl(str(path), _log(4 * B))
+        assert not path.exists()
+        assert forks == ([] if where == "serial" else [1])
+        if isinstance(error, OSError):
+            assert info.value.errno == errno.ENOSPC
+
+    @pytest.mark.parametrize("death, code", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ], ids=["exit", "killed"])
+    def test_a_child_that_ends_without_reporting_raises(self, monkeypatch, out, forks, death,
+                                                        code):
+        parent, render = os.getpid(), storage._event_block
+
+        def dying(*args):
+            if os.getpid() != parent:
+                death()
+            return render(*args)
+
+        monkeypatch.setattr(storage, "_event_block", dying)
+        path = out / "split.jsonl"
+        with pytest.raises(ChildProcessError, match=re.escape(
+                f"{path}: the process rendering blocks 2-3 ended with exit code {code} "
+                f"and no error")):
+            write_events_jsonl(str(path), _log(4 * B))
+        assert not path.exists()
+
+    def test_a_fork_that_fails_leaves_the_writer_in_one_process(self, monkeypatch, out):
+        data = _log(3 * B + 7)
+        write_events_jsonl(str(out / "split.jsonl"), data)
+
+        def refused():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        write_events_jsonl(str(out / "serial.jsonl"), data)
+        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
+
+    def _no_fork(self):
+        raise AssertionError("the writer forked")
+
+    @pytest.mark.parametrize("case", ["no fork", "one CPU", "second thread"])
+    @pytest.mark.parametrize("write, data", [
+        (write_events_jsonl, _log(3 * B + 7)),
+        (write_traces_jsonl, _traces([B + 1, 5, 2 * B, 0, 3])),
+    ], ids=["events", "traces"])
+    def test_the_writer_stays_in_one_process_unless_a_fork_can_pay(self, monkeypatch, out,
+                                                                   case, write, data):
+        write(str(out / "split.jsonl"), data)
+        with contextlib.ExitStack() as stack:
+            if case == "no fork":
+                monkeypatch.delattr(os, "fork")
+            else:
+                monkeypatch.setattr(os, "fork", self._no_fork)
+            if case == "one CPU":
+                cpus = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {min(cpus)})
+                stack.callback(os.sched_setaffinity, 0, cpus)
+            elif case == "second thread":
+                done = threading.Event()
+                thread = threading.Thread(target=done.wait)
+                thread.start()
+                stack.callback(thread.join)
+                stack.callback(done.set)
+            write(str(out / "serial.jsonl"), data)
+        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
 
 
 class TestMetricsCsv:
