@@ -29,19 +29,24 @@ seq, kind and field in the reader's words, and a trace value
 `read_traces_jsonl` refuses raises it naming the device. Only a column that
 fails is walked value by value.
 
-A file of two blocks or more is rendered by two processes, where the
-platform forks, this process may run on two CPUs or more and it runs one
-thread. A forked child renders the second half of the blocks into an
-unlinked temporary file beside the output while this process renders the
-first half into the output itself; this process then copies the child's
-bytes after its own, `_CHUNK` bytes at a time, so each process holds one
-block and the bytes are those of one process rendering every block.
-Errors come in the same order too: an error in this process's half wins,
-and the child's error, sent back pickled through a pipe, is raised as it
-was raised there. A child that exits nonzero or is killed without
-reporting an error raises ChildProcessError. Anywhere else, on one CPU,
-where the two processes would take turns, and where the fork itself fails,
-one process renders every block. The
+A file of `_FORK_ROWS` rows or more is rendered by two processes, where
+the platform forks, this process may run on two CPUs or more, it is not a
+multiprocessing worker and it runs one thread. A forked child renders the
+blocks from the one that begins nearest the middle row into an unlinked
+temporary file beside the output, while this process renders the blocks
+before it into the output itself; this process then copies the child's
+bytes after its own, `_CHUNK` bytes at a time, so the bytes are those of one
+process rendering every block. A child that does not exit 0, because it
+raised or was killed, leaves its blocks to this process, which renders them
+after its own and so raises what one process would raise, in the same
+order. The garbage collector is off until the child is reaped. Anywhere
+else, and where the fork itself fails, one process renders every block.
+
+Each process renders one block at a time, but the child's memory is not
+one block: reading an object writes its reference count, so every page
+holding a row of the child's half is copied. The child's private pages grow
+with the log: 6.7 MB while rendering the second half of the seed-1 campus
+event log (16,148 events), and 17.7 MB on a log four times as long. The
 child has ended and been reaped when a writer returns or raises, and a
 writer that raises, whatever it raises, leaves no file.
 
@@ -65,10 +70,12 @@ dozen of each across tens of thousands of lines.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
-from itertools import compress, repeat
+import sys
+from itertools import accumulate, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
@@ -111,14 +118,23 @@ def _check_header(line: str, fmt: str, path: str) -> None:
 _BLOCK = 1024
 # Bytes of the child's rendered blocks copied into the output at a time.
 _CHUNK = 1 << 16
+# Rows a file needs before a child renders half of them. Below it the fork,
+# the temporary file and a first write's `import tempfile` cost about what the
+# second process saves: on a 2-vCPU Xeon VM, in a fresh process, the first
+# 3,072 events of the seed-1 campus log wrote in a median 6.3 ms split against
+# 6.0-6.4 ms in one process, and the first 3,584 in 5.4-5.5 ms against
+# 6.9-7.3 ms.
+_FORK_ROWS = 3584
 
 
-def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]], blocks: int) -> None:
-    """The header line, then the lines render(j) gives for each block j in
-    range(blocks). Where `_may_fork(blocks)`, a forked child renders the
-    second half of the blocks while this process renders the first. A writer
-    that raises, for whatever reason and in either process, leaves no file."""
-    split = blocks // 2 if _may_fork(blocks) else blocks
+def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
+                 rows: Sequence[int]) -> None:
+    """The header line, then the lines render(j) gives for each block j, of
+    rows[j] lines. Where `_may_fork(sum(rows))`, a forked child renders the
+    blocks from `_halfway(rows)` on while this process renders the ones
+    before. A writer that raises, for whatever reason, leaves no file."""
+    blocks = len(rows)
+    split = _halfway(rows) if blocks > 1 and _may_fork(sum(rows)) else blocks
     child = None
     fh = open(path, "w", encoding="utf-8")
     try:
@@ -131,7 +147,7 @@ def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]], blocks
             fh.write(_header_line(fmt) + "\n")
             _write_blocks(fh, render, range(split))
             if child is not None:
-                child.append_to(fh)
+                child.append_to(fh, render)
     except BaseException:
         os.remove(path)
         raise
@@ -146,15 +162,26 @@ def _write_blocks(fh, render: Callable[[int], list[str]], blocks: range) -> None
         fh.write("\n")
 
 
-def _may_fork(blocks: int) -> bool:
-    """Whether a child should render half of the blocks: there are two or
-    more, the platform forks, this process may run on two CPUs or more (on
-    one, the two processes take turns and the fork is a loss), and it runs
-    one thread (a fork copies only the calling thread)."""
-    if blocks < 2 or not hasattr(os, "fork"):
+def _halfway(rows: Sequence[int]) -> int:
+    """The block, from 1 to len(rows) - 1, that begins nearest the middle row."""
+    starts = [0, *accumulate(rows)]
+    return min(range(1, len(rows)), key=lambda j: abs(starts[-1] - 2 * starts[j]))
+
+
+def _may_fork(rows: int) -> bool:
+    """Whether a child should render half of a file of this many rows: there
+    are `_FORK_ROWS` or more, the platform forks, this process may run on two
+    CPUs or more (on one, the two processes take turns and the fork is a
+    loss), it is not itself a multiprocessing worker (whose siblings already
+    keep the other CPUs busy), and it runs one thread (a fork copies only the
+    calling thread)."""
+    if rows < _FORK_ROWS or not hasattr(os, "fork"):
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2:
+        return False
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
         return False
     import threading
     return threading.active_count() == 1
@@ -162,76 +189,60 @@ def _may_fork(blocks: int) -> bool:
 
 class _Child:
     """A forked process that renders blocks into an unlinked temporary file
-    beside the output, and sends back its error, if it raises one, pickled
-    through a pipe. Imports here, not with the module, keep the package's
-    import as it was."""
+    beside the output and exits 0, or exits 1 if it raises. Imports here, not
+    with the module, keep the package's import as it was."""
 
     def __init__(self, path: str, render: Callable[[int], list[str]], blocks: range):
         import tempfile
         self.blocks, self.pid = blocks, None
         self.file = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-        self.report, report_w = os.pipe()
+        self.collecting = gc.isenabled()
         try:
+            # until the child is reaped: a collection here would write to, and
+            # so copy, every page holding a tracked object, shared or not
+            gc.disable()
             self.pid = os.fork()
             if self.pid == 0:
-                _render_and_exit(render, blocks, self.file.fileno(), report_w)
+                _render_and_exit(render, blocks, self.file.fileno())
         except BaseException:
             self.close()
             raise
-        finally:
-            os.close(report_w)
 
-    def append_to(self, fh) -> None:
-        """Wait for the child; raise its error, or append its bytes to fh."""
-        with open(self.report, "rb", closefd=False) as pipe:
-            error = pipe.read()
-        code = self._reap()
-        if error:
-            import pickle
-            raise pickle.loads(error)
-        if code != 0:
-            raise ChildProcessError(f"{fh.name}: the process rendering blocks {self.blocks.start}"
-                                    f"-{self.blocks.stop - 1} ended with exit code {code} "
-                                    f"and no error")
-        fh.flush()
-        self.file.seek(0)
-        chunk = memoryview(bytearray(_CHUNK))
-        while n := self.file.readinto(chunk):
-            fh.buffer.write(chunk[:n])
-
-    def _reap(self) -> int:
+    def append_to(self, fh, render: Callable[[int], list[str]]) -> None:
+        """Wait for the child and append its bytes to fh, `_CHUNK` at a time.
+        If it did not exit 0, whether it raised or was killed, render its
+        blocks here instead, which raises what one process would raise."""
         status = os.waitpid(self.pid, 0)[1]
         self.pid = None
-        return os.waitstatus_to_exitcode(status)
+        if os.waitstatus_to_exitcode(status) != 0:
+            _write_blocks(fh, render, self.blocks)
+            return
+        import shutil
+        fh.flush()
+        self.file.seek(0)
+        shutil.copyfileobj(self.file, fh.buffer, _CHUNK)
 
     def close(self) -> None:
-        """Kill the child if it has not been reaped, reap it, and close its
-        pipe and file."""
+        """Kill the child if it has not been reaped, reap it, and close its file."""
         if self.pid is not None:
             import signal
             os.kill(self.pid, signal.SIGKILL)
-            self._reap()
-        os.close(self.report)
+            os.waitpid(self.pid, 0)
+            self.pid = None
         self.file.close()
+        if self.collecting:
+            gc.enable()
 
 
-def _render_and_exit(render: Callable[[int], list[str]], blocks: range, fd: int,
-                     report: int) -> NoReturn:
-    """The child's whole life: write the blocks to fd, or their error to
-    report, and exit without running any of the parent's exit handlers or
+def _render_and_exit(render: Callable[[int], list[str]], blocks: range, fd: int) -> NoReturn:
+    """The child's whole life: write the blocks to fd and exit 0, or exit 1
+    if that raises, without running any of the parent's exit handlers or
     flushing any of its buffers."""
     code = 1
     try:
         with open(fd, "w", encoding="utf-8", closefd=False) as fh:
             _write_blocks(fh, render, blocks)
         code = 0
-    except BaseException as exc:
-        import pickle
-        try:
-            with open(report, "wb", closefd=False) as pipe:
-                pipe.write(pickle.dumps(exc))
-        except BaseException:
-            pass  # the parent reports a child that ended without an error
     finally:
         os._exit(code)
 
@@ -246,7 +257,8 @@ def write_events_jsonl(path: str, events: EventLog) -> None:
         i = j * _BLOCK
         return _event_block(times[i:i + _BLOCK], kinds[i:i + _BLOCK], values[i:i + _BLOCK], i)
 
-    _write_jsonl(path, EVENTS_FORMAT, render, -(-len(times) // _BLOCK))
+    n = len(times)
+    _write_jsonl(path, EVENTS_FORMAT, render, [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)])
 
 
 def _event_block(times: list, kinds: list, values: list, start: int) -> list[str]:
@@ -367,7 +379,8 @@ def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
         device_ref, observations, i = blocks[j]
         return _trace_block(device_ref, observations[i:i + _BLOCK])
 
-    _write_jsonl(path, TRACES_FORMAT, render, len(blocks))
+    _write_jsonl(path, TRACES_FORMAT, render,
+                 [min(_BLOCK, len(observations) - i) for _, observations, i in blocks])
 
 
 _NUMBER_TYPES = frozenset((int, float))

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import json
 import math
 import os
@@ -732,22 +733,24 @@ def _refusal(write, path, data) -> str:
     return str(info.value)
 
 
-@pytest.mark.skipif(not storage._may_fork(2), reason="the writers fork only where the "
-                    "platform forks and this process may run on two CPUs")
+@pytest.mark.skipif(not storage._may_fork(storage._FORK_ROWS), reason="the writers fork only "
+                    "where the platform forks and this process may run on two CPUs")
 class TestSplitWriters:
-    """A writer with two blocks or more renders the second half in a forked
-    child. Its bytes, its errors and its partial files are those of the writer
-    that renders every block in one process."""
+    """A writer of `_FORK_ROWS` rows or more renders the blocks from about
+    the middle row on in a forked child. Its bytes, its errors and its partial
+    files are those of the writer that renders every block in one process."""
 
     @pytest.fixture(autouse=True)
     def out(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         yield out
-        # every child was reaped, and none left a file behind
+        # every child was reaped, none left a file behind, and the garbage
+        # collector is back on
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert {p.name for p in out.iterdir()} <= {"split.jsonl", "serial.jsonl"}
+        assert gc.isenabled()
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -767,8 +770,8 @@ class TestSplitWriters:
             write(str(path), data)
 
     @pytest.mark.parametrize("write, data", [
-        (write_events_jsonl, _log(3 * B + 7)),
-        (write_traces_jsonl, _traces([B + 1, 5, 2 * B, 0, 3])),
+        (write_events_jsonl, _log(4 * B + 7)),
+        (write_traces_jsonl, _traces([B + 1, 5, 3 * B, 0, 3])),
     ], ids=["events", "traces"])
     def test_the_split_writes_the_serial_bytes(self, monkeypatch, out, forks, write, data):
         write(str(out / "split.jsonl"), data)
@@ -820,12 +823,14 @@ class TestSplitWriters:
         if isinstance(error, OSError):
             assert info.value.errno == errno.ENOSPC
 
-    @pytest.mark.parametrize("death, code", [
-        (lambda: os._exit(3), 3),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    @pytest.mark.parametrize("death", [
+        lambda: os._exit(3),
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
     ], ids=["exit", "killed"])
-    def test_a_child_that_ends_without_reporting_raises(self, monkeypatch, out, forks, death,
-                                                        code):
+    def test_the_blocks_of_a_child_that_dies_are_rendered_here(self, monkeypatch, out, forks,
+                                                               death):
+        data = _log(4 * B)
+        self._serial(monkeypatch, write_events_jsonl, out / "serial.jsonl", data)
         parent, render = os.getpid(), storage._event_block
 
         def dying(*args):
@@ -834,15 +839,29 @@ class TestSplitWriters:
             return render(*args)
 
         monkeypatch.setattr(storage, "_event_block", dying)
-        path = out / "split.jsonl"
-        with pytest.raises(ChildProcessError, match=re.escape(
-                f"{path}: the process rendering blocks 2-3 ended with exit code {code} "
-                f"and no error")):
-            write_events_jsonl(str(path), _log(4 * B))
-        assert not path.exists()
+        write_events_jsonl(str(out / "split.jsonl"), data)
+        assert forks == [1]
+        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
+
+    def test_the_child_takes_about_half_the_rows_of_uneven_blocks(self, monkeypatch, out):
+        # ten full blocks of one trace, then ten traces of 5: half the blocks
+        # would leave the child 50 of 10,290 rows
+        data = _traces([10 * B] + [5] * 10)
+        taken = []
+
+        class Recorded(storage._Child):
+            def __init__(self, path, render, blocks):
+                taken.append(sum(len(render(j)) for j in blocks))
+                super().__init__(path, render, blocks)
+
+        monkeypatch.setattr(storage, "_Child", Recorded)
+        write_traces_jsonl(str(out / "split.jsonl"), data)
+        assert taken == [5 * B + 50]
+        self._serial(monkeypatch, write_traces_jsonl, out / "serial.jsonl", data)
+        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
 
     def test_a_fork_that_fails_leaves_the_writer_in_one_process(self, monkeypatch, out):
-        data = _log(3 * B + 7)
+        data = _log(4 * B + 7)
         write_events_jsonl(str(out / "split.jsonl"), data)
 
         def refused():
@@ -855,10 +874,10 @@ class TestSplitWriters:
     def _no_fork(self):
         raise AssertionError("the writer forked")
 
-    @pytest.mark.parametrize("case", ["no fork", "one CPU", "second thread"])
+    @pytest.mark.parametrize("case", ["no fork", "one CPU", "pool worker", "second thread"])
     @pytest.mark.parametrize("write, data", [
-        (write_events_jsonl, _log(3 * B + 7)),
-        (write_traces_jsonl, _traces([B + 1, 5, 2 * B, 0, 3])),
+        (write_events_jsonl, _log(4 * B + 7)),
+        (write_traces_jsonl, _traces([B + 1, 5, 3 * B, 0, 3])),
     ], ids=["events", "traces"])
     def test_the_writer_stays_in_one_process_unless_a_fork_can_pay(self, monkeypatch, out,
                                                                    case, write, data):
@@ -872,6 +891,9 @@ class TestSplitWriters:
                 cpus = os.sched_getaffinity(0)
                 os.sched_setaffinity(0, {min(cpus)})
                 stack.callback(os.sched_setaffinity, 0, cpus)
+            elif case == "pool worker":
+                import multiprocessing
+                monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
             elif case == "second thread":
                 done = threading.Event()
                 thread = threading.Thread(target=done.wait)
@@ -880,6 +902,14 @@ class TestSplitWriters:
                 stack.callback(done.set)
             write(str(out / "serial.jsonl"), data)
         assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("write, data", [
+        (write_events_jsonl, _log(storage._FORK_ROWS - 1)),
+        (write_traces_jsonl, _traces([B, B, B, storage._FORK_ROWS - 3 * B - 1])),
+    ], ids=["events", "traces"])
+    def test_a_file_below_the_floor_stays_in_one_process(self, monkeypatch, out, write, data):
+        monkeypatch.setattr(os, "fork", self._no_fork)
+        write(str(out / "serial.jsonl"), data)
 
 
 class TestMetricsCsv:
