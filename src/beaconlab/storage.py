@@ -39,16 +39,17 @@ bytes after its own, `_CHUNK` bytes at a time, so the bytes are those of one
 process rendering every block. A child that does not exit 0, because it
 raised or was killed, leaves its blocks to this process, which renders them
 after its own and so raises what one process would raise, in the same
-order. The garbage collector is off until the child is reaped. Anywhere
-else, and where the fork itself fails, one process renders every block.
+order. Anywhere else, and where the fork itself fails, one process renders
+every block. The child has ended and been reaped when a writer returns or
+raises, and a writer that raises, whatever it raises, leaves no file.
 
 Each process renders one block at a time, but the child's memory is not
 one block: reading an object writes its reference count, so every page
 holding a row of the child's half is copied. The child's private pages grow
 with the log: 6.7 MB while rendering the second half of the seed-1 campus
-event log (16,148 events), and 17.7 MB on a log four times as long. The
-child has ended and been reaped when a writer returns or raises, and a
-writer that raises, whatever it raises, leaves no file.
+event log (16,148 events), and 17.7 MB on a log four times as long.
+Rendering makes no reference cycles, so the garbage collector is off while a
+writer runs, in either process.
 
 Readers take a file one line at a time through `_body_lines`, so no reader
 holds the file's text. A line ends only at a newline: text mode has already
@@ -123,7 +124,8 @@ _CHUNK = 1 << 16
 # second process saves: on a 2-vCPU Xeon VM, in a fresh process, the first
 # 3,072 events of the seed-1 campus log wrote in a median 6.3 ms split against
 # 6.0-6.4 ms in one process, and the first 3,584 in 5.4-5.5 ms against
-# 6.9-7.3 ms.
+# 6.9-7.3 ms. One-shot `simulate` runs of a 10 s campus (4,158 events and
+# 2,694 observations) took the same time split or not.
 _FORK_ROWS = 3584
 
 
@@ -136,7 +138,12 @@ def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
     blocks = len(rows)
     split = _halfway(rows) if blocks > 1 and _may_fork(sum(rows)) else blocks
     child = None
+    collecting = gc.isenabled()
     fh = open(path, "w", encoding="utf-8")
+    # Rendering makes no reference cycles, so a collection finds nothing to
+    # free; and while a child lives, it would write to, and so copy, every
+    # page holding a tracked object.
+    gc.disable()
     try:
         with fh:
             if split < blocks:
@@ -154,6 +161,8 @@ def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
     finally:
         if child is not None:
             child.close()
+        if collecting:
+            gc.enable()
 
 
 def _write_blocks(fh, render: Callable[[int], list[str]], blocks: range) -> None:
@@ -196,11 +205,7 @@ class _Child:
         import tempfile
         self.blocks, self.pid = blocks, None
         self.file = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-        self.collecting = gc.isenabled()
         try:
-            # until the child is reaped: a collection here would write to, and
-            # so copy, every page holding a tracked object, shared or not
-            gc.disable()
             self.pid = os.fork()
             if self.pid == 0:
                 _render_and_exit(render, blocks, self.file.fileno())
@@ -230,8 +235,6 @@ class _Child:
             os.waitpid(self.pid, 0)
             self.pid = None
         self.file.close()
-        if self.collecting:
-            gc.enable()
 
 
 def _render_and_exit(render: Callable[[int], list[str]], blocks: range, fd: int) -> NoReturn:

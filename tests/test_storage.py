@@ -860,6 +860,15 @@ class TestSplitWriters:
         self._serial(monkeypatch, write_traces_jsonl, out / "serial.jsonl", data)
         assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("rows", [4 * B, 2 * B], ids=["split", "one process"])
+    def test_a_writer_leaves_a_stopped_collector_stopped(self, out, rows):
+        gc.disable()
+        try:
+            write_events_jsonl(str(out / "split.jsonl"), _log(rows))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_a_fork_that_fails_leaves_the_writer_in_one_process(self, monkeypatch, out):
         data = _log(4 * B + 7)
         write_events_jsonl(str(out / "split.jsonl"), data)
