@@ -47,7 +47,7 @@ Each process renders one block at a time, but the child's memory is not
 one block: reading an object writes its reference count, so every page
 holding a row of the child's half is copied. The child's private pages grow
 with the log: 6.7 MB while rendering the second half of the seed-1 campus
-event log (16,148 events), and 17.7 MB on a log four times as long.
+event log (16,148 events), and 17.5 MB on a log four times as long.
 Rendering makes no reference cycles, so the garbage collector is off while a
 writer runs, in either process.
 
@@ -122,10 +122,10 @@ _CHUNK = 1 << 16
 # Rows a file needs before a child renders half of them. Below it the fork,
 # the temporary file and a first write's `import tempfile` cost about what the
 # second process saves: on a 2-vCPU Xeon VM, in a fresh process, the first
-# 3,072 events of the seed-1 campus log wrote in a median 6.3 ms split against
-# 6.0-6.4 ms in one process, and the first 3,584 in 5.4-5.5 ms against
-# 6.9-7.3 ms. One-shot `simulate` runs of a 10 s campus (4,158 events and
-# 2,694 observations) took the same time split or not.
+# 3,072 events of the seed-1 campus log wrote in a median 6.3-6.5 ms split
+# against 5.9-6.1 ms in one process, and the first 3,584 in 5.4-5.7 ms
+# against 6.8-7.0 ms. One-shot `simulate` runs of a 10 s campus (4,158 events
+# and 2,694 observations) took about the same time split or not.
 _FORK_ROWS = 3584
 
 
