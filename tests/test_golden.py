@@ -118,6 +118,8 @@ def _corridor_doc(attacks: list[dict]) -> dict:
 SCENARIOS = {
     "ac2-static-600s": lambda: _shortened(_replay_doc(rotating=False, seed=7), 600.0),
     "ac2-rotating-600s": lambda: _shortened(_replay_doc(rotating=True, seed=3), 600.0),
+    "ac2-rotating-600s-tv-off": lambda: {
+        **_shortened(_replay_doc(rotating=True, seed=3), 600.0), "defences": []},
     "ac3-rotating": lambda: _silencing_doc(True, 1, 1800.0),
     "ac5-guarded": lambda: _guarded_doc(True),
     "walking": _walking_doc,
@@ -142,6 +144,14 @@ GOLDEN = {
         "events.jsonl": "715e6b71f9ee8564a4a1b2ade4851621d28025419a4ac6bc8f8819012cbf3e2a",
         "traces.jsonl": "c836cf86cdb50cc8e75f6533616f7302a4d32b1cd4bab369b5b528a0ad1db286",
         "metrics.csv": "569eece5c827ce1eca9780d17e148a8b8ebce7effeefff005c106d8203b1ecb8",
+    },
+    # Without TV the ID the lunch-time replayer harvested keeps resolving
+    # after its window has passed, so the stale replay is accepted: events and
+    # metrics differ from the TV-on case, and the metrics equal the static run's.
+    "ac2-rotating-600s-tv-off": {
+        "events.jsonl": "2d57afe9ccb757c88d24836d711f4ac37cbd82982f1de48cd3b14da57a05d78a",
+        "traces.jsonl": "c836cf86cdb50cc8e75f6533616f7302a4d32b1cd4bab369b5b528a0ad1db286",
+        "metrics.csv": "7cfbd62321dd3cb1b972e4c3dcf154916dd82fb4a111bf31167dc05eaae7165c",
     },
     "ac3-rotating": {
         "events.jsonl": "3b3b846ee294a2360be4f78cb3607a71c1d95cbb9f1c5fa9c83638c0d4d6ca39",
