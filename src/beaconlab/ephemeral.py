@@ -3,12 +3,12 @@
 A beacon with a key derives its broadcast ID for slot s as a keyed PRF of the
 slot index, truncated to the deployment id width. A run keeps one
 `IdSchedule`, which derives each (key, slot) ID once and indexes every owner
-ID back to its beacon and slot. The resolver keeps a Bloom filter holding
-every owned key's IDs for the slots inside the acceptance window; a frame
-passes the cheap filter gate first, then a lookup in the schedule's reverse
-index pins it to one beacon. The filter alone can lie (that is its nature),
-the second stage cannot, so end-to-end false acceptance is zero and the
-filter's false positives only cost wasted exact checks.
+ID it derives back to its beacon and slot. The resolver keeps a Bloom filter
+holding every owned key's IDs for the slots inside the acceptance window; a
+frame passes the cheap filter gate first, then a lookup in the schedule's
+reverse index pins it to one beacon. The filter alone can lie (that is its
+nature), the second stage cannot, so end-to-end false acceptance is zero and
+the filter's false positives only cost wasted exact checks.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .model import DEFAULT_ID_WIDTH, MIN_KEY_BYTES, BeaconId, _check_id_width
 MAX_BUILD_FP = 0.10
 DEFAULT_FP_TARGET = 0.01  # Bloom false-positive rate a filter is sized for
 # The most IDs one acceptance window may hold: owner keys x (2 * window_slots
-# + 1), or with TV off owner keys x every slot of the run. A filter build
-# derives and keeps every one, at about 10 us and 450 bytes each, so the
-# largest allowed build takes about 1.5 s and 45 MB on a 2-vCPU Xeon VM.
+# + 1). A filter build derives and keeps every one, at about 10 us and 450
+# bytes each, so the largest allowed build takes about 1.5 s and 45 MB on a
+# 2-vCPU Xeon VM.
 MAX_WINDOW_IDS = 100_000
 
 _FILTER_MAGIC = b"BLF1"
@@ -72,9 +72,9 @@ class IdSchedule:
 
     The forward table maps (key, slot) to the ID and its hex, for owner keys
     and personal tag keys alike. The reverse index maps an owner ID to its
-    (key order, ref, slot) entries; it never holds a tag's ID. It is filled a
-    slot at a time, when a lookup first needs that slot. Owner keys and a
-    window that make more than MAX_WINDOW_IDS IDs per window raise InvalidInput.
+    (key order, ref, slot) entries, each added when that ID is first derived;
+    it never holds a tag's ID. Owner keys and a window that make more than
+    MAX_WINDOW_IDS IDs per window raise InvalidInput.
     """
 
     def __init__(self, owner_keys: Mapping[str, bytes], params: EphemeralParams):
@@ -85,6 +85,9 @@ class IdSchedule:
                                f"{n_ids:,} IDs per window; the limit is {MAX_WINDOW_IDS:,}")
         self.owner_keys = dict(owner_keys)
         self.params = params
+        self._first_owner: dict[bytes, tuple[int, str]] = {}  # key -> its first (order, ref)
+        for order, (ref, key) in enumerate(self.owner_keys.items()):
+            self._first_owner.setdefault(key, (order, ref))
         self._ids: dict[tuple[bytes, int], tuple[BeaconId, str]] = {}
         self._owners: dict[bytes, list[tuple[int, str, int]]] = {}
         self._indexed: set[int] = set()
@@ -98,18 +101,24 @@ class IdSchedule:
         if pair is None:
             bid = ephemeral_id(key, slot, self.params.id_width)
             pair = self._ids[key, slot] = (bid, bid.hex())
+            owner = self._first_owner.get(key)
+            if owner is not None:
+                self._owners.setdefault(bid.data, []).append((*owner, slot))
         return pair
 
-    def owner(self, beacon_id: BeaconId, slots: range) -> Optional[str]:
-        """The first owner ref, in key order, whose ID in one of slots is beacon_id."""
-        for slot in slots:
+    def owner(self, beacon_id: BeaconId, slots: Optional[range] = None) -> Optional[str]:
+        """The first owner ref, in key order, whose ID is beacon_id.
+
+        Given slots, only IDs of those slots count, and every owner key's ID of
+        each is derived first. Without, every owner ID derived so far counts.
+        """
+        for slot in slots or ():
             if slot not in self._indexed:
                 self._indexed.add(slot)
-                for order, (ref, key) in enumerate(self.owner_keys.items()):
-                    entry = (order, ref, slot)
-                    self._owners.setdefault(self.id_at(key, slot).data, []).append(entry)
-        best = min((entry for entry in self._owners.get(beacon_id.data, ()) if entry[2] in slots),
-                   default=None)
+                for key in self.owner_keys.values():
+                    self.id_at(key, slot)
+        entries = self._owners.get(beacon_id.data, ())
+        best = min((e for e in entries if slots is None or e[2] in slots), default=None)
         return None if best is None else best[1]
 
 
@@ -267,19 +276,19 @@ def read_filter_file(path: str) -> tuple[BloomFilter, int, EphemeralParams]:
 class RotatingResolver:
     """Owner-side lookup for the event loop and `detect`: static IDs first, then the schedule.
 
-    Windowed (the TV defence), an owner ID resolves only inside the acceptance
+    With tv (the TV defence), an owner ID resolves only inside the acceptance
     window of the current slot, through that slot's Bloom filter and the
-    schedule's exact lookup. Given max_slot (TV off), an owner ID of any slot
-    the run can produce resolves, replayed IDs never expire and no filter is
-    built; owner keys x those slots above MAX_WINDOW_IDS raise InvalidInput
-    before any ID is derived. Verdicts are memoized per (id, slot).
+    schedule's exact lookup; verdicts are memoized per (id, slot). Without, an
+    owner ID resolves once the schedule has derived it, which in a run means
+    once it was broadcast: replayed IDs never expire and no filter is built.
+    Those verdicts are not memoized, since a later broadcast can change them.
     """
 
     def __init__(
         self,
         static_ids: Mapping[BeaconId, str],
         schedule: IdSchedule,
-        max_slot: int | None = None,
+        tv: bool = True,
         m_bits: int | None = None,
         k_hashes: int | None = None,
         fp_target: float = DEFAULT_FP_TARGET,
@@ -288,16 +297,7 @@ class RotatingResolver:
         self._static = {beacon_id.data: ref for beacon_id, ref in static_ids.items()}
         self._schedule = schedule
         self._params = schedule.params
-        w = self._params.window_slots
-        self._any_slot = None if max_slot is None else range(-w, max_slot + w + 1)
-        if self._any_slot is not None:
-            n_keys, n_slots = len(schedule.owner_keys), len(self._any_slot)
-            if n_keys * n_slots > MAX_WINDOW_IDS:
-                slot_s = self._params.slot_duration_s
-                raise InvalidInput(
-                    f"without TV, {n_keys} owner key(s) x {n_slots:,} slots of {slot_s!r} s "
-                    f"(up to {max_slot * slot_s:.6g} s) make {n_keys * n_slots:,} IDs; "
-                    f"the limit is {MAX_WINDOW_IDS:,}")
+        self._tv = tv
         self._m = m_bits
         self._k = k_hashes
         self._fp = fp_target
@@ -317,13 +317,12 @@ class RotatingResolver:
         ref = self._static.get(beacon_id.data)
         if ref is not None or not self._schedule.owner_keys:
             return ref
+        if not self._tv:
+            return self._schedule.owner(beacon_id)
         slot = self._params.slot_of(t)
         key = (beacon_id.data, slot)
         verdict = self._verdicts.get(key, _UNSEEN)
         if verdict is _UNSEEN:
-            if self._any_slot is None:
-                verdict = verify_and_resolve(self.filter_for(slot), self._schedule, beacon_id, slot)
-            else:
-                verdict = self._schedule.owner(beacon_id, self._any_slot)
+            verdict = verify_and_resolve(self.filter_for(slot), self._schedule, beacon_id, slot)
             self._verdicts[key] = verdict
         return verdict

@@ -241,8 +241,7 @@ def run(scenario: Scenario) -> RunResult:
     the log's columns itself, not through `EventLog.append`, and one pass after
     it checks them (see `_check_rows`): a row whose kind is unknown or whose
     values do not match that kind's fields raises InvalidInput naming the kind.
-    With TV off, RotatingResolver raises InvalidInput before the loop when the
-    run's slots would derive more than MAX_WINDOW_IDS owner IDs.
+    With TV off, an owner ID resolves once the run has broadcast it.
     """
     scenario = install_pending(scenario)
     reference = scenario.reference
@@ -255,7 +254,7 @@ def run(scenario: Scenario) -> RunResult:
     resolver = RotatingResolver(
         reference.static_ids(),
         schedule,
-        max_slot=None if "TV" in scenario.defences else eph.slot_of(duration) + 1,
+        tv="TV" in scenario.defences,
         m_bits=scenario.bloom_m,
         k_hashes=scenario.bloom_k,
         fp_target=scenario.bloom_fp_target,

@@ -18,7 +18,6 @@ from beaconlab import (
     verify_and_resolve,
     write_filter_file,
 )
-from beaconlab import ephemeral
 from beaconlab.ephemeral import MAX_WINDOW_IDS, RotatingResolver, bloom_size_for
 from conftest import KEY1, KEY2
 
@@ -207,27 +206,31 @@ class TestResolvers:
         assert resolver.resolve(stale, 200.0) is None  # slot 3, window 2
         assert resolver.resolve(stale, 200.0) is None  # cached verdict path
 
-    def test_any_slot_accepts_everything_in_range(self):
-        static = {BeaconId(b"\x01" * 20): "s1"}
-        resolver = RotatingResolver(static, IdSchedule(KEYS, PARAMS), max_slot=10)
-        assert resolver.resolve(ephemeral_id(K1, 0), 500.0) == "b1"
+    def test_without_tv_every_derived_owner_id_resolves(self):
+        static = {BeaconId(b"\x01" * 20): "s1", ephemeral_id(K1, 5): "s2"}
+        schedule = IdSchedule(KEYS, PARAMS)
+        resolver = RotatingResolver(static, schedule, tv=False)
+        for key, slot in ((K1, 0), (K2, 9), (K1, 5)):
+            schedule.id_at(key, slot)
+        assert resolver.resolve(ephemeral_id(K1, 0), 500.0) == "b1"  # slot 8, outside the window
         assert resolver.resolve(ephemeral_id(K2, 9), 0.0) == "b2"
-        assert resolver.resolve(ephemeral_id(K2, 13), 0.0) is None  # past max_slot + w
+        assert resolver.resolve(ephemeral_id(K2, 0), 0.0) is None  # never derived
+        assert resolver.resolve(ephemeral_id(K1, 5), 300.0) == "s2"  # the static table first
         assert resolver.resolve(BeaconId(b"\x01" * 20), 0.0) == "s1"
         assert resolver.resolve(BeaconId(b"\x00" * 20), 0.0) is None
         assert resolver.filters_built == 0
 
-    def test_without_tv_the_run_s_slots_bound_the_ids(self, monkeypatch):
-        # 2 keys x (max_slot + 2 * 2 + 1) slots: 100,000 IDs at max_slot 49,995
-        def derive(*_):
-            raise AssertionError("an ID was derived")
-
-        monkeypatch.setattr(ephemeral, "ephemeral_id", derive)
-        RotatingResolver({}, IdSchedule(KEYS, PARAMS), max_slot=49_995)
-        with pytest.raises(InvalidInput, match=r"^without TV, 2 owner key\(s\) x 50,001 slots "
-                                               r"of 60\.0 s \(up to 2\.99976e\+06 s\) make "
-                                               r"100,002 IDs; the limit is 100,000$"):
-            RotatingResolver({}, IdSchedule(KEYS, PARAMS), max_slot=49_996)
+    def test_without_tv_a_miss_is_not_memoized(self):
+        # at one byte a tag's ID collides with an owner ID of some slot; it
+        # resolves to that owner once the owner's ID of that slot is derived
+        params = EphemeralParams(id_width=1)
+        schedule = IdSchedule(KEYS, params)
+        resolver = RotatingResolver({}, schedule, tv=False)
+        tag_id = schedule.id_at(bytes(range(16)), 0)
+        slot = next(s for s in range(1000) if ephemeral_id(K1, s, 1) == tag_id)
+        assert resolver.resolve(tag_id, 0.0) is None
+        schedule.id_at(K1, slot)
+        assert resolver.resolve(tag_id, 0.0) == "b1"
 
     @pytest.mark.parametrize("keys", [KEYS, {"b2": K2, "b1": K1}])
     def test_truncated_collision_resolves_to_the_first_key(self, keys):
@@ -237,6 +240,8 @@ class TestResolvers:
         first = next(iter(keys))
         t = (s1 + s2) // 2 * params.slot_duration_s  # both slots inside this window
         windowed = RotatingResolver({}, IdSchedule(keys, params))
-        any_slot = RotatingResolver({}, IdSchedule(keys, params), max_slot=max(s1, s2))
+        schedule = IdSchedule(keys, params)
+        schedule.id_at(K2, s2), schedule.id_at(K1, s1)
+        without_tv = RotatingResolver({}, schedule, tv=False)
         assert windowed.resolve(shared, t) == first
-        assert any_slot.resolve(shared, t) == first
+        assert without_tv.resolve(shared, t) == first

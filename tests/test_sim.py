@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from beaconlab import (
+    EphemeralParams,
     InvalidInput,
     ValidationError,
     attack_metrics,
@@ -22,6 +23,7 @@ from beaconlab.cli import main
 from beaconlab import radio
 from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, Event, EventLog, event_line
 from beaconlab import sim
+from beaconlab.storage import read_events_jsonl
 from beaconlab.sim import (
     MAX_EVENTS,
     OUTCOME_BUDGET,
@@ -501,35 +503,44 @@ class TestLoopRows:
             run(load_scenario(doc()))
 
 
-class TestTvOffIdBound:
-    """With TV off every owner key's ID of every slot of the run can resolve,
-    so owner keys x slots are bounded by MAX_WINDOW_IDS before any ID is
-    derived: three rotating beacons at 1 ms slots for 60 s would derive
-    180,018. The run is never made, since deriving an ID fails the test."""
+class TestTvOffDerivation:
+    """With TV off an owner ID resolves once the run has broadcast it, so a run
+    derives only the (beacon, slot) IDs its frames used: three rotating beacons
+    at 1 ms slots for 60 s derive 180, not one per key for each of 60,000 slots."""
 
     @pytest.fixture
-    def repro(self, monkeypatch):
-        def derive(*_):
-            raise AssertionError("an ID was derived")
+    def derived(self, monkeypatch):
+        calls = []
+        original = ephemeral.ephemeral_id
 
-        monkeypatch.setattr(ephemeral, "ephemeral_id", derive)
-        keys = ("11" * 16, "22" * 16, "33" * 16)
-        return doc(beacons=[ephemeral_beacon(f"b{i}", 10.0 * i, key)
-                            for i, key in enumerate(keys)],
-                   content=[{"ref": f"b{i}", "locator": f"app://{i}"} for i in range(3)],
-                   defences=[], duration_s=60.0, ephemeral={"slot_duration_s": 0.001})
+        def counting(key, slot, id_width):
+            calls.append((key, slot))
+            return original(key, slot, id_width)
 
-    MESSAGE = ("without TV, 3 owner key(s) x 60,006 slots of 0.001 s (up to 60.001 s) make "
-               "180,018 IDs; the limit is 100,000")
+        monkeypatch.setattr(ephemeral, "ephemeral_id", counting)
+        return calls
 
-    def test_the_run_is_refused(self, repro):
-        with pytest.raises(InvalidInput) as refused:
-            run(load_scenario(repro))
-        assert str(refused.value) == self.MESSAGE
+    REPRO = doc(beacons=[ephemeral_beacon(f"b{i}", 10.0 * i, key)
+                         for i, key in enumerate(("11" * 16, "22" * 16, "33" * 16))],
+                content=[{"ref": f"b{i}", "locator": f"app://{i}"} for i in range(3)],
+                defences=[], duration_s=60.0, ephemeral={"slot_duration_s": 0.001})
 
-    def test_simulate_refuses_it_with_exit_1(self, repro, tmp_path, capsys):
+    @classmethod
+    def broadcast_slots(cls, events) -> set:
+        """The distinct (beacon, slot) pairs of the rotating beacons' broadcasts."""
+        slot_of = EphemeralParams(**cls.REPRO["ephemeral"]).slot_of
+        beacons = {b["ref"] for b in cls.REPRO["beacons"]}
+        return {(e.values[1], slot_of(e.time)) for e in events
+                if e.kind == BROADCAST and e.values[1] in beacons}
+
+    def test_run_derives_the_broadcast_ids_only(self, derived):
+        result = run(load_scenario(self.REPRO))
+        assert len(result.events) == 380
+        assert len(derived) == len(self.broadcast_slots(result.events)) == 180
+
+    def test_simulate_derives_the_broadcast_ids_only(self, derived, tmp_path):
         manifest = tmp_path / "m.yaml"
-        manifest.write_text(yaml.safe_dump(repro))
-        assert main(["simulate", str(manifest), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
-        assert not (tmp_path / "out").exists()
+        manifest.write_text(yaml.safe_dump(self.REPRO))
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "out")]) == 0
+        events = read_events_jsonl(str(tmp_path / "out" / "events.jsonl"))
+        assert len(derived) == len(self.broadcast_slots(events)) == 180
