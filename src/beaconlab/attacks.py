@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .errors import CapabilityError, InvalidInput, SchemaError, UnknownRef
-from .model import BeaconId, EphemeralId, StaticId
+from .model import BeaconId, StaticId
 from .model import _beacon_id, _check_tx_power, _integer, _list, _number, _position, _positions
 from .model import _text
-from .radio import OUTCOME_DEBOUNCED, OUTCOME_DELIVERED
+from .radio import BROADCAST, OUTCOME_DEBOUNCED, OUTCOME_DELIVERED
 from .threatmatrix import default_matrix
 
 if TYPE_CHECKING:
@@ -413,26 +413,6 @@ def _merge_intervals(times: list[float], gap: float) -> list[tuple[float, float]
     return [(a, b) for a, b in merged]
 
 
-def _beacon_id_db(result: "RunResult", profile: AttackProfile) -> dict[bytes, str]:
-    """The adversary's ID-to-beacon knowledge for profiling-style attacks."""
-    reference = result.scenario.reference
-    eph = result.scenario.ephemeral
-    if profile.sniff_mode == PERVASIVE:
-        end = result.duration
-    else:  # no frame is sent after the run ends, however long the window
-        end = max(min(harvest_window(profile, eph), result.duration) - 1e-9, 0.0)
-    slots = range(0, eph.slot_of(end) + 1)
-    table: dict[bytes, str] = {}
-    for beacon in reference.beacons:
-        if isinstance(beacon.id_mode, StaticId):
-            table[beacon.id_mode.id.data] = beacon.ref
-        elif isinstance(beacon.id_mode, EphemeralId):
-            key = reference.owner_keys[beacon.ref]
-            for slot in slots:
-                table[result.schedule.id_at(key, slot).data] = beacon.ref
-    return table
-
-
 def attack_metrics(result: "RunResult", profile_index: int) -> dict:
     """Kind-specific effect metrics for one installed profile."""
     profile = result.scenario.attacks[profile_index]
@@ -444,13 +424,17 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
     if kind == "A1":
         # every ID the profile's sniffers learned, from whichever emitter
         learned = {raw for ids in result.knowledge.get(profile_index, {}).values() for raw in ids}
+        # a beacon is covered once the sniffers learned any ID it broadcast
+        learned_hex = {raw.hex() for raw in learned}
+        log = result.events
+        sent_learned = {values[1] for row_kind, values in zip(log.kinds, log.values)
+                        if row_kind == BROADCAST and values[3] in learned_hex}
         covered = 0
         live = 0
         eph = result.scenario.ephemeral
         live_slots = eph.window(eph.slot_of(result.duration))
         for beacon in reference.beacons:
-            if not learned.isdisjoint(result.broadcast_ids.get(beacon.ref, ())):
-                covered += 1
+            covered += beacon.ref in sent_learned
             if isinstance(beacon.id_mode, StaticId):
                 if beacon.id_mode.id.data in learned:
                     live += 1
@@ -521,11 +505,19 @@ def attack_metrics(result: "RunResult", profile_index: int) -> dict:
 
     elif kind == "A6":
         target = devices[profile.params["target_device"]]
-        table = _beacon_id_db(result, profile)
+        eph = result.scenario.ephemeral
+        if profile.sniff_mode == PERVASIVE:
+            end = result.duration
+        else:  # no frame is sent after the run ends, however long the window
+            end = max(min(harvest_window(profile, eph), result.duration) - 1e-9, 0.0)
+        # the resolver's rule over what the adversary sniffed: a static ID
+        # first, then an owner ID the run derived in a slot up to the end
+        static = {bid.data: ref for bid, ref in reference.static_ids().items()}
+        slots = range(0, eph.slot_of(end) + 1)
         uploads = result.upload_logs.get(profile_index, [])
         hits = 0
         for t, raw in uploads:
-            ref = table.get(raw)
+            ref = static.get(raw) or result.schedule.owner(BeaconId(raw), slots)
             if ref is None:
                 continue
             pos = target.position_at(t)

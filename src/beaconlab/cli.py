@@ -304,6 +304,9 @@ def cmd_ephemeral_verify(args) -> int:
     beacon_id = BeaconId.from_hex(args.id_hex)
     params = replace(params, id_width=len(beacon_id))
     schedule = IdSchedule(_load_keys_file(args.keys), params)
+    for key in schedule.owner_keys.values():  # the window the exact lookup reads
+        for s in params.window(slot):
+            schedule.id_at(key, s)
     ref = verify_and_resolve(filt, schedule, beacon_id, slot)
     if ref is None:
         print("rejected")

@@ -90,7 +90,6 @@ class IdSchedule:
             self._first_owner.setdefault(key, (order, ref))
         self._ids: dict[tuple[bytes, int], tuple[BeaconId, str]] = {}
         self._owners: dict[bytes, list[tuple[int, str, int]]] = {}
-        self._indexed: set[int] = set()
 
     def id_at(self, key: bytes, slot: int) -> BeaconId:
         return self.id_and_hex(key, slot)[0]
@@ -107,16 +106,8 @@ class IdSchedule:
         return pair
 
     def owner(self, beacon_id: BeaconId, slots: Optional[range] = None) -> Optional[str]:
-        """The first owner ref, in key order, whose ID is beacon_id.
-
-        Given slots, only IDs of those slots count, and every owner key's ID of
-        each is derived first. Without, every owner ID derived so far counts.
-        """
-        for slot in slots or ():
-            if slot not in self._indexed:
-                self._indexed.add(slot)
-                for key in self.owner_keys.values():
-                    self.id_at(key, slot)
+        """The first owner ref, in key order, of the owner IDs derived so far
+        that equal beacon_id; given slots, only IDs of those slots count."""
         entries = self._owners.get(beacon_id.data, ())
         best = min((e for e in entries if slots is None or e[2] in slots), default=None)
         return None if best is None else best[1]
@@ -227,6 +218,7 @@ def verify_and_resolve(
 
     Returns the owning beacon ref, or None for a rejected frame. A filter hit
     that no key reproduces is a Bloom false positive and is still rejected.
+    The schedule must hold the window's IDs, as `build_filter` leaves it.
     """
     if not bloom_contains(filt, beacon_id.data):
         return None

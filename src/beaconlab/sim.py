@@ -77,7 +77,6 @@ class RunResult:
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = field(default_factory=dict)
     upload_logs: dict[int, list[tuple[float, bytes]]] = field(default_factory=dict)
     detections: dict[int, list[tuple[float, str, float]]] = field(default_factory=dict)
-    broadcast_ids: dict[str, set[bytes]] = field(default_factory=dict)
 
     def summary(self) -> dict:
         rate, n_deliveries = delivery_correctness(self)
@@ -111,7 +110,6 @@ class _Emitter:
     # sink), one per receiver that can hear it; see `run`
     links: list = field(default_factory=list)
     receptions: int | float = 0  # at most how many Receive events its links log
-    sent_ids: Optional[set] = None  # its set in RunResult.broadcast_ids, from its first frame
 
 
 @dataclass
@@ -303,7 +301,6 @@ def run(scenario: Scenario) -> RunResult:
     detections: dict[int, list[tuple[float, str, float]]] = {
         i: [] for i, profile in enumerate(profiles) if profile.kind == "A7"
     }
-    broadcast_ids: dict[str, set[bytes]] = {}
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = {}
     # one frozenset per distinct set of true emitters, shared by the window
     # records that heard it: a 1,800 s replay run has 6 in 12,000 windows
@@ -420,10 +417,6 @@ def run(scenario: Scenario) -> RunResult:
         time_append(t)
         kind_append(BROADCAST)
         values_append((claimed, em_ref, n, id_hex))
-        sent = em.sent_ids
-        if sent is None:
-            sent = em.sent_ids = broadcast_ids.setdefault(em_ref, set())
-        sent.add(bid.data)
 
         jammed = False
         if em_ref == protected_tag and em.family == "tag":
@@ -596,5 +589,4 @@ def run(scenario: Scenario) -> RunResult:
         knowledge=knowledge,
         upload_logs=upload_logs,
         detections=detections,
-        broadcast_ids=broadcast_ids,
     )

@@ -95,7 +95,8 @@ class TestSniffedIds:
 
 
 def test_a6_window_past_the_run_end_changes_nothing():
-    # the ID table once covered every slot of the window, here about 10^10 of them
+    # A6 looks an upload up among the slots up to the harvest's end, here
+    # about 10^10 of them, and only the IDs the run derived can match
     base = rotating_doc({})
     base["devices"][0]["apps"] = [{"ref": "spy", "authorized": True, "malicious": True}]
     metrics = [
@@ -105,6 +106,27 @@ def test_a6_window_past_the_run_end_changes_nothing():
         for w in (300.0, 1e12)
     ]
     assert metrics[0] == metrics[1] and metrics[0]["localization_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("rotating", [False, True], ids=["static", "rotating"])
+def test_a1_covers_a_beacon_heard_only_through_its_replayer(rotating):
+    # the A1 sniffers stand 100 m from b1, out of its reach, beside the A2
+    # fake replaying it: an ID counts for b1 because b1 broadcast it, whoever
+    # the sniffers heard it from. A1 harvests slot 0 only, so a rotating b1's
+    # ID is stale by the run's last window.
+    base = rotating_doc({"attacker_positions": [[100.0, 1.0]]})
+    if not rotating:
+        base.update(beacons=[static_beacon("b1", 0, AA)],
+                    content=[{"id_hex": AA, "locator": "app://one"}])
+    result = run(load_scenario({
+        **base,
+        "attacks": [{"kind": "A2", "sniff_mode": "pervasive", "source_beacon": "b1",
+                     "fake_position": [100.0, 0.0]}, *base["attacks"]],
+    }))
+    assert set(result.knowledge[1]) == {"atk0.fake"}
+    metrics = attack_metrics(result, 1)
+    assert metrics["coverage"] == 1.0
+    assert metrics["live_coverage"] == (0.0 if rotating else 1.0)
 
 
 class TestParams:

@@ -495,7 +495,7 @@ class TestCalibrationProcess:
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("case", ["simulate", "generate", "build", "detect"])
+@pytest.mark.parametrize("case", ["simulate", "generate", "build", "verify", "detect"])
 def test_a_slot_outside_signed_64_bit_is_an_input_error(tmp_path, capsys, case):
     # slots pack as signed 64-bit: a tiny slot length, a huge --slot, a
     # filter window running past 2**63 - 1 and a huge trace time all reach one
@@ -508,12 +508,17 @@ def test_a_slot_outside_signed_64_bit_is_an_input_error(tmp_path, capsys, case):
     deployment.write_text(yaml.safe_dump(doc))
     keys = tmp_path / "keys.yaml"
     keys.write_text(yaml.safe_dump({"b1": KEY1}))
+    filter_path = str(tmp_path / "slot0.blf")
+    assert main(["ephemeral", "build", "--keys", str(keys), "--slot", "0",
+                 "--out", filter_path]) == 0
     sighting = Observation(1e300, "phone", ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
     argv = {
         "simulate": ["simulate", str(scenario), "--out", str(tmp_path / "out")],
         "generate": ["ephemeral", "generate", "--key-hex", KEY1, "--slot", str(2**63)],
         "build": ["ephemeral", "build", "--keys", str(keys), "--slot", str(2**63 - 2),
                   "--out", str(tmp_path / "f.blf")],
+        "verify": ["ephemeral", "verify", "--filter", filter_path, "--keys", str(keys),
+                   "--id-hex", AA, "--slot", str(2**63 - 1)],
         "detect": ["detect", "--deployment", str(deployment), "--threshold", "5", "--traces",
                    trace_file(tmp_path, "t.jsonl", [Trace("phone", (sighting,))])],
     }[case]

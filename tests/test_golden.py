@@ -171,7 +171,7 @@ GOLDEN = {
     # Without TV, an owner ID resolves at any time once the run has broadcast
     # it. The walking document's replayer is pervasive and so always replays
     # a fresh ID: these files equal the TV-on ones, and what they pin is that
-    # turning TV off changes none of A1's live coverage, A6's ID table or A2.
+    # turning TV off changes none of A1's live coverage, A6's owner lookups or A2.
     "walking-tv-off": {
         "events.jsonl": "246c799b40c9dba4177def2a74482192a93cbf314f4aa5e3476c183130b87f69",
         "traces.jsonl": "65f7ff720983091d72ca2d63fedbaaa504a3a67d31c9a8ad45ad26dc6a615415",

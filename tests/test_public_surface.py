@@ -10,6 +10,11 @@ dotted string in `perfbench` (the tracer names the methods it wraps as
 program never runs. Names are matched by spelling, not by what they resolve
 to, so the check can pass a name it should not; it never fails one that has
 a caller.
+
+Each module of the package also reads every name it imports. A read is a
+`Name` load, or a name inside a string that parses as an expression: an
+annotation naming a class imported under `TYPE_CHECKING`, or an entry of
+`__all__`.
 """
 
 import ast
@@ -94,3 +99,39 @@ def test_every_public_name_has_a_caller_in_the_program():
 def test_the_exempt_names_still_have_no_caller():
     # once one has a caller, it leaves EXEMPT
     assert EXEMPT <= set(unreferenced())
+
+
+def _imported(tree: ast.Module):
+    """Each name an import statement of the module binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _read(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except (SyntaxError, ValueError):
+                continue
+            names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports() -> list[str]:
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _read(tree)
+        out += [f"{path.stem}.{name}" for name in _imported(tree) if name not in read]
+    return sorted(out)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports() == []

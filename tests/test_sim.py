@@ -246,9 +246,13 @@ class TestTagsAndReplay:
             duration_s=10.0,
         )
         result = run(load_scenario(d))
-        fake_ids = result.broadcast_ids.get("atk0.fake", set())
+        sent = {}
+        for e in result.events:
+            if e.kind == BROADCAST:
+                sent.setdefault(e.data["emitter"], set()).add(e.data["id"])
+        fake_ids = sent.get("atk0.fake", set())
         assert fake_ids
-        assert fake_ids <= result.broadcast_ids["b1"]
+        assert fake_ids <= sent["b1"]
 
     def test_trace_round_trip_fields(self):
         result = run(load_scenario(doc()))
@@ -258,23 +262,43 @@ class TestTagsAndReplay:
         assert json.dumps(result.summary())  # summary is JSON-shaped
 
 
-@pytest.mark.parametrize("defences", [["TV", "SJ"], ["SJ"]])
-def test_each_rotating_id_is_derived_once_per_run(monkeypatch, defences):
-    # the walking document has a rotating beacon and a rotating tag, and A1
-    # and A6 read the run's ID table after the loop
-    derived = []
+@pytest.fixture
+def derived(monkeypatch):
+    """The (key, slot) of every `ephemeral_id` call, in call order."""
+    calls = []
     original = ephemeral.ephemeral_id
 
     def counting(key, slot, id_width):
-        derived.append((key, slot))
+        calls.append((key, slot))
         return original(key, slot, id_width)
 
     monkeypatch.setattr(ephemeral, "ephemeral_id", counting)
+    return calls
+
+
+@pytest.mark.parametrize("defences", [["TV", "SJ"], ["SJ"]])
+def test_each_rotating_id_is_derived_once_per_run(derived, defences):
+    # the walking document has a rotating beacon and a rotating tag, and A1
+    # and A6 look IDs up in the run's schedule after the loop
     result = run(load_scenario({**_walking_doc(), "defences": defences}))
     for i in range(len(result.scenario.attacks)):
         attack_metrics(result, i)
     assert derived
     assert len(derived) == len(set(derived))
+
+
+@pytest.mark.parametrize("defences", [["TV", "SJ"], ["SJ"]])
+def test_attack_metrics_derive_no_id_beyond_the_final_window(derived, defences):
+    # a pervasive A6 over 1 ms slots: the run covers 120,000 slots, and A1's
+    # live coverage may derive each owner key's IDs of the last window only
+    doc = _walking_doc()
+    doc["attacks"][-1] = {**doc["attacks"][-1], "sniff_mode": "pervasive"}
+    doc.update(defences=defences, ephemeral={"slot_duration_s": 0.001, "window_slots": 1})
+    result = run(load_scenario(doc))
+    in_run = len(derived)
+    metrics = [attack_metrics(result, i) for i in range(len(result.scenario.attacks))]
+    assert metrics[-1]["n_uploads"] > 0
+    assert len(derived) - in_run <= len(result.scenario.reference.owner_keys) * 3
 
 
 def test_a_replay_run_holds_less_than_300_bytes_per_event():
@@ -507,18 +531,6 @@ class TestTvOffDerivation:
     """With TV off an owner ID resolves once the run has broadcast it, so a run
     derives only the (beacon, slot) IDs its frames used: three rotating beacons
     at 1 ms slots for 60 s derive 180, not one per key for each of 60,000 slots."""
-
-    @pytest.fixture
-    def derived(self, monkeypatch):
-        calls = []
-        original = ephemeral.ephemeral_id
-
-        def counting(key, slot, id_width):
-            calls.append((key, slot))
-            return original(key, slot, id_width)
-
-        monkeypatch.setattr(ephemeral, "ephemeral_id", counting)
-        return calls
 
     REPRO = doc(beacons=[ephemeral_beacon(f"b{i}", 10.0 * i, key)
                          for i, key in enumerate(("11" * 16, "22" * 16, "33" * 16))],
