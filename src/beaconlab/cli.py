@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import struct
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +51,8 @@ from .storage import (
     DETECT_FIELDS,
     DETECT_TAG,
     REPORT_TAG,
+    _Child,
+    _may_fork,
     metric_rows,
     read_metrics_csv,
     read_traces_jsonl,
@@ -90,12 +95,12 @@ def _load_keys_file(path: str) -> dict[str, bytes]:
 
 
 def _process_pool(workers: int):
-    """A process pool whose workers are forked where the platform can fork,
-    whatever its default start method: a spawned worker imports the package
-    again, which costs more than the calibration step it takes over. A fork
-    is safe here because the CLI starts no thread, and a fork pool starts its
-    workers before its own manager thread. Imported here, not with the
-    module, because it loads multiprocessing."""
+    """The pool of `simulate --jobs`, whose workers are forked where the
+    platform can fork, whatever its default start method: a spawned worker
+    imports the package again before it runs a manifest. A fork is safe here
+    because the CLI starts no thread, and a fork pool starts its workers
+    before its own manager thread. Imported here, not with the module,
+    because it loads multiprocessing."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -190,52 +195,60 @@ def cmd_assess(args) -> int:
 def _detector(deployment, eph: EphemeralParams, p_stay: float, weighting: str):
     """The Markov model `detect` scores with, and the resolver `sim.run` builds
     under TV: static IDs first, then rotating IDs inside the acceptance window.
-    The calibration process builds its own through this as well."""
+    `_calibrate` builds its own through this as well."""
     resolver = RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph))
     return build_markov(deployment, p_stay=p_stay, weighting=weighting), resolver
 
 
 def _calibrate(path: str, deployment, eph: EphemeralParams, p_stay: float, weighting: str,
                alpha: float, debounce: bool, min_transitions: int) -> float:
-    """The threshold calibrated on the known-clean traces at path. Runs in the
-    calibration process, so it takes only picklable values."""
+    """The threshold calibrated on the known-clean traces at path."""
     model, resolver = _detector(deployment, eph, p_stay, weighting)
     return calibrate_threshold(model, read_traces_jsonl(path), resolver, alpha=alpha,
                                debounce=debounce, min_transitions=min_transitions)
 
 
 def _calibrate_while_reading(args, deployment, eph):
-    """(threshold, test traces) with the calibration file read and scored in a
-    second process while this one reads the test file.
-
-    An error of the test read comes back in place of the traces, for the
-    caller to raise after its own checks: a calibration error is raised here
-    first, as when the two ran one after the other.
+    """(threshold, test traces), the calibration file read and scored by a
+    `storage._Child`, where `_may_fork()`, while this process reads the test
+    file. Without a child, or if it does not exit 0, this process calibrates
+    after its read. So a calibration error is raised here, and an error of the
+    test read comes back in place of the traces, as when the two ran in turn.
     """
-    with _process_pool(1) as pool:
-        threshold = pool.submit(_calibrate, args.calibration, deployment, eph, args.p_stay,
-                                args.weighting, args.alpha, not args.no_debounce,
-                                args.min_transitions)
+    calibrate = partial(_calibrate, args.calibration, deployment, eph, args.p_stay,
+                        args.weighting, args.alpha, not args.no_debounce, args.min_transitions)
+    child = None
+    if _may_fork():
+        try:
+            child = _Child(lambda file: file.write(struct.pack("<d", calibrate())))
+        except OSError:  # no fork to be had: calibrate here
+            pass
+    try:
         try:
             traces = read_traces_jsonl(args.traces)
         except (OSError, ValueError, BeaconLabError) as exc:  # the errors `main` reports
             traces = exc
-        return threshold.result(), traces
+        calibrated = None if child is None else child.wait()
+        threshold = calibrate() if calibrated is None else struct.unpack("<d", calibrated.read())[0]
+    finally:
+        if child is not None:
+            child.close()
+    return threshold, traces
 
 
 def cmd_detect(args) -> int:
+    if (args.threshold is None) == (args.calibration is None):
+        raise _UsageError("detect: give either --threshold or --calibration traces")
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise _UsageError(f"detect: --threshold must be finite, got {args.threshold!r}")
     doc = _parse_document(_read_text(args.deployment))
     deployment = load_deployment(doc)
     eph = ephemeral_block(doc, deployment.id_width)[0]
     model, resolver = _detector(deployment, eph, args.p_stay, args.weighting)
 
-    traces = None
-    if args.threshold is not None:
-        threshold = args.threshold
-    elif args.calibration:
+    threshold, traces = args.threshold, None
+    if threshold is None:
         threshold, traces = _calibrate_while_reading(args, deployment, eph)
-    else:
-        raise _UsageError("detect: give --threshold or --calibration traces")
 
     params = DetectorParams(
         threshold=threshold, alpha=args.alpha,

@@ -30,18 +30,20 @@ seq, kind and field in the reader's words, and a trace value
 fails is walked value by value.
 
 A file of `_FORK_ROWS` rows or more is rendered by two processes, where
-the platform forks, this process may run on two CPUs or more, it is not a
-multiprocessing worker and it runs one thread. A forked child renders the
-blocks from the one that begins nearest the middle row into an unlinked
-temporary file beside the output, while this process renders the blocks
-before it into the output itself; this process then copies the child's
-bytes after its own, `_CHUNK` bytes at a time, so the bytes are those of one
-process rendering every block. A child that does not exit 0, because it
-raised or was killed, leaves its blocks to this process, which renders them
-after its own and so raises what one process would raise, in the same
-order. Anywhere else, and where the fork itself fails, one process renders
-every block. The child has ended and been reaped when a writer returns or
-raises, and a writer that raises, whatever it raises, leaves no file.
+`_may_fork()`: the platform forks, this process may run on two CPUs or
+more, it is not a multiprocessing worker and it runs one thread. A forked
+`_Child` renders the blocks from the one that begins nearest the middle row
+into an unlinked temporary file beside the output, while this process
+renders the blocks before it into the output itself; this process then
+copies the child's bytes after its own, `_CHUNK` bytes at a time, so the
+bytes are those of one process rendering every block. A child that does
+not exit 0, because it raised or was killed, leaves its blocks to this
+process, which renders them after its own and so raises what one process
+would raise, in the same order. Anywhere else, and where the fork itself
+fails, one process renders every block. The child has ended and been
+reaped when a writer returns or raises, and a writer that raises, whatever
+it raises, leaves no file. `detect`'s calibration child is the same
+`_Child`, under the same gate without the row floor and the same rule.
 
 Each process renders one block at a time, but the child's memory is not
 one block: reading an object writes its reference count, so every page
@@ -76,10 +78,11 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import accumulate, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
@@ -132,11 +135,11 @@ _FORK_ROWS = 3584
 def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
                  rows: Sequence[int]) -> None:
     """The header line, then the lines render(j) gives for each block j, of
-    rows[j] lines. Where `_may_fork(sum(rows))`, a forked child renders the
-    blocks from `_halfway(rows)` on while this process renders the ones
-    before. A writer that raises, for whatever reason, leaves no file."""
+    rows[j] lines. Where `sum(rows) >= _FORK_ROWS` and `_may_fork()`, a child
+    renders the blocks from `_halfway(rows)` on while this process renders the
+    ones before. A writer that raises, for whatever reason, leaves no file."""
     blocks = len(rows)
-    split = _halfway(rows) if blocks > 1 and _may_fork(sum(rows)) else blocks
+    split = _halfway(rows) if blocks > 1 and sum(rows) >= _FORK_ROWS and _may_fork() else blocks
     child = None
     collecting = gc.isenabled()
     fh = open(path, "w", encoding="utf-8")
@@ -148,13 +151,20 @@ def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
         with fh:
             if split < blocks:
                 try:
-                    child = _Child(path, render, range(split, blocks))
+                    child = _Child(partial(_render_into, render, range(split, blocks)),
+                                   os.path.dirname(path) or ".")
                 except OSError:  # no fork to be had: render every block here
                     split = blocks
             fh.write(_header_line(fmt) + "\n")
             _write_blocks(fh, render, range(split))
             if child is not None:
-                child.append_to(fh, render)
+                rendered = child.wait()
+                if rendered is None:  # rendered here, this raises what one process would
+                    _write_blocks(fh, render, range(split, blocks))
+                else:
+                    import shutil
+                    fh.flush()
+                    shutil.copyfileobj(rendered, fh.buffer, _CHUNK)
     except BaseException:
         os.remove(path)
         raise
@@ -171,20 +181,24 @@ def _write_blocks(fh, render: Callable[[int], list[str]], blocks: range) -> None
         fh.write("\n")
 
 
+def _render_into(render: Callable[[int], list[str]], blocks: range, file: BinaryIO) -> None:
+    with open(file.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+        _write_blocks(fh, render, blocks)
+
+
 def _halfway(rows: Sequence[int]) -> int:
     """The block, from 1 to len(rows) - 1, that begins nearest the middle row."""
     starts = [0, *accumulate(rows)]
     return min(range(1, len(rows)), key=lambda j: abs(starts[-1] - 2 * starts[j]))
 
 
-def _may_fork(rows: int) -> bool:
-    """Whether a child should render half of a file of this many rows: there
-    are `_FORK_ROWS` or more, the platform forks, this process may run on two
-    CPUs or more (on one, the two processes take turns and the fork is a
-    loss), it is not itself a multiprocessing worker (whose siblings already
-    keep the other CPUs busy), and it runs one thread (a fork copies only the
-    calling thread)."""
-    if rows < _FORK_ROWS or not hasattr(os, "fork"):
+def _may_fork() -> bool:
+    """Whether a forked child may take work over from this process: the
+    platform forks, this process may run on two CPUs or more (on one, the
+    two processes take turns and the fork is a loss), it is not itself a
+    multiprocessing worker (whose siblings already keep the other CPUs busy),
+    and it runs one thread (a fork copies only the calling thread)."""
+    if not hasattr(os, "fork"):
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2:
@@ -197,35 +211,32 @@ def _may_fork(rows: int) -> bool:
 
 
 class _Child:
-    """A forked process that renders blocks into an unlinked temporary file
-    beside the output and exits 0, or exits 1 if it raises. Imports here, not
-    with the module, keep the package's import as it was."""
+    """A forked process that runs body on an unlinked temporary file in
+    directory (by default the system's temporary directory) and exits 0, or
+    exits 1 if body raises. Imports here, not with the module, keep the
+    package's import as it was."""
 
-    def __init__(self, path: str, render: Callable[[int], list[str]], blocks: range):
+    def __init__(self, body: Callable[[BinaryIO], object], directory: Optional[str] = None):
         import tempfile
-        self.blocks, self.pid = blocks, None
-        self.file = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+        self.pid = None
+        self.file = tempfile.TemporaryFile(dir=directory)
         try:
             self.pid = os.fork()
             if self.pid == 0:
-                _render_and_exit(render, blocks, self.file.fileno())
+                _run_and_exit(body, self.file)
         except BaseException:
             self.close()
             raise
 
-    def append_to(self, fh, render: Callable[[int], list[str]]) -> None:
-        """Wait for the child and append its bytes to fh, `_CHUNK` at a time.
-        If it did not exit 0, whether it raised or was killed, render its
-        blocks here instead, which raises what one process would raise."""
+    def wait(self) -> Optional[BinaryIO]:
+        """Wait for the child: its file, rewound, if it exited 0; None if it
+        did not, whether it raised or was killed, so its work falls to the caller."""
         status = os.waitpid(self.pid, 0)[1]
         self.pid = None
         if os.waitstatus_to_exitcode(status) != 0:
-            _write_blocks(fh, render, self.blocks)
-            return
-        import shutil
-        fh.flush()
+            return None
         self.file.seek(0)
-        shutil.copyfileobj(self.file, fh.buffer, _CHUNK)
+        return self.file
 
     def close(self) -> None:
         """Kill the child if it has not been reaped, reap it, and close its file."""
@@ -237,14 +248,14 @@ class _Child:
         self.file.close()
 
 
-def _render_and_exit(render: Callable[[int], list[str]], blocks: range, fd: int) -> NoReturn:
-    """The child's whole life: write the blocks to fd and exit 0, or exit 1
-    if that raises, without running any of the parent's exit handlers or
-    flushing any of its buffers."""
+def _run_and_exit(body: Callable[[BinaryIO], object], file: BinaryIO) -> NoReturn:
+    """The child's whole life: run body on file, flush it and exit 0, or exit
+    1 if that raises, without running any of the parent's exit handlers or
+    flushing any of its other buffers."""
     code = 1
     try:
-        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
-            _write_blocks(fh, render, blocks)
+        body(file)
+        file.flush()
         code = 0
     finally:
         os._exit(code)

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import errno
 import inspect
 import io
 import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,7 +33,7 @@ from beaconlab import (
     score_trace,
     write_traces_jsonl,
 )
-from beaconlab import cli
+from beaconlab import cli, storage
 from beaconlab.cli import _process_pool, build_parser, main
 from conftest import AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, static_beacon
 from test_acceptance import _PATH_ADJ, _trace, _walk
@@ -216,6 +221,10 @@ class TestSimulate:
         assert not (tmp_path / "east").exists()
 
 
+def _no_fork():
+    raise AssertionError("detect forked")
+
+
 class TestDetect:
     def test_threshold_mode_and_exit_codes(self, tmp_path, capsys):
         dep = deployment_file(tmp_path)
@@ -289,6 +298,23 @@ class TestDetect:
         dep = deployment_file(tmp_path)
         traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB, AA, BB])])
         assert main(["detect", "--deployment", dep, "--traces", traces]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold", "nan"], "--threshold must be finite, got nan"),
+        (["--threshold", "inf"], "--threshold must be finite, got inf"),
+        (["--threshold=-inf"], "--threshold must be finite, got -inf"),
+        (["--threshold", "1", "--calibration", "cal.jsonl"],
+         "give either --threshold or --calibration traces"),
+    ], ids=["nan", "inf", "-inf", "both"])
+    def test_a_malformed_threshold_flag_is_refused_before_any_fork(self, tmp_path, capsys,
+                                                                    monkeypatch, flags, message):
+        dep = deployment_file(tmp_path)
+        traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)])
+        trace_file(tmp_path, "cal.jsonl", [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(25)])
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert main(["detect", "--deployment", dep, "--traces", traces] + flags) == 1
+        assert capsys.readouterr() == ("", f"error: detect: {message}\n")
 
     def test_a_rotating_walk_is_judged(self, tmp_path, capsys):
         # resolved by the run's rule, a clean walk past rotating beacons has
@@ -390,9 +416,20 @@ def _rotating_inputs(tmp_path) -> list[str]:
 
 
 class TestCalibrationProcess:
-    """`--calibration` is read and scored in a second process while the test
+    """`--calibration` is read and scored in a forked child while the test
     file is read: the output, the exit code and which error wins must be those
-    of the two steps run one after the other."""
+    of the two steps run one after the other in one process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
 
     @pytest.mark.parametrize("inputs", [_detect_inputs, _generated_inputs, _rotating_inputs],
                              ids=["pinned", "generated", "rotating"])
@@ -476,7 +513,7 @@ class TestCalibrationProcess:
     @pytest.mark.parametrize("case", ["ok", "bad calibration", "bad test file",
                                       "missing calibration", "missing test file",
                                       "insufficient", "bad alpha"])
-    def test_no_child_outlives_main(self, tmp_path, capsys, case):
+    def test_no_child_outlives_main(self, tmp_path, capsys, forks, case):
         dep = deployment_file(tmp_path)
         good_cal = trace_file(tmp_path, "cal.jsonl",
                               [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(25)])
@@ -492,7 +529,101 @@ class TestCalibrationProcess:
         }[case]
         assert main(["detect", "--deployment", dep, "--traces", traces,
                      "--calibration", calibration] + extra) == code
-        assert multiprocessing.active_children() == []
+        # the child runs on every path, so each one shows it reaped
+        assert forks == ([1] if storage._may_fork() else [])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupted_read_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks):
+        dep = deployment_file(tmp_path)
+        cal = trace_file(tmp_path, "cal.jsonl",
+                         [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(25)])
+        parent = os.getpid()
+
+        def stalled_or_interrupted(path):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "read_traces_jsonl", stalled_or_interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["detect", "--deployment", dep, "--traces", cal, "--calibration", cal])
+        assert time.monotonic() - started < 30
+        assert forks == ([1] if storage._may_fork() else [])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("death", [
+        lambda: os._exit(1),
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
+    ], ids=["exit 1", "killed"])
+    @pytest.mark.parametrize("calibration", ["clean", "bad"])
+    def test_a_child_that_dies_leaves_calibration_here(self, tmp_path, capsys, monkeypatch,
+                                                        forks, death, calibration):
+        dep = deployment_file(tmp_path)
+        walks = [walk_trace(f"cal{i}", [AA, BB] * 6) for i in range(25)]
+        cal = (trace_file(tmp_path, "cal.jsonl", walks) if calibration == "clean"
+               else self._bad_file(tmp_path, "cal.jsonl", walks, 40))
+        traces = trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB] * 4)])
+        argv = ["detect", "--deployment", dep, "--traces", traces, "--calibration", cal]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            code = main(argv)
+        reference = capsys.readouterr()
+        parent, calibrate = os.getpid(), cli._calibrate
+
+        def dying(*args):
+            if os.getpid() != parent:
+                death()
+            return calibrate(*args)
+
+        monkeypatch.setattr(cli, "_calibrate", dying)
+        assert main(argv) == code
+        assert capsys.readouterr() == reference
+        assert forks == ([1] if storage._may_fork() else [])
+        if calibration == "bad":
+            assert code == 1 and reference.err.startswith(f"error: {cal}:41: bad trace line: ")
+            assert reference.err.count("\n") == 1 and "Traceback" not in reference.err
+
+    @pytest.mark.skipif(not storage._may_fork(), reason="detect forks only where the platform "
+                        "forks and this process may run on two CPUs")
+    @pytest.mark.parametrize("case", ["no fork", "one CPU", "pool worker", "second thread",
+                                      "fork fails"])
+    def test_detect_stays_in_one_process_unless_a_fork_can_pay(self, tmp_path, capsys,
+                                                              monkeypatch, forks, case):
+        argv = _generated_inputs(tmp_path)
+        code = main(argv)
+        reference = capsys.readouterr()
+        assert forks == [1]
+        refused = []
+        with contextlib.ExitStack() as stack:
+            if case == "no fork":
+                monkeypatch.delattr(os, "fork")
+            elif case == "fork fails":
+                def no_fork():
+                    refused.append(1)
+                    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+                monkeypatch.setattr(os, "fork", no_fork)
+            else:
+                monkeypatch.setattr(os, "fork", _no_fork)
+            if case == "one CPU":
+                cpus = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {min(cpus)})
+                stack.callback(os.sched_setaffinity, 0, cpus)
+            elif case == "pool worker":
+                monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+            elif case == "second thread":
+                done = threading.Event()
+                thread = threading.Thread(target=done.wait)
+                thread.start()
+                stack.callback(thread.join)
+                stack.callback(done.set)
+            assert main(argv) == code
+        assert capsys.readouterr() == reference
+        assert refused == ([1] if case == "fork fails" else [])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("case", ["simulate", "generate", "build", "verify", "detect"])
@@ -556,28 +687,35 @@ def test_a_window_of_too_many_ids_is_refused_before_any_is_derived(tmp_path, cap
     assert not (tmp_path / "out").exists() and not (tmp_path / "f.blf").exists()
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
+def _probe(code: str) -> str:
+    """The stdout of a fresh interpreter running code with this package importable."""
     src = str(Path(beaconlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    probe = ("import sys, beaconlab, beaconlab.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+_POOL_MODULES = ("print(sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    assert _probe("import sys, beaconlab, beaconlab.cli; " + _POOL_MODULES) == "[]\n"
+
+
+def test_a_calibrated_detect_run_leaves_multiprocessing_unloaded(tmp_path):
+    # only `simulate --jobs` uses a process pool
+    argv = _generated_inputs(tmp_path) + ["--out", str(tmp_path / "verdicts.csv")]
+    code = f"import sys; from beaconlab.cli import main; print(main({argv!r})); " + _POOL_MODULES
+    assert _probe(code) == "3\n[]\n"
 
 
 def test_importing_the_package_loads_none_of_the_writer_s_fork_modules():
     # the JSONL writers import these only when they fork
-    src = str(Path(beaconlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    probe = ("import sys; before = set(sys.modules); import beaconlab, beaconlab.cli; "
-             "print(sorted(set(sys.modules) - before & "
-             "{'tempfile', 'shutil', 'signal', 'threading'}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = _probe("import sys; before = set(sys.modules); import beaconlab, beaconlab.cli; "
+                 "print(sorted(set(sys.modules) - before & "
+                 "{'tempfile', 'shutil', 'signal', 'threading'}))")
     assert out == "[]\n"
 
 
@@ -591,8 +729,7 @@ def _marked() -> bool:
 
 
 def test_the_pools_fork_whatever_the_default_start_method(monkeypatch):
-    # a spawned worker imports the package again, which costs more than the
-    # calibration step it takes over
+    # a spawned `simulate --jobs` worker imports the package again
     default = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
     monkeypatch.setitem(_MARK, "set", True)

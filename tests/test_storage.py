@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import tempfile
 import threading
 import tracemalloc
 
@@ -733,7 +734,7 @@ def _refusal(write, path, data) -> str:
     return str(info.value)
 
 
-@pytest.mark.skipif(not storage._may_fork(storage._FORK_ROWS), reason="the writers fork only "
+@pytest.mark.skipif(not storage._may_fork(), reason="the writers fork only "
                     "where the platform forks and this process may run on two CPUs")
 class TestSplitWriters:
     """A writer of `_FORK_ROWS` rows or more renders the blocks from about
@@ -850,9 +851,12 @@ class TestSplitWriters:
         taken = []
 
         class Recorded(storage._Child):
-            def __init__(self, path, render, blocks):
-                taken.append(sum(len(render(j)) for j in blocks))
-                super().__init__(path, render, blocks)
+            def __init__(self, body, directory=None):
+                with tempfile.TemporaryFile() as rendered:
+                    body(rendered)
+                    rendered.seek(0)
+                    taken.append(rendered.read().count(b"\n"))
+                super().__init__(body, directory)
 
         monkeypatch.setattr(storage, "_Child", Recorded)
         write_traces_jsonl(str(out / "split.jsonl"), data)
