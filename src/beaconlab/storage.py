@@ -159,7 +159,7 @@ def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
             _write_blocks(fh, render, range(split))
             if child is not None:
                 rendered = child.wait()
-                if rendered is None:  # rendered here, this raises what one process would
+                if rendered is None:  # its blocks, rendered here, raise what one process would
                     _write_blocks(fh, render, range(split, blocks))
                 else:
                     import shutil
