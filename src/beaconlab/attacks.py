@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
-from .errors import CapabilityError, InvalidInput, SchemaError, UnknownRef
+from .errors import CapabilityError, InvalidInput, SchemaError, UnknownRef, ValidationError
 from .model import BeaconId, StaticId
 from .model import _beacon_id, _check_tx_power, _integer, _list, _number, _position, _positions
 from .model import _text
@@ -286,10 +286,13 @@ def _install(scenario: "Scenario", profile: AttackProfile, index: int) -> "Scena
         return _named(kind, "beacon", scenario.deployment.beacons, ref)
 
     def add_receivers(positions, role="harvest", target=None):
-        receivers.extend(
-            AttackerReceiver(f"atk{index}.rx{j}", index, x, y, role, profile.max_range, target)
-            for j, (x, y) in enumerate(positions)
-        )
+        # a run tells its receivers apart by ref: a device's trace is the
+        # Receive rows whose receiver is the device
+        for j, (x, y) in enumerate(positions):
+            ref = f"atk{index}.rx{j}"
+            if any(d.ref == ref for d in scenario.devices):
+                raise ValidationError(f"{kind}: sniffer {ref!r} has the ref of a device")
+            receivers.append(AttackerReceiver(ref, index, x, y, role, profile.max_range, target))
 
     if kind == "A1":
         add_receivers(profile.attacker_positions or tuple(b.position for b in deployment.beacons))

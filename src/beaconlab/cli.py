@@ -416,8 +416,9 @@ def build_parser() -> _Parser:
     b.add_argument("--slot-duration", type=float, default=EphemeralParams.slot_duration_s,
                    dest="slot_duration")
     b.add_argument("--width", type=int, default=DEFAULT_ID_WIDTH)
-    b.add_argument("--m", type=int, default=None, help="filter bits (default: sized from --fp)")
-    b.add_argument("--k", type=int, default=None, help="hash count")
+    b.add_argument("--m", type=int, default=None,
+                   help="filter bits; --m and --k both or neither (default: sized from --fp)")
+    b.add_argument("--k", type=int, default=None, help="hash count; --m and --k both or neither")
     b.add_argument("--fp", type=float, default=DEFAULT_FP_TARGET,
                    help="target false-positive rate")
     b.add_argument("--out", required=True)

@@ -42,8 +42,9 @@ class EphemeralParams:
     id_width: int = DEFAULT_ID_WIDTH
 
     def __post_init__(self) -> None:
-        if self.slot_duration_s <= 0:
-            raise InvalidInput("slot_duration_s must be positive")
+        if not 0 < self.slot_duration_s < math.inf:  # NaN fails both tests
+            raise InvalidInput(f"slot_duration_s must be positive and finite, "
+                               f"got {self.slot_duration_s!r}")
         if self.window_slots < 0:
             raise InvalidInput("window_slots must be non-negative")
         _check_id_width(self.id_width)
@@ -115,6 +116,14 @@ class IdSchedule:
 
 # ---------------------------------------------------------------------------
 # Bloom filter
+
+
+def check_sizing(m_bits: int | None, k_hashes: int | None) -> None:
+    """Refuse a Bloom size given by half. A filter takes its bits m and hash
+    count k both as given, or both from the false-positive target."""
+    if (m_bits is None) != (k_hashes is None):
+        raise InvalidInput(f"Bloom m and k are given both or neither, "
+                           f"got m={m_bits!r} and k={k_hashes!r}")
 
 
 def _check_geometry(m_bits: int, k_hashes: int) -> None:
@@ -189,14 +198,16 @@ def build_filter(
 ) -> BloomFilter:
     """Insert every owned key's IDs for the acceptance window around current_slot.
 
-    Sizing defaults to the fp_target; passing an (m, k) whose expected false
-    positive rate exceeds 10% at this population is a configuration error.
+    Sizing defaults to the fp_target; m and k are given both or neither (see
+    `check_sizing`), and an (m, k) whose expected false positive rate exceeds
+    10% at this population is a configuration error.
     """
+    check_sizing(m_bits, k_hashes)
     if not schedule.owner_keys:
         raise InvalidInput("no keys to build a filter from")
     slots = schedule.params.window(current_slot)
     n_items = len(schedule.owner_keys) * len(slots)
-    if m_bits is None or k_hashes is None:
+    if m_bits is None:
         m_bits, k_hashes = bloom_size_for(n_items, fp_target)
     _check_geometry(m_bits, k_hashes)
     if expected_fp_rate(m_bits, k_hashes, n_items) > MAX_BUILD_FP:

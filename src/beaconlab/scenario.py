@@ -15,7 +15,7 @@ from typing import Optional
 from .actors import AppSpec, PersonalTag, UserDevice
 from .attacks import AttackerReceiver, AttackProfile, InjectedEmitter
 from .attacks import normalize_kind, normalize_sniff_mode
-from .ephemeral import DEFAULT_FP_TARGET, EphemeralParams
+from .ephemeral import DEFAULT_FP_TARGET, EphemeralParams, check_sizing
 from .errors import InvalidInput, SchemaError, ValidationError
 from .guardian import DEFAULT_GUARDIAN_REF, GuardianConfig, apply_guardian
 from .model import DEPLOYMENT_KEYS, DeploymentMap, load_deployment
@@ -167,11 +167,12 @@ _SCENARIO_KEYS = DEPLOYMENT_KEYS + (
 
 def ephemeral_block(doc: dict, id_width: int) -> tuple[EphemeralParams, dict]:
     """The slot length and window a document's `ephemeral:` block gives, the
-    defaults without one, and the block's Bloom sizing keys. `load_scenario`
-    and `detect` both read the block here, so a run and `detect` resolve
-    rotating IDs alike."""
+    defaults without one, and the block's Bloom sizing keys, whose bloom_m and
+    bloom_k are given both or neither. `load_scenario` and `detect` both read
+    the block here, so a run and `detect` resolve rotating IDs alike."""
     eph = _fields(doc.get("ephemeral"), "ephemeral", _EPHEMERAL_READERS)
     sizing = {k: eph.pop(k) for k in ("bloom_fp_target", "bloom_m", "bloom_k") if k in eph}
+    _build(check_sizing, "ephemeral", m_bits=sizing.get("bloom_m"), k_hashes=sizing.get("bloom_k"))
     return _build(EphemeralParams, "ephemeral", id_width=id_width, **eph), sizing
 
 

@@ -42,14 +42,15 @@ _by_time = operator.attrgetter("time")
 # generated __new__: the loop passes every field, defaults included
 _new_tuple = tuple.__new__
 
-# The most events a run may log, at about 250 bytes an event some 2.5 GB: a
+# The most events a run may log, at about 190 bytes an event some 1.9 GB: a
 # run whose bound is above it is refused before its loop. The largest run in
 # the tests and the benchmark, AC-2's 7,200 s replay, is bounded at 145,220.
 MAX_EVENTS = 10_000_000
 
 
 class WindowRecord(NamedTuple):
-    """One device scan window: what was heard and what the app did."""
+    """One device scan window: what was heard and what the app did. The beacon
+    it resolved and the content it delivered are in the window's event row."""
 
     device_ref: str
     t_end: float
@@ -59,18 +60,17 @@ class WindowRecord(NamedTuple):
     emitters: frozenset[str]  # true frame origins, for analysis only
     near: bool
     outcome: str
-    resolved_ref: Optional[str] = None
-    content: Optional[str] = None
     correct: bool = True
 
 
 @dataclass
 class RunResult:
+    """A finished run. Its event log is the one record of each reception."""
+
     scenario: Scenario
     duration: float
     events: EventLog
     window_records: tuple[WindowRecord, ...]
-    traces: tuple[Trace, ...]
     schedule: IdSchedule
     # profile index -> true emitter ref -> ID -> what the profile's harvest
     # sniffers learned of it: the adversary's one ID database
@@ -89,6 +89,23 @@ class RunResult:
             "n_deliveries": n_deliveries,
             "correct_delivery_rate": rate,
         }
+
+    @property
+    def traces(self) -> tuple[Trace, ...]:
+        """Each device's trace, in device order, built from the log whenever it
+        is read: the Receive rows whose receiver is the device."""
+        log = self.events
+        traces: dict[str, list[Observation]] = {d.ref: [] for d in self.scenario.devices}
+        ids: dict[str, BeaconId] = {}  # one BeaconId per ID
+        for t, (claimed, _, id_hex, receiver, rssi) in itertools.compress(
+                zip(log.times, log.values), map(RECEIVE.__eq__, log.kinds)):
+            trace = traces.get(receiver)
+            if trace is not None:  # else a sniffer's
+                bid = ids.get(id_hex)
+                if bid is None:
+                    bid = ids[id_hex] = BeaconId.from_hex(id_hex)
+                trace.append(_new_tuple(Observation, (t, receiver, bid, rssi, claimed)))
+        return tuple(Trace(ref, tuple(obs)) for ref, obs in traces.items())
 
 
 @dataclass
@@ -295,13 +312,15 @@ def run(scenario: Scenario) -> RunResult:
     time_append, kind_append, values_append = (
         log.times.append, log.kinds.append, log.values.append)
     buffers: dict[str, list[tuple[Observation, str]]] = {d.ref: [] for d in devices}
-    traces: dict[str, list[Observation]] = {d.ref: [] for d in devices}
     window_records: list[WindowRecord] = []
     upload_logs: dict[int, list[tuple[float, bytes]]] = {}
     detections: dict[int, list[tuple[float, str, float]]] = {
         i: [] for i, profile in enumerate(profiles) if profile.kind == "A7"
     }
     knowledge: dict[int, dict[str, dict[bytes, _Knowledge]]] = {}
+    # (profile index, true emitter ref) -> (the newest slot the profile's
+    # sniffers heard it in, the IDs last seen in that slot): a replayer's pick
+    newest: dict[tuple[int, str], tuple[int, set[bytes]]] = {}
     # one frozenset per distinct set of true emitters, shared by the window
     # records that heard it: a 1,800 s replay run has 6 in 12,000 windows
     emitter_sets: dict[frozenset, frozenset] = {}
@@ -326,12 +345,12 @@ def run(scenario: Scenario) -> RunResult:
     # the phones first, then the sniffers in install order, which fixes the
     # event order. The position is None for a phone that moves. Only a phone
     # the guardian authorized is exempt from its jamming. The sink is where a
-    # reception goes: (buffer, trace) for a phone, (target ID, detections) for
-    # a surveillance sniffer, (lunch-time cutoff, profile index) for a harvest
-    # sniffer.
+    # reception goes: its window buffer for a phone, (target ID, detections)
+    # for a surveillance sniffer, (lunch-time cutoff, profile index) for a
+    # harvest sniffer. The log's Receive row is a phone's one lasting record.
     receivers = [
         (_PHONE, d.ref, _fixed_position(d), d, max_range,
-         guardian is not None and d.ref in guardian.authorized, (buffers[d.ref], traces[d.ref]))
+         guardian is not None and d.ref in guardian.authorized, buffers[d.ref])
         for d in devices
     ]
     for rx in scenario.extra_receivers:
@@ -384,12 +403,14 @@ def run(scenario: Scenario) -> RunResult:
                 cached = em.ids[index] = _with_hex(drain_id(inj.profile_index, index, id_width))
             claimed = inj.claimed_tx_power if inj.claimed_tx_power is not None else inj.tx_power_1m
             return cached[0], cached[1], claimed
-        known = knowledge.get(inj.profile_index, {}).get(inj.source_ref)
-        if not known:
+        top = newest.get((inj.profile_index, inj.source_ref))
+        if top is None:
             return None  # nothing harvested yet: the replayer stays quiet
+        known = knowledge[inj.profile_index][inj.source_ref]
+        # the newest slot's IDs are the ones whose key leads in its first part
         raw = max(
-            known,
-            key=lambda k: (eph.slot_of(known[k].last_seen), known[k].rssi_sum / known[k].n, k.hex()),
+            top[1],
+            key=lambda k: (slot_of(known[k].last_seen), known[k].rssi_sum / known[k].n, k.hex()),
         )
         entry = known[raw]
         claimed = inj.claimed_tx_power if inj.claimed_tx_power is not None else entry.claimed
@@ -438,10 +459,7 @@ def run(scenario: Scenario) -> RunResult:
             kind_append(RECEIVE)
             values_append((claimed, em_ref, id_hex, ref, rssi))
             if role == _PHONE:
-                buffer, trace = sink
-                obs = _new_tuple(Observation, (t, ref, bid, rssi, claimed))
-                buffer.append((obs, em_ref))
-                trace.append(obs)
+                sink.append((_new_tuple(Observation, (t, ref, bid, rssi, claimed)), em_ref))
             elif role == "surveillance":
                 target, found = sink
                 if target is not None and bid == target:
@@ -457,9 +475,16 @@ def run(scenario: Scenario) -> RunResult:
                 else:
                     entry.rssi_sum += rssi
                     entry.n += 1
-                    if t >= entry.last_seen:
-                        entry.last_seen = t
-                        entry.claimed = claimed
+                    if t < entry.last_seen:
+                        continue
+                    entry.last_seen = t
+                    entry.claimed = claimed
+                slot = slot_of(t)
+                top = newest.get((i, em_ref))
+                if top is None or slot > top[0]:
+                    newest[i, em_ref] = (slot, {bid.data})
+                elif slot == top[0]:
+                    top[1].add(bid.data)
 
         if jammed:
             time_append(t)
@@ -467,7 +492,7 @@ def run(scenario: Scenario) -> RunResult:
             values_append((sorted(blocked), n, em_ref))
 
     def process_window(t_end: float, device: UserDevice) -> tuple[tuple, str, tuple]:
-        """The window's WindowRecord fields, all 11, and its event's kind and values."""
+        """The window's WindowRecord fields, all 9, and its event's kind and values."""
         dev = device.ref
         # the buffer is time-ordered: the window is the prefix before t_end
         buffer = buffers[dev]
@@ -476,7 +501,7 @@ def run(scenario: Scenario) -> RunResult:
         while n_frames and buffer[n_frames - 1][0].time >= cutoff:
             n_frames -= 1
         if not n_frames:
-            return ((dev, t_end, 0, 0, 0, _NO_EMITTERS, False, OUTCOME_EMPTY, None, None, True),
+            return ((dev, t_end, 0, 0, 0, _NO_EMITTERS, False, OUTCOME_EMPTY, True),
                     NO_ACTION, (None, dev, OUTCOME_EMPTY))
         window = buffer[:n_frames]
         del buffer[:n_frames]
@@ -507,8 +532,7 @@ def run(scenario: Scenario) -> RunResult:
 
         if not groups:
             outcome = OUTCOME_BUDGET if n_ids > budget else OUTCOME_FLAGGED
-            return ((*heard, False, outcome, None, None, True),
-                    FLAGGED, (dev, n_frames, n_rejected, outcome))
+            return (*heard, False, outcome, True), FLAGGED, (dev, n_frames, n_rejected, outcome)
 
         if len(groups) == 1:
             ref, frames = next(iter(groups.items()))
@@ -519,23 +543,22 @@ def run(scenario: Scenario) -> RunResult:
             frames.sort(key=_by_time)
         near = proximity_decision(frames, device.proximity_threshold_m, exponent)
         if not near:
-            return (*heard, False, OUTCOME_FAR, ref, None, True), NO_ACTION, (ref, dev, OUTCOME_FAR)
+            return (*heard, False, OUTCOME_FAR, True), NO_ACTION, (ref, dev, OUTCOME_FAR)
 
         content = reference.content_by_ref.get(ref)
         if content is None:
-            return ((*heard, True, OUTCOME_FLAGGED, ref, None, True),
+            return ((*heard, True, OUTCOME_FLAGGED, True),
                     FLAGGED, (dev, n_frames, n_rejected, "no_content"))
 
         last = delivered_at.get((dev, content.locator))
         if last is not None and device.content_retrigger_s > 0 and \
                 t_end - last < device.content_retrigger_s - _EPS:
-            return ((*heard, True, OUTCOME_DEBOUNCED, ref, content.locator, True),
-                    NO_ACTION, (ref, dev, OUTCOME_DEBOUNCED))
+            return (*heard, True, OUTCOME_DEBOUNCED, True), NO_ACTION, (ref, dev, OUTCOME_DEBOUNCED)
 
         correct = any(device.within_threshold(p, t_end)
                       for p in served_from.get(content.locator, ()))
         delivered_at[(dev, content.locator)] = t_end
-        return ((*heard, True, OUTCOME_DELIVERED, ref, content.locator, correct),
+        return ((*heard, True, OUTCOME_DELIVERED, correct),
                 CONTENT_DELIVERED, (ref, content.locator, correct, dev))
 
     # Heap entries are (time, push order, kind, emitter or device index, window
@@ -547,8 +570,8 @@ def run(scenario: Scenario) -> RunResult:
             heap.append((device.scan_window_s, next(order), _WINDOW, i, 1))
     heapq.heapify(heap)
 
-    # The loop makes no reference cycles, but it keeps every event, observation
-    # and window record it makes, and each full pass of the cyclic collector
+    # The loop makes no reference cycles, but it keeps every event and window
+    # record it makes, and each full pass of the cyclic collector
     # walks all of them again: on the AC-2 replay study that was a third of the
     # run. Pause the collector for the loop and put it back as it was.
     collecting = gc.isenabled()
@@ -577,14 +600,11 @@ def run(scenario: Scenario) -> RunResult:
         if collecting:
             gc.enable()
     _check_rows(log)
-
-    trace_objs = tuple(Trace(d.ref, tuple(traces[d.ref])) for d in devices)
     return RunResult(
         scenario=scenario,
         duration=duration,
         events=log,
         window_records=tuple(window_records),
-        traces=trace_objs,
         schedule=schedule,
         knowledge=knowledge,
         upload_logs=upload_logs,

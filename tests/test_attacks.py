@@ -292,6 +292,20 @@ class TestInstall:
         )
         assert isinstance(error, InvalidInput) and "non-empty" in str(error)
 
+    @pytest.mark.parametrize("attack", [
+        {"kind": "A1"},  # harvest sniffers
+        {"kind": "A7", "target_tag": "fob", "surveillance_positions": [[1.0, 2.0]]},
+    ])
+    def test_a_sniffer_may_not_take_the_ref_of_a_device(self, attack):
+        # a run reads a device's trace from the Receive rows logged under its
+        # ref: a sniffer of the same name would write into that trace
+        devices = [{"ref": "phone", "path": [[0.0, [0.0, 1.0]]]},
+                   {"ref": "atk0.rx0", "path": [[0.0, [20.0, 0.0]]]}]
+        tags = [{"ref": "fob", "carried_by": "phone", "adv_interval_ms": 500.0, "id_hex": CC}]
+        with pytest.raises(ValidationError,
+                           match=rf"^{attack['kind']}: sniffer 'atk0\.rx0' has the ref of a device$"):
+            install_pending(loaded(attack, devices=devices, tags=tags))
+
     def test_a8_defaults_to_the_first_device(self):
         scenario = attacked({"kind": "A8", "n_ids": 500})
         drain = scenario.injected[0]

@@ -4,10 +4,12 @@ import errno
 import inspect
 import io
 import json
+import math
 import multiprocessing
 import os
 import random
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -192,6 +194,19 @@ class TestSimulate:
         assert (out / "west" / "metrics.csv").exists()
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_a_sniffer_named_like_a_device_is_refused(self, tmp_path, capsys):
+        # a device named as A1's first sniffer 20 m from the one beacon
+        manifest = tmp_path / "clash.yaml"
+        manifest.write_text(yaml.safe_dump({
+            "beacons": [static_beacon("b1", 0, AA)],
+            "content": [{"id_hex": AA, "locator": "app://one"}],
+            "devices": [{"ref": "atk0.rx0", "path": [[0.0, [20.0, 0.0]]]}],
+            "attacks": [{"kind": "A1"}], "defences": [], "duration_s": 10,
+        }))
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: A1: sniffer 'atk0.rx0' has the ref of a device\n")
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
@@ -774,6 +789,34 @@ class TestEphemeral:
                      "--keys", str(keys_path), "--id-hex", stale])
         assert code == 3
         assert capsys.readouterr().out.strip() == "rejected"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--slot-duration", "nan"], "slot_duration_s must be positive and finite, got nan"),
+        (["--slot-duration", "inf"], "slot_duration_s must be positive and finite, got inf"),
+        (["--k", "3"], "Bloom m and k are given both or neither, got m=None and k=3"),
+        (["--m", "4096"], "Bloom m and k are given both or neither, got m=4096 and k=None"),
+    ])
+    def test_build_refuses_a_non_finite_slot_or_half_a_bloom_size(self, tmp_path, capsys,
+                                                                   flags, message):
+        keys_path = tmp_path / "keys.yaml"
+        keys_path.write_text(yaml.safe_dump({"b1": KEY1}))
+        out = tmp_path / "f.blf"
+        assert main(["ephemeral", "build", "--keys", str(keys_path), "--slot", "0",
+                     "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_verify_refuses_a_filter_file_whose_slot_duration_is_nan(self, tmp_path, capsys):
+        keys_path = tmp_path / "keys.yaml"
+        keys_path.write_text(yaml.safe_dump({"b1": KEY1}))
+        # the header `write_filter_file` writes: magic, then the version, m, k,
+        # slot, window and slot duration, big-endian; then one byte of bits
+        filter_path = tmp_path / "nan.blf"
+        filter_path.write_bytes(b"BLF1" + struct.pack(">BQIqId", 1, 8, 1, 0, 2, math.nan) + b"\0")
+        assert main(["ephemeral", "verify", "--filter", str(filter_path), "--keys", str(keys_path),
+                     "--id-hex", AA]) == 1
+        assert capsys.readouterr().err == (
+            "error: slot_duration_s must be positive and finite, got nan\n")
 
 
 class TestReport:

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "beaconlab"
 
 # The events reader's callers are the golden and storage tests, which read a
-# run's events.jsonl back. ROADMAP direction 4 gives it a program caller: a
+# run's events.jsonl back. ROADMAP direction 3 gives it a program caller: a
 # counting sink fed from the file must reproduce the run's event counters.
 EXEMPT = {"storage.read_events_jsonl"}
 

@@ -148,8 +148,9 @@ _ANY_VALUE = st.recursive(
 )
 
 
-# An interval far below a millisecond asks for a run of unbounded length, which
-# the simulator does not refuse yet (the work-budget item in ROADMAP.md).
+# An interval far below a millisecond asks for a run of millions of events.
+# `sim.MAX_EVENTS` refuses one that could log more than 10 million, but a run
+# near that bound takes tens of seconds: keep the examples short.
 _MIN_INTERVAL_MS = 10.0
 
 
@@ -219,6 +220,16 @@ class TestAnyOneFieldReplaced:
     @given(st.sampled_from(list(_paths(_MATRIX_DOC))), _ANY_VALUE)
     def test_matrix(self, path, value):
         _loads_or_typed_error(load_matrix, _replaced(_MATRIX_DOC, path, value))
+
+
+@pytest.mark.parametrize("sizing", [{"bloom_m": 8}, {"bloom_k": 3}])
+def test_a_bloom_size_given_by_half_is_refused_at_load(sizing):
+    # without its partner, bloom_m or bloom_k loaded and the run's filters
+    # were sized from bloom_fp_target
+    doc = {**_rich_doc(), "ephemeral": sizing}
+    with pytest.raises(ValidationError, match=r"^ephemeral: Bloom m and k are given both or "
+                                              r"neither, got m=(8 and k=None|None and k=3)$"):
+        load_scenario(doc)
 
 
 def test_matrix_doc_loads():

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -35,7 +36,7 @@ from beaconlab.sim import (
     WindowRecord,
 )
 from conftest import AA, BB, CC, ephemeral_beacon, static_beacon
-from test_acceptance import _replay_doc
+from test_acceptance import _replay_doc, _silencing_doc
 from test_golden import SCENARIOS, _walking_doc
 
 
@@ -181,7 +182,8 @@ class TestWindowPipeline:
         result = run(load_scenario(d))
         delivered = [w for w in result.window_records if w.outcome == OUTCOME_DELIVERED]
         assert delivered and all(not w.correct for w in delivered)
-        assert delivered[0].content == "app://two"
+        first = next(e for e in result.events if e.kind == CONTENT_DELIVERED)
+        assert first.data["content"] == "app://two"
         rate, n = delivery_correctness(result)
         assert rate == 0.0 and n == len(delivered)
 
@@ -301,7 +303,7 @@ def test_attack_metrics_derive_no_id_beyond_the_final_window(derived, defences):
     assert len(derived) - in_run <= len(result.scenario.reference.owner_keys) * 3
 
 
-def test_a_replay_run_holds_less_than_300_bytes_per_event():
+def test_a_replay_run_holds_less_than_200_bytes_per_event():
     # AC-2's rotating shape at a twelfth of its length: what a run keeps grows
     # with its events, so what it keeps per event bounds its memory
     scenario = load_scenario({**_replay_doc(rotating=True, seed=3), "duration_s": 600.0})
@@ -311,10 +313,36 @@ def test_a_replay_run_holds_less_than_300_bytes_per_event():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held / len(result.events) < 300
+    assert held / len(result.events) < 200
     # window records that heard the same emitters share one set
     sets = [w.emitters for w in result.window_records]
     assert len(set(map(id, sets))) == len(set(sets))
+
+
+def test_a_pervasive_replayer_s_work_grows_linearly_with_the_run():
+    # with 0.5 s slots a pervasive sniffer harvests a new ID every slot; each
+    # flood frame picks among the IDs of the newest slot heard, so the run's
+    # Python calls grow with its length, not with its square
+    def calls(duration):
+        doc = _silencing_doc(True, 1, duration)
+        doc["attacks"][0]["sniff_mode"] = "pervasive"
+        doc["ephemeral"] = {"slot_duration_s": 0.5}
+        scenario = load_scenario(doc)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            run(scenario)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    short, long = calls(60.0), calls(240.0)
+    assert long <= 4.5 * short, (short, long)
 
 
 class TestEventBound:
@@ -517,7 +545,7 @@ class TestLoopRows:
             EventLog().append(event.time, event.kind, *event.values)
             assert Event.from_json(event_line(*event)) == event
         for record in result.window_records:
-            assert type(record) is WindowRecord and len(record) == 11
+            assert type(record) is WindowRecord and len(record) == 9
             assert record.outcome in _OUTCOMES
 
     def test_a_row_of_the_wrong_arity_is_refused_after_the_loop(self, monkeypatch):
