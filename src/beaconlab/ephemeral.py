@@ -30,6 +30,11 @@ DEFAULT_FP_TARGET = 0.01  # Bloom false-positive rate a filter is sized for
 # bytes each, so the largest allowed build takes about 1.5 s and 45 MB on a
 # 2-vCPU Xeon VM.
 MAX_WINDOW_IDS = 100_000
+# The largest Bloom filter: what MAX_WINDOW_IDS IDs need at the smallest
+# false-positive target a build accepts, the least positive float, 5e-324
+# (`bloom_size_for(MAX_WINDOW_IDS, math.ulp(0.0))`). Its bits take 19.4 MB.
+MAX_BLOOM_M = 154_945_448
+MAX_BLOOM_K = 1_074
 
 _FILTER_MAGIC = b"BLF1"
 _UNSEEN = object()  # verdict cache miss; None is a cached rejection
@@ -119,16 +124,22 @@ class IdSchedule:
 
 
 def check_sizing(m_bits: int | None, k_hashes: int | None) -> None:
-    """Refuse a Bloom size given by half. A filter takes its bits m and hash
-    count k both as given, or both from the false-positive target."""
+    """Refuse a Bloom size given by half, or one `_check_geometry` refuses. A
+    filter takes its bits m and hash count k both as given, or both from the
+    false-positive target."""
     if (m_bits is None) != (k_hashes is None):
         raise InvalidInput(f"Bloom m and k are given both or neither, "
                            f"got m={m_bits!r} and k={k_hashes!r}")
+    if m_bits is not None:
+        _check_geometry(m_bits, k_hashes)
 
 
 def _check_geometry(m_bits: int, k_hashes: int) -> None:
     if m_bits <= 0 or k_hashes <= 0:
         raise InvalidInput("bloom filter needs positive m and k")
+    if m_bits > MAX_BLOOM_M or k_hashes > MAX_BLOOM_K:
+        raise InvalidInput(f"bloom filter m and k must be at most {MAX_BLOOM_M:,} and "
+                           f"{MAX_BLOOM_K:,}, got m={m_bits:,} and k={k_hashes:,}")
 
 
 @dataclass(frozen=True)

@@ -270,9 +270,15 @@ def _number(raw, where: str) -> float:
 
 
 def _integer(raw, where: str) -> int:
-    """An int. A float or a numeric string reads only when it is whole."""
+    """An int. A float or a numeric string reads only when it is whole; a
+    string of an int reads exactly, not through a float."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
     value = _number(raw, where)
     if not value.is_integer():
         raise SchemaError(f"{where} must be a whole number, got {raw!r}")

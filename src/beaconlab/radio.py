@@ -5,6 +5,16 @@ shadowing; distances below one meter clamp to the one-meter reference so the
 inverse stays defined. Shadowing draws are keyed counter-mode hashes of
 (seed, emitter, frame, receiver), which makes every draw independent of event
 interleaving: adding or removing an actor never perturbs anyone else's noise.
+
+A keyed draw hashes, with SHA-256, a frame key and then a link key:
+
+    frame_key(seed, frame) = seed and frame (or counter), each a big-endian
+                             signed 64-bit int: 16 bytes
+    link_key(a, b)         = a.encode() + b"\0" + b.encode()
+
+A shadowing draw's link is (emitter ref, receiver ref); a `uniform_draw`'s
+is (purpose, ref). The loop builds each link's key once per run and each
+frame's key once per frame.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ class RadioParams:
             raise InvalidInput(f"noise_sigma must be in [0, {MAX_RADIO_SCALE:g}]")
         if self.max_range <= 0:
             raise InvalidInput("max_range must be positive")
+        if not -(1 << 63) <= self.seed < 1 << 63:  # a frame key packs it in 64 bits
+            raise InvalidInput(f"seed must be in [-2**63, 2**63 - 1], got {self.seed!r}")
 
 
 def mean_rssi(tx_power_1m: float, distance: float, path_loss_exponent: float) -> float:
@@ -59,23 +71,32 @@ def estimate_distance(claimed_tx_power: float, rssi: float, path_loss_exponent: 
     return 10.0 ** ((claimed_tx_power - rssi) / (10.0 * path_loss_exponent))
 
 
-_COUNTER = struct.Struct(">qq")
+_FRAME_KEY = struct.Struct(">qq")
 _WORDS = struct.Struct(">QQ")
 
 
-def _keyed_words(seed: int, counter: int, first: str, second: str) -> tuple[int, int]:
-    """Two uniform 64-bit words from SHA-256 of (seed, counter, first, second)."""
-    digest = hashlib.sha256(
-        _COUNTER.pack(seed, counter) + first.encode() + b"\x00" + second.encode()
-    ).digest()
-    return _WORDS.unpack_from(digest)
+def frame_key(seed: int, frame: int) -> bytes:
+    """The part of a keyed draw's input that names the seed and the frame."""
+    return _FRAME_KEY.pack(seed, frame)
 
 
-def shadowing_db(seed: int, emitter_ref: str, frame_seq: int, receiver_ref: str, sigma: float) -> float:
-    """Deterministic per-link shadowing draw, N(0, sigma) via Box-Muller."""
+def link_key(first: str, second: str) -> bytes:
+    """The part of a keyed draw's input that names the link: two refs."""
+    return first.encode() + b"\x00" + second.encode()
+
+
+def _keyed_words(frame: bytes, link: bytes) -> tuple[int, int]:
+    """Two uniform 64-bit words from SHA-256 of a frame key and a link key."""
+    return _WORDS.unpack_from(hashlib.sha256(frame + link).digest())
+
+
+def shadowing_db(frame: bytes, link: bytes, sigma: float) -> float:
+    """Deterministic per-link shadowing draw, N(0, sigma) via Box-Muller, for
+    the frame key `frame_key(seed, frame)` and the link key
+    `link_key(emitter ref, receiver ref)`."""
     if sigma == 0:
         return 0.0
-    w1, w2 = _keyed_words(seed, frame_seq, emitter_ref, receiver_ref)
+    w1, w2 = _keyed_words(frame, link)
     u1 = (w1 + 1) / (_U64 + 2)
     u2 = w2 / _U64
     return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
@@ -83,7 +104,7 @@ def shadowing_db(seed: int, emitter_ref: str, frame_seq: int, receiver_ref: str,
 
 def uniform_draw(seed: int, purpose: str, ref: str, counter: int) -> float:
     """Deterministic U[0,1) draw keyed by purpose, independent of event order."""
-    return _keyed_words(seed, counter, purpose, ref)[0] / _U64
+    return _keyed_words(frame_key(seed, counter), link_key(purpose, ref))[0] / _U64
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .model import BeaconId, Observation, StaticId, Trace
 from .radio import BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, FLAGGED, JAMMED, NO_ACTION, RECEIVE
 from .radio import EventLog
 from .radio import OUTCOME_BUDGET, OUTCOME_DEBOUNCED, OUTCOME_DELIVERED, OUTCOME_EMPTY
-from .radio import OUTCOME_FAR, OUTCOME_FLAGGED, mean_rssi, shadowing_db
+from .radio import OUTCOME_FAR, OUTCOME_FLAGGED, frame_key, link_key, mean_rssi, shadowing_db
 from .scenario import Scenario
 
 _EPS = 1e-9
@@ -93,18 +93,27 @@ class RunResult:
     @property
     def traces(self) -> tuple[Trace, ...]:
         """Each device's trace, in device order, built from the log whenever it
-        is read: the Receive rows whose receiver is the device."""
+        is read: the Receive rows whose receiver is the device.
+
+        It makes no reference cycles, so the collector is paused while it
+        builds the observations, as in `run`, and put back as it was."""
         log = self.events
         traces: dict[str, list[Observation]] = {d.ref: [] for d in self.scenario.devices}
         ids: dict[str, BeaconId] = {}  # one BeaconId per ID
-        for t, (claimed, _, id_hex, receiver, rssi) in itertools.compress(
-                zip(log.times, log.values), map(RECEIVE.__eq__, log.kinds)):
-            trace = traces.get(receiver)
-            if trace is not None:  # else a sniffer's
-                bid = ids.get(id_hex)
-                if bid is None:
-                    bid = ids[id_hex] = BeaconId.from_hex(id_hex)
-                trace.append(_new_tuple(Observation, (t, receiver, bid, rssi, claimed)))
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for t, (claimed, _, id_hex, receiver, rssi) in itertools.compress(
+                    zip(log.times, log.values), map(RECEIVE.__eq__, log.kinds)):
+                trace = traces.get(receiver)
+                if trace is not None:  # else a sniffer's
+                    bid = ids.get(id_hex)
+                    if bid is None:
+                        bid = ids[id_hex] = BeaconId.from_hex(id_hex)
+                    trace.append(_new_tuple(Observation, (t, receiver, bid, rssi, claimed)))
+        finally:
+            if collecting:
+                gc.enable()
         return tuple(Trace(ref, tuple(obs)) for ref, obs in traces.items())
 
 
@@ -123,8 +132,8 @@ class _Emitter:
     frame: int = 0
     # (id, id hex) by pool index, for a drain
     ids: dict = field(default_factory=dict)
-    # (role, ref, position, device, reach, jam exempt, distance, mean rssi,
-    # sink), one per receiver that can hear it; see `run`
+    # (role, ref, position, spot, reach, jam exempt, distance, mean rssi,
+    # sink, link key), one per receiver that can hear it; see `run`
     links: list = field(default_factory=list)
     receptions: int | float = 0  # at most how many Receive events its links log
 
@@ -146,6 +155,15 @@ _PHONE = "phone"  # a receiver role beside the sniffers' harvest and surveillanc
 
 def _fixed_position(device: UserDevice) -> Optional[tuple[float, float]]:
     return device.path[0][1] if len(device.path) == 1 else None
+
+
+def _position(spot: list, t: float) -> tuple[float, float]:
+    """A walking phone's position at t, from its spot [time, position, device]:
+    worked out again only when t is not the spot's time."""
+    if spot[0] != t:
+        spot[0] = t
+        spot[1] = spot[2].position_at(t)
+    return spot[1]
 
 
 def _with_hex(bid: BeaconId) -> tuple[BeaconId, str]:
@@ -362,11 +380,18 @@ def run(scenario: Scenario) -> RunResult:
         reach = rx.max_range if rx.max_range is not None else max_range
         receivers.append((rx.role, rx.ref, (rx.x, rx.y), None, reach, False, sink))
 
+    # Each walking phone's spot, [time, position, device]: the position at the
+    # time the loop last asked for it. An emitter's frame k falls at k times
+    # its interval from 0, so beacons and tags broadcast at shared instants,
+    # and every link of those frames that ends at the phone reads one position.
+    spots = {d.ref: [-1.0, None, d] for d in devices if _fixed_position(d) is None}
+
     # A link whose two ends both stand still keeps one distance for the whole
     # run: work it out once, and drop the pairs that are out of range. Any
     # other link works its distance and mean rssi out per frame, and is
     # dropped when its two ends never come within reach. Each emitter counts
-    # the receptions its links can make, for the run's event bound.
+    # the receptions its links can make, for the run's event bound. Each link
+    # keeps the key of its shadowing draws.
     for em in emitters:
         frames = _ticks(duration, em.interval_s)
         em_end = em.position if em.position is not None else device_by_ref[em.obj.carried_by]
@@ -386,7 +411,9 @@ def run(scenario: Scenario) -> RunResult:
                 if not heard:
                     continue
             em.receptions += heard
-            em.links.append((role, ref, rx_pos, device, reach, exempt, d, rssi, sink))
+            spot = spots[ref] if rx_pos is None else None
+            em.links.append((role, ref, rx_pos, spot, reach, exempt, d, rssi, sink,
+                             link_key(em.ref, ref)))
     _check_event_bound(emitters, devices, duration, protected_tag)
 
     id_and_hex = schedule.id_and_hex
@@ -431,7 +458,7 @@ def run(scenario: Scenario) -> RunResult:
             else:
                 bid, id_hex = id_and_hex(key, slot_of(t))
             if pos is None:
-                pos = device_by_ref[em.obj.carried_by].position_at(t)
+                pos = _position(spots[em.obj.carried_by], t)
             claimed = tx
         em_ref = em.ref
         n = em.frame
@@ -443,10 +470,16 @@ def run(scenario: Scenario) -> RunResult:
         if em_ref == protected_tag and em.family == "tag":
             jammed = jam_succeeds(seed, guardian, n)
         blocked: list[str] = []
+        noise_key = frame_key(seed, n)
 
-        for role, ref, rx_pos, device, reach, exempt, d, rssi, sink in em.links:
+        for role, ref, rx_pos, spot, reach, exempt, d, rssi, sink, link in em.links:
             if d is None:
-                d = math.dist(pos, device.position_at(t) if rx_pos is None else rx_pos)
+                if spot is not None:  # `_position`, inlined
+                    if spot[0] != t:
+                        spot[0] = t
+                        spot[1] = spot[2].position_at(t)
+                    rx_pos = spot[1]
+                d = math.dist(pos, rx_pos)
                 if d > reach:
                     continue
             if jammed and d <= guardian.jam_radius_m and not exempt:
@@ -454,7 +487,7 @@ def run(scenario: Scenario) -> RunResult:
                 continue
             if rssi is None:
                 rssi = mean_rssi(tx, max(d, 1.0), exponent)
-            rssi += shadowing_db(seed, em_ref, n, ref, sigma)
+            rssi += shadowing_db(noise_key, link, sigma)
             time_append(t)
             kind_append(RECEIVE)
             values_append((claimed, em_ref, id_hex, ref, rssi))

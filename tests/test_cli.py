@@ -37,6 +37,7 @@ from beaconlab import (
 )
 from beaconlab import cli, storage
 from beaconlab.cli import _process_pool, build_parser, main
+from beaconlab.ephemeral import MAX_BLOOM_K, MAX_BLOOM_M, MAX_WINDOW_IDS, bloom_size_for
 from conftest import AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, static_beacon
 from test_acceptance import _PATH_ADJ, _trace, _walk
 from test_golden import _detect_inputs
@@ -183,6 +184,24 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().out)["seed"] == 77
         main(["simulate", manifest, "--out", str(tmp_path / "b"), "--seed", "123"])
         assert json.loads(capsys.readouterr().out)["seed"] == 123
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("source", ["document", "--seed", "BEACONLAB_SEED"])
+    def test_a_seed_outside_signed_64_bit_exits_1(self, tmp_path, capsys, monkeypatch, source,
+                                                 seed):
+        # a noise draw packs the seed in 64 bits; at the default noise_sigma
+        # such a seed was a struct.error traceback, and with none it ran
+        for sigma in (2.0, 0.0):
+            radio = {"noise_sigma": sigma, **({"seed": seed} if source == "document" else {})}
+            manifest = write_manifest(tmp_path / "s.yaml", radio=radio)
+            flags = ["--seed", str(seed)] if source == "--seed" else []
+            if source == "BEACONLAB_SEED":
+                monkeypatch.setenv("BEACONLAB_SEED", str(seed))
+            out = tmp_path / "out"
+            assert main(["simulate", manifest, "--out", str(out), *flags]) == 1
+            assert capsys.readouterr().err == (
+                f"error: radio: seed must be in [-2**63, 2**63 - 1], got {seed}\n")
+            assert not out.exists()
 
     def test_multiple_manifests_get_subdirs(self, tmp_path, capsys):
         m1 = write_manifest(tmp_path / "east.yaml")
@@ -805,6 +824,68 @@ class TestEphemeral:
                      "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.fixture
+    def no_filter(self, monkeypatch):
+        """A filter build fails the test before it allocates a bit."""
+        def from_items(*args):
+            raise AssertionError("a filter was built")
+
+        monkeypatch.setattr(beaconlab.ephemeral.BloomFilter, "from_items", from_items)
+
+    @pytest.mark.parametrize("m, k", [(100_000_000_000, 1), (MAX_BLOOM_M + 1, 1),
+                                      (MAX_BLOOM_M, MAX_BLOOM_K + 1)])
+    def test_build_refuses_a_bloom_size_past_the_limits(self, tmp_path, capsys, no_filter, m, k):
+        keys_path = tmp_path / "keys.yaml"
+        keys_path.write_text(yaml.safe_dump({"b1": KEY1}))
+        out = tmp_path / "f.blf"
+        assert main(["ephemeral", "build", "--keys", str(keys_path), "--slot", "0",
+                     "--out", str(out), "--m", str(m), "--k", str(k)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bloom filter m and k must be at most 154,945,448 and 1,074, "
+            f"got m={m:,} and k={k:,}\n")
+        assert not out.exists()
+
+    def test_the_bloom_limits_are_a_full_window_at_the_smallest_target(self):
+        # 5e-324 is the least positive float: half of it is 0.0, no target
+        assert bloom_size_for(MAX_WINDOW_IDS, math.ulp(0.0)) == (MAX_BLOOM_M, MAX_BLOOM_K)
+        with pytest.raises(beaconlab.InvalidInput):
+            bloom_size_for(MAX_WINDOW_IDS, math.ulp(0.0) / 2)
+
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_a_document_s_bloom_size_past_the_limits_is_refused(self, tmp_path, capsys,
+                                                                no_filter, command):
+        doc = manifest_doc(beacons=[ephemeral_beacon("b1", 0, KEY1)],
+                           content=[{"ref": "b1", "locator": "app://one"}],
+                           defences=["TV"], ephemeral={"bloom_m": 100_000_000_000, "bloom_k": 1})
+        document = tmp_path / "scenario.yaml"
+        document.write_text(yaml.safe_dump(doc))
+        sighting = Observation(1.0, "phone", ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
+        argv = {
+            "simulate": ["simulate", str(document), "--out", str(tmp_path / "out")],
+            "detect": ["detect", "--deployment", str(document), "--threshold", "5", "--traces",
+                       trace_file(tmp_path, "t.jsonl", [Trace("phone", (sighting,))])],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ephemeral: bloom filter m and k must be at most 154,945,448 and 1,074, "
+            "got m=100,000,000,000 and k=1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("m, k", [(2**40, 1), (8, 2**32 - 1)])
+    def test_verify_refuses_a_filter_file_whose_size_is_past_the_limits(self, tmp_path, capsys,
+                                                                        m, k):
+        keys_path = tmp_path / "keys.yaml"
+        keys_path.write_text(yaml.safe_dump({"b1": KEY1}))
+        # one byte of bits, all clear: a lookup that ran would reject at its
+        # first hash, whatever k is
+        filter_path = tmp_path / "big.blf"
+        filter_path.write_bytes(b"BLF1" + struct.pack(">BQIqId", 1, m, k, 0, 2, 60.0) + b"\0")
+        assert main(["ephemeral", "verify", "--filter", str(filter_path), "--keys", str(keys_path),
+                     "--id-hex", AA]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bloom filter m and k must be at most 154,945,448 and 1,074, "
+            f"got m={m:,} and k={k:,}\n")
 
     def test_verify_refuses_a_filter_file_whose_slot_duration_is_nan(self, tmp_path, capsys):
         keys_path = tmp_path / "keys.yaml"

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from beaconlab import (
     Event,
@@ -12,7 +14,10 @@ from beaconlab import (
     estimate_distance,
     mean_rssi,
 )
-from beaconlab.radio import EVENT_FIELDS, event_line, shadowing_db, uniform_draw
+from beaconlab.radio import EVENT_FIELDS, event_line, frame_key, link_key, shadowing_db
+from beaconlab.radio import uniform_draw
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 class TestPathLoss:
@@ -51,21 +56,44 @@ class TestPathLoss:
         with pytest.raises(InvalidInput):
             RadioParams(max_range=0.0)
 
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_a_seed_outside_signed_64_bit_is_refused(self, seed):
+        with pytest.raises(InvalidInput, match=r"seed must be in \[-2\*\*63, 2\*\*63 - 1\]"):
+            RadioParams(seed=seed)
+        with pytest.raises(InvalidInput):
+            RadioParams(seed=seed, noise_sigma=0.0)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+    def test_the_signed_64_bit_ends_are_seeds(self, seed):
+        assert RadioParams(seed=seed).seed == seed
+        frame_key(seed, 0)  # packs
+
+
+def _reference_words(seed: int, counter: int, first: str, second: str) -> tuple[int, int]:
+    """The two words of a keyed draw, hashed in the one layout the radio
+    docstring states: seed and counter as big-endian signed 64-bit ints, then
+    the two refs with a NUL byte between them."""
+    digest = hashlib.sha256(
+        struct.pack(">qq", seed, counter) + first.encode() + b"\x00" + second.encode()).digest()
+    return struct.unpack(">QQ", digest[:16])
+
 
 class TestShadowing:
     def test_deterministic_and_keyed(self):
-        a = shadowing_db(1, "b1", 5, "phone", 2.0)
-        assert shadowing_db(1, "b1", 5, "phone", 2.0) == a
-        assert shadowing_db(1, "b1", 5, "other", 2.0) != a
-        assert shadowing_db(1, "b1", 6, "phone", 2.0) != a
-        assert shadowing_db(2, "b1", 5, "phone", 2.0) != a
+        link = link_key("b1", "phone")
+        a = shadowing_db(frame_key(1, 5), link, 2.0)
+        assert shadowing_db(frame_key(1, 5), link, 2.0) == a
+        assert shadowing_db(frame_key(1, 5), link_key("b1", "other"), 2.0) != a
+        assert shadowing_db(frame_key(1, 6), link, 2.0) != a
+        assert shadowing_db(frame_key(2, 5), link, 2.0) != a
 
     def test_zero_sigma_is_silent(self):
-        assert shadowing_db(1, "b1", 5, "phone", 0.0) == 0.0
+        assert shadowing_db(frame_key(1, 5), link_key("b1", "phone"), 0.0) == 0.0
 
     def test_distribution_moments(self):
         sigma = 2.0
-        draws = [shadowing_db(0, "b1", i, "phone", sigma) for i in range(20000)]
+        link = link_key("b1", "phone")
+        draws = [shadowing_db(frame_key(0, i), link, sigma) for i in range(20000)]
         mean = sum(draws) / len(draws)
         var = sum((x - mean) ** 2 for x in draws) / len(draws)
         assert mean == pytest.approx(0.0, abs=0.05)
@@ -81,6 +109,20 @@ class TestShadowing:
         _, p = scipy_stats.chisquare(counts)
         assert p > 0.01
 
+    @given(seed=INT64, frame=st.integers(min_value=0, max_value=2**63 - 1),
+           emitter=st.text(), receiver=st.text(),
+           sigma=st.floats(min_value=0.0, max_value=1e6))
+    @example(seed=-(2**63), frame=0, emitter="bé", receiver="téléphone", sigma=2.0)
+    @example(seed=2**63 - 1, frame=2**63 - 1, emitter="信标", receiver="📱\x00", sigma=1.0)
+    def test_a_draw_hashes_the_frame_key_then_the_link_key(self, seed, frame, emitter, receiver,
+                                                           sigma):
+        # refs are any text, non-ASCII and NUL included: a ref encodes as UTF-8
+        w1, w2 = _reference_words(seed, frame, emitter, receiver)
+        expected = 0.0 if sigma == 0 else (
+            sigma * math.sqrt(-2.0 * math.log((w1 + 1) / (2.0**64 + 2)))
+            * math.cos(2.0 * math.pi * (w2 / 2.0**64)))
+        assert shadowing_db(frame_key(seed, frame), link_key(emitter, receiver), sigma) == expected
+        assert uniform_draw(seed, emitter, receiver, frame) == w1 / 2.0**64
 
 class TestEventLog:
     def test_json_round_trip(self):

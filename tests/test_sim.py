@@ -35,7 +35,7 @@ from beaconlab.sim import (
     OUTCOME_FLAGGED,
     WindowRecord,
 )
-from conftest import AA, BB, CC, ephemeral_beacon, static_beacon
+from conftest import AA, BB, CC, DD, ephemeral_beacon, static_beacon
 from test_acceptance import _replay_doc, _silencing_doc
 from test_golden import SCENARIOS, _walking_doc
 
@@ -262,6 +262,68 @@ class TestTagsAndReplay:
         assert trace.device_ref == "phone"
         assert len(trace) > 0
         assert json.dumps(result.summary())  # summary is JSON-shaped
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reading_the_traces_leaves_the_cyclic_collector_as_it_was(self, enabled,
+                                                                      monkeypatch):
+        result = run(load_scenario(_walking_doc()))
+        reference = result.traces
+        collecting = []  # the collector's state as each observation is made
+
+        def new_tuple(cls, values):
+            collecting.append(gc.isenabled())
+            return tuple.__new__(cls, values)
+
+        monkeypatch.setattr(sim, "_new_tuple", new_tuple)
+        before = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            traces = result.traces
+            assert gc.isenabled() == enabled
+        finally:
+            if before:
+                gc.enable()
+            else:
+                gc.disable()
+        assert traces == reference
+        assert len(collecting) == sum(map(len, traces)) > 0
+        assert not any(collecting)
+
+
+def test_a_walking_phone_s_position_is_worked_out_once_per_broadcast_time(monkeypatch):
+    # four beacons and a tag advertise once a second from 0, so all their
+    # frames share 30 instants; two phones walk past the beacons, one carrying
+    # the tag, and a third stands still
+    ids = (AA, BB, CC, DD)
+    walk = {
+        "beacons": [static_beacon(f"b{i}", 10.0 * i, h) for i, h in enumerate(ids)],
+        "content": [{"id_hex": h, "locator": f"app://{i}"} for i, h in enumerate(ids)],
+        "devices": [{"ref": "walker", "path": [[0.0, [0.0, 1.0]], [30.0, [30.0, 1.0]]]},
+                    {"ref": "stroller", "path": [[0.0, [30.0, -1.0]], [30.0, [0.0, -1.0]]]},
+                    {"ref": "sitter", "path": [[0.0, [15.0, 2.0]]]}],
+        "tags": [{"ref": "fob", "carried_by": "walker", "id_hex": "ee" * 20}],
+        "duration_s": 30.0,
+        "radio": {"seed": 3},
+    }
+    callers = []
+    position_at = UserDevice.position_at
+
+    def counting(self, t):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return position_at(self, t)
+
+    monkeypatch.setattr(UserDevice, "position_at", counting)
+    result = run(load_scenario(walk))
+    # the event bound's reach (`sim._at`, per link) and the ground truth of a
+    # delivered window (`within_threshold`) ask for positions outside the frames
+    per_frame = [c for c in callers if c not in ("_at", "within_threshold")]
+    times = {t for t, kind in zip(result.events.times, result.events.kinds) if kind == BROADCAST}
+    assert len(times) == 30
+    walking_phones, tag_carriers = 2, 1
+    assert 0 < len(per_frame) <= (walking_phones + tag_carriers) * len(times)
 
 
 @pytest.fixture
