@@ -126,13 +126,13 @@ def _resolve_seed(doc: dict, override: Optional[int]) -> dict:
 
 def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
     doc = _resolve_seed(_parse_document(_read_text(manifest)), seed)
-    scenario = load_scenario(doc)
-    result = run(scenario)
+    result = run(load_scenario(doc))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_events_jsonl(str(out / "events.jsonl"), result.events)
-    write_traces_jsonl(str(out / "traces.jsonl"), result.traces)
+    write_traces_jsonl(str(out / "traces.jsonl"), result.events,
+                       [device.ref for device in result.scenario.devices])
     metrics = [attack_metrics(result, i) for i in range(len(result.scenario.attacks))]
     summary = result.summary()
     rows = metric_rows(metrics, summary["correct_delivery_rate"], summary["n_deliveries"])
@@ -243,7 +243,7 @@ def cmd_detect(args) -> int:
         raise _UsageError(f"detect: --threshold must be finite, got {args.threshold!r}")
     doc = _parse_document(_read_text(args.deployment))
     deployment = load_deployment(doc)
-    eph = ephemeral_block(doc, deployment.id_width)[0]
+    eph = ephemeral_block(doc, deployment)[0]
     model, resolver = _detector(deployment, eph, args.p_stay, args.weighting)
 
     threshold, traces = args.threshold, None

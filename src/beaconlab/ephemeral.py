@@ -35,6 +35,10 @@ MAX_WINDOW_IDS = 100_000
 # (`bloom_size_for(MAX_WINDOW_IDS, math.ulp(0.0))`). Its bits take 19.4 MB.
 MAX_BLOOM_M = 154_945_448
 MAX_BLOOM_K = 1_074
+# The most bits one filter build may set, k x IDs: 0.25-0.5 us a bit on a
+# 2-vCPU Xeon VM, up to about 1.4 s a build. A full window of MAX_WINDOW_IDS
+# IDs may take k up to 30 (a target of 1e-9); one at k 1,074, 2,793 IDs.
+MAX_BLOOM_WORK = 3_000_000
 
 _FILTER_MAGIC = b"BLF1"
 _UNSEEN = object()  # verdict cache miss; None is a cached rejection
@@ -123,15 +127,24 @@ class IdSchedule:
 # Bloom filter
 
 
-def check_sizing(m_bits: int | None, k_hashes: int | None) -> None:
-    """Refuse a Bloom size given by half, or one `_check_geometry` refuses. A
-    filter takes its bits m and hash count k both as given, or both from the
-    false-positive target."""
+def filter_size(n_items: int, m_bits: int | None = None, k_hashes: int | None = None,
+                fp_target: float = DEFAULT_FP_TARGET) -> Optional[tuple[int, int]]:
+    """The bits m and hash count k of a filter of n_items IDs: both as given,
+    or both sized for fp_target; None when neither is given and there are no
+    IDs. Refuses m or k given alone, one `_check_geometry` refuses, and a
+    build that would set more than MAX_BLOOM_WORK bits (k x n_items)."""
     if (m_bits is None) != (k_hashes is None):
         raise InvalidInput(f"Bloom m and k are given both or neither, "
                            f"got m={m_bits!r} and k={k_hashes!r}")
-    if m_bits is not None:
-        _check_geometry(m_bits, k_hashes)
+    if m_bits is None:
+        if not n_items:
+            return None
+        m_bits, k_hashes = bloom_size_for(n_items, fp_target)
+    _check_geometry(m_bits, k_hashes)
+    if k_hashes * n_items > MAX_BLOOM_WORK:
+        raise InvalidInput(f"a bloom filter of {n_items:,} IDs at k={k_hashes:,} sets "
+                           f"{k_hashes * n_items:,} bits; the limit is {MAX_BLOOM_WORK:,}")
+    return m_bits, k_hashes
 
 
 def _check_geometry(m_bits: int, k_hashes: int) -> None:
@@ -210,17 +223,14 @@ def build_filter(
     """Insert every owned key's IDs for the acceptance window around current_slot.
 
     Sizing defaults to the fp_target; m and k are given both or neither (see
-    `check_sizing`), and an (m, k) whose expected false positive rate exceeds
+    `filter_size`), and an (m, k) whose expected false positive rate exceeds
     10% at this population is a configuration error.
     """
-    check_sizing(m_bits, k_hashes)
     if not schedule.owner_keys:
         raise InvalidInput("no keys to build a filter from")
     slots = schedule.params.window(current_slot)
     n_items = len(schedule.owner_keys) * len(slots)
-    if m_bits is None:
-        m_bits, k_hashes = bloom_size_for(n_items, fp_target)
-    _check_geometry(m_bits, k_hashes)
+    m_bits, k_hashes = filter_size(n_items, m_bits, k_hashes, fp_target)
     if expected_fp_rate(m_bits, k_hashes, n_items) > MAX_BUILD_FP:
         raise InvalidInput(
             f"bloom sizing m={m_bits} k={k_hashes} gives expected false-positive "

@@ -35,7 +35,7 @@ class BeaconId:
     def from_hex(cls, text: str) -> "BeaconId":
         try:
             return cls(bytes.fromhex(text))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: text is not a str
             raise InvalidInput(f"bad beacon id hex: {text!r}") from exc
 
     def hex(self) -> str:
@@ -115,7 +115,6 @@ class Observation(NamedTuple):
     """One received advertisement as seen by a device: no emitter identity."""
 
     time: float
-    receiver_ref: str
     id: BeaconId
     rssi: float
     claimed_tx_power: float
@@ -132,7 +131,7 @@ class Trace:
         times = [o.time for o in self.observations]
         # `not a <= b` also holds when either time is NaN
         if any(not a <= b for a, b in zip(times, times[1:])):
-            raise InvalidInput(f"trace for {self.device_ref} is not time-ordered")
+            raise InvalidInput(f"trace for {self.device_ref!r} is not time-ordered")
 
     def __len__(self) -> int:
         return len(self.observations)

@@ -178,15 +178,17 @@ def _decode_line(line: str):
 
     A line that `raw_decode` rejects or does not consume whole (surrounding
     whitespace, a byte-order mark, extra data) goes through `json.loads`, so
-    it parses or fails exactly as it would there.
+    it parses or fails exactly as it would there; but a value nested too
+    deeply fails as a JSONDecodeError, not json.loads' RecursionError.
     """
     try:
-        value, end = _raw_decode(line)
-    except ValueError:
-        return json.loads(line)
-    if end != len(line):
-        return json.loads(line)
-    return value
+        try:
+            value, end = _raw_decode(line)
+        except ValueError:
+            return json.loads(line)
+        return value if end == len(line) else json.loads(line)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", line, 0) from None
 
 
 # ---------------------------------------------------------------------------

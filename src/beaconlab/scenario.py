@@ -15,7 +15,7 @@ from typing import Optional
 from .actors import AppSpec, PersonalTag, UserDevice
 from .attacks import AttackerReceiver, AttackProfile, InjectedEmitter
 from .attacks import normalize_kind, normalize_sniff_mode
-from .ephemeral import DEFAULT_FP_TARGET, EphemeralParams, check_sizing
+from .ephemeral import DEFAULT_FP_TARGET, MAX_WINDOW_IDS, EphemeralParams, filter_size
 from .errors import InvalidInput, SchemaError, ValidationError
 from .guardian import DEFAULT_GUARDIAN_REF, GuardianConfig, apply_guardian
 from .model import DEPLOYMENT_KEYS, DeploymentMap, load_deployment
@@ -165,15 +165,21 @@ _SCENARIO_KEYS = DEPLOYMENT_KEYS + (
 )
 
 
-def ephemeral_block(doc: dict, id_width: int) -> tuple[EphemeralParams, dict]:
+def ephemeral_block(doc: dict, deployment: DeploymentMap) -> tuple[EphemeralParams, dict]:
     """The slot length and window a document's `ephemeral:` block gives, the
-    defaults without one, and the block's Bloom sizing keys, whose bloom_m and
-    bloom_k are given both or neither. `load_scenario` and `detect` both read
-    the block here, so a run and `detect` resolve rotating IDs alike."""
+    defaults without one, and the block's Bloom sizing keys, checked by
+    `filter_size` for a filter of the deployment's IDs in one window (a window
+    of more than MAX_WINDOW_IDS is refused where its IDs are derived).
+    `load_scenario` and `detect` both read the block here, so a run and
+    `detect` resolve rotating IDs alike."""
     eph = _fields(doc.get("ephemeral"), "ephemeral", _EPHEMERAL_READERS)
     sizing = {k: eph.pop(k) for k in ("bloom_fp_target", "bloom_m", "bloom_k") if k in eph}
-    _build(check_sizing, "ephemeral", m_bits=sizing.get("bloom_m"), k_hashes=sizing.get("bloom_k"))
-    return _build(EphemeralParams, "ephemeral", id_width=id_width, **eph), sizing
+    params = _build(EphemeralParams, "ephemeral", id_width=deployment.id_width, **eph)
+    n_ids = len(deployment.owner_keys) * len(params.window(0))
+    _build(filter_size, "ephemeral", n_items=n_ids if n_ids <= MAX_WINDOW_IDS else 0,
+           m_bits=sizing.get("bloom_m"), k_hashes=sizing.get("bloom_k"),
+           fp_target=sizing.get("bloom_fp_target", DEFAULT_FP_TARGET))
+    return params, sizing
 
 
 def load_scenario(document) -> Scenario:
@@ -209,7 +215,7 @@ def load_scenario(document) -> Scenario:
     if "max_range_m" in radio:
         radio["max_range"] = radio.pop("max_range_m")
 
-    eph, given = ephemeral_block(doc, deployment.id_width)
+    eph, given = ephemeral_block(doc, deployment)
     # the Bloom sizing keys of the ephemeral block are Scenario fields, as is duration_s
     if doc.get("duration_s") is not None:
         given["duration_s"] = _number(doc["duration_s"], "duration_s")

@@ -29,7 +29,7 @@ from .attacks import install_pending
 from .ephemeral import IdSchedule, RotatingResolver
 from .errors import InvalidInput, ValidationError
 from .guardian import jam_succeeds
-from .model import BeaconId, Observation, StaticId, Trace
+from .model import BeaconId, Observation, StaticId
 from .radio import BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, FLAGGED, JAMMED, NO_ACTION, RECEIVE
 from .radio import EventLog
 from .radio import OUTCOME_BUDGET, OUTCOME_DEBOUNCED, OUTCOME_DELIVERED, OUTCOME_EMPTY
@@ -89,32 +89,6 @@ class RunResult:
             "n_deliveries": n_deliveries,
             "correct_delivery_rate": rate,
         }
-
-    @property
-    def traces(self) -> tuple[Trace, ...]:
-        """Each device's trace, in device order, built from the log whenever it
-        is read: the Receive rows whose receiver is the device.
-
-        It makes no reference cycles, so the collector is paused while it
-        builds the observations, as in `run`, and put back as it was."""
-        log = self.events
-        traces: dict[str, list[Observation]] = {d.ref: [] for d in self.scenario.devices}
-        ids: dict[str, BeaconId] = {}  # one BeaconId per ID
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for t, (claimed, _, id_hex, receiver, rssi) in itertools.compress(
-                    zip(log.times, log.values), map(RECEIVE.__eq__, log.kinds)):
-                trace = traces.get(receiver)
-                if trace is not None:  # else a sniffer's
-                    bid = ids.get(id_hex)
-                    if bid is None:
-                        bid = ids[id_hex] = BeaconId.from_hex(id_hex)
-                    trace.append(_new_tuple(Observation, (t, receiver, bid, rssi, claimed)))
-        finally:
-            if collecting:
-                gc.enable()
-        return tuple(Trace(ref, tuple(obs)) for ref, obs in traces.items())
 
 
 @dataclass
@@ -492,7 +466,7 @@ def run(scenario: Scenario) -> RunResult:
             kind_append(RECEIVE)
             values_append((claimed, em_ref, id_hex, ref, rssi))
             if role == _PHONE:
-                sink.append((_new_tuple(Observation, (t, ref, bid, rssi, claimed)), em_ref))
+                sink.append((_new_tuple(Observation, (t, bid, rssi, claimed)), em_ref))
             elif role == "surveillance":
                 target, found = sink
                 if target is not None and bid == target:

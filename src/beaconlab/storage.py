@@ -8,26 +8,30 @@ equals what `json.dumps(..., sort_keys=True)` writes for it.
 A JSONL line is a %-template filled with rendered values. Each event kind has
 one template, built once from its sorted field tuple in `radio.EVENT_FIELDS`
 (a field whose value is None is left out of the line); trace lines share one
-five-field template. Writers render a block of `_BLOCK` events, or of one
-trace's observations, at a time, a column at a time. The event writer groups
-a block's events by kind, transposes each kind's values into field columns
-and adds its `seq` and `t` columns; the trace writer transposes the block's
-observations. `radio.render_column` reads a column's exact types in one
-C-level pass: a column of str goes through `encode_basestring_ascii`, of ints
-(not bools) through `int.__repr__`, and of floats that are all finite through
-`float.__repr__`; any other column goes value by value through
-`radio.render_value`, the renderer whose text is `json.dumps`'s. Each kind's
-template is then filled a row at a time, and the block's lines are written in
-seq order. An event whose optional field is empty goes through
-`radio.event_line`, the per-event reference. No writer holds more than one
-block's columns and lines.
+five-field template. Writers render a block of `_BLOCK` rows at a time, a
+column at a time. The event writer groups a block's events by kind and
+transposes each kind's values into field columns beside its `seq` and `t`.
+The trace file is rendered from the log's Receive rows, a run's one record of
+its traces: one pass finds where each device's rows are (8 bytes a row), and
+each block of them is read out of the log's columns at the positions
+`radio.EVENT_FIELDS[RECEIVE]` gives. `radio.render_column` reads a column's
+exact types in one C-level pass: a column of str goes through
+`encode_basestring_ascii`, of ints (not bools) through `int.__repr__`, and of
+floats that are all finite through `float.__repr__`; any other column goes
+value by value through `radio.render_value`, the renderer whose text is
+`json.dumps`'s. Each kind's template is then filled a row at a time, and the
+block's lines are written in seq order. An event whose optional field is
+empty goes through `radio.event_line`, the per-event reference. No writer
+holds more than one block's columns and lines.
 
 The same passes check each column against its reader's rule, so no writer
-writes a file its reader refuses: an event value outside `radio.FIELD_TYPES`
+writes a file its reader refuses. An event value outside `radio.FIELD_TYPES`
 or a `t` that is not a finite number raises InvalidInput naming the event's
-seq, kind and field in the reader's words, and a trace value
-`read_traces_jsonl` refuses raises it naming the device. Only a column that
-fails is walked value by value.
+seq, kind and field in the reader's words. The trace writer raises it naming
+the device for a device that is not a str or is given twice, a `t`, `rssi`
+or `claimed_tx` that is not an int or a finite float, an `id` that is not a
+non-empty hex string, and a `t` below that of the device's row before it,
+which `Trace` refuses. Only a column that fails is walked value by value.
 
 A file of `_FORK_ROWS` rows or more is rendered by two processes, where
 `_may_fork()`: the platform forks, this process may run on two CPUs or
@@ -64,10 +68,9 @@ Readers decode each line through `radio._decode_line`, with the semantics of
 accepted, and a line holding anything beyond one JSON value (or a byte-order
 mark) fails with the error `json.loads` gives. The common line is decoded by
 one `raw_decode` call; only a line that call rejects or does not consume whole
-takes the `json.loads` path. The trace reader interns beacon IDs and device
-strings per file, so every observation of one `id_hex` shares one `BeaconId`
-and every observation of one device one `receiver_ref`: a file names a few
-dozen of each across tens of thousands of lines.
+takes the `json.loads` path. The trace reader interns beacon IDs per file, so
+every observation of one `id_hex` shares one `BeaconId`: a file names a few
+dozen across tens of thousands of lines.
 """
 
 from __future__ import annotations
@@ -78,18 +81,19 @@ import json
 import math
 import os
 import sys
+from array import array
 from functools import partial
 from itertools import accumulate, compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import itemgetter, le
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
 from .model import BeaconId, Observation, Trace
 from .radio import (
-    _EVENT_TEMPLATES, _IS_TYPE, EVENT_FIELDS, FIELD_TYPES, OPTIONAL_FIELDS, Event, EventLog,
-    _decode_line, _dumps_sorted, _field_refusal, event_line, json_template, render_column,
+    _EVENT_TEMPLATES, _IS_TYPE, EVENT_FIELDS, FIELD_TYPES, OPTIONAL_FIELDS, RECEIVE, Event,
+    EventLog, _decode_line, _dumps_sorted, _field_refusal, event_line, json_template, render_column,
 )
 
 FORMAT_VERSION = 1
@@ -380,51 +384,74 @@ def read_events_jsonl(path: str) -> list[Event]:
 
 
 _TRACE_TEMPLATE = json_template(("claimed_tx", "device", "id_hex", "rssi", "t"))
+# where a Receive row keeps its receiver, and the getters of what a trace line takes from it
+_RECEIVER = EVENT_FIELDS[RECEIVE].index("receiver")
+_GETTERS = [itemgetter(EVENT_FIELDS[RECEIVE].index(name)) for name in ("claimed_tx", "id", "rssi")]
 
 
-def write_traces_jsonl(path: str, traces: Iterable[Trace]) -> None:
-    """Write the traces, a block of one trace's observations at a time. A value
-    that `read_traces_jsonl` would refuse raises InvalidInput naming the
-    device, and leaves no file."""
-    blocks = [(trace.device_ref, trace.observations, i)
-              for trace in traces for i in range(0, len(trace.observations), _BLOCK)]
+def write_traces_jsonl(path: str, log: EventLog, devices: Iterable[str]) -> None:
+    """Write each device's trace, in the order of devices: the log's Receive
+    rows whose receiver is the device, in log order, a block at a time; a
+    device with no rows has no line. A device that is not a str or is given
+    twice, or a row that `read_traces_jsonl` or its `Trace` would refuse,
+    raises InvalidInput naming the device and leaves no file."""
+    rows: dict[str, array] = {}  # device -> the positions of its rows in the log
+    for device in devices:
+        if type(device) is not str:
+            raise InvalidInput(f"trace of device {device!r}: device must be a str, got {device!r}")
+        if device in rows:
+            raise InvalidInput(f"trace of device {device!r}: the device is given twice")
+        rows[device] = array("q")
+    times, values = log.times, log.values
+    for i, row in compress(enumerate(values), map(RECEIVE.__eq__, log.kinds)):
+        try:
+            mine = rows.get(row[_RECEIVER])
+        except TypeError:  # an unhashable receiver is no device
+            continue
+        if mine is not None:
+            mine.append(i)
+    blocks = [(device, mine, i) for device, mine in rows.items()
+              for i in range(0, len(mine), _BLOCK)]
 
     def render(j: int) -> list[str]:
-        device_ref, observations, i = blocks[j]
-        return _trace_block(device_ref, observations[i:i + _BLOCK])
+        device, mine, i = blocks[j]
+        return _trace_block(device, times, values, mine, i)
 
     _write_jsonl(path, TRACES_FORMAT, render,
-                 [min(_BLOCK, len(observations) - i) for _, observations, i in blocks])
+                 [min(_BLOCK, len(mine) - i) for _, mine, i in blocks])
 
 
 _NUMBER_TYPES = frozenset((int, float))
-_id_bytes = attrgetter("data")
 
 
-def _trace_block(device_ref: str, observations: tuple) -> list[str]:
-    """The lines of a block of a trace's observations, once every column is
-    checked in one pass of C-level calls; only a column that fails is walked
-    value by value, to name its first bad value."""
-    times, devices, ids, rssis, claimed = zip(*observations)
-    for name, column in (("t", times), ("rssi", rssis), ("claimed_tx", claimed)):
-        try:
-            if _NUMBER_TYPES.issuperset(map(type, column)) and all(map(math.isfinite, column)):
-                continue
-        except OverflowError:  # an int too large for a float
-            pass
-        for value in column:
+def _trace_block(device: str, times: list, values: list, rows: array, start: int) -> list[str]:
+    """The lines of device's log rows rows[start:start + _BLOCK], once every
+    column is checked in one pass of C-level calls; only a column that fails
+    is walked value by value, to name its first bad value."""
+    picked = rows[start:start + _BLOCK]
+    block_times = list(map(times.__getitem__, picked))
+    claimed, ids, rssis = (list(map(get, map(values.__getitem__, picked))) for get in _GETTERS)
+    try:
+        for name, column in (("t", block_times), ("rssi", rssis), ("claimed_tx", claimed)):
             try:
+                if _NUMBER_TYPES.issuperset(map(type, column)) and all(map(math.isfinite, column)):
+                    continue
+            except OverflowError:  # an int too large for a float
+                pass
+            for value in column:
                 _finite(value, name)
-            except (ValueError, OverflowError) as exc:
-                raise InvalidInput(f"trace of device {device_ref!r}: {exc}") from exc
-    rendered_devices = render_column(devices, "str")
-    if rendered_devices is None:
-        bad = next(d for d in devices if type(d) is not str)
-        raise InvalidInput(f"trace of device {device_ref!r}: device must be a str, got {bad!r}")
-    hexes = map(bytes.hex, map(_id_bytes, ids))
-    columns = (render_column(claimed, "number"), rendered_devices,
-               map(encode_basestring_ascii, hexes), render_column(rssis, "number"),
-               render_column(times, "number"))
+        for id_hex in dict.fromkeys(ids) if set(map(type, ids)) == {str} else ids:
+            BeaconId.from_hex(id_hex)
+        # each t is at least the one before it, the first the last of the block before
+        earlier = [times[rows[start - 1]] if start else block_times[0], *block_times[:-1]]
+        if not all(map(le, earlier, block_times)):
+            t, late = next(pair for pair in zip(earlier, block_times) if not pair[0] <= pair[1])
+            raise ValueError(f"t {late!r} comes after t {t!r}: the rows are not in time order")
+    except (ValueError, OverflowError, InvalidInput) as exc:
+        raise InvalidInput(f"trace of device {device!r}: {exc}") from exc
+    columns = (render_column(claimed, "number"), repeat(encode_basestring_ascii(device)),
+               map(encode_basestring_ascii, ids), render_column(rssis, "number"),
+               render_column(block_times, "number"))
     return list(map(_TRACE_TEMPLATE.__mod__, zip(*columns)))
 
 
@@ -467,17 +494,11 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
                 # from_hex raises for anything that is not a hex string,
                 # unhashable values included, before it can be stored
                 beacon_id = ids[id_hex] = BeaconId.from_hex(id_hex)
-            obs_list = grouped.get(device)
-            if obs_list is None:
-                obs_list = grouped[device] = []
-            else:  # one device string per device, as one BeaconId per id_hex
-                device = obs_list[0].receiver_ref
-            obs_list.append(
-                Observation(t, device, beacon_id, rssi, claimed)
-            )
+            observations = grouped.get(device) or grouped.setdefault(device, [])  # never empty
+            observations.append(Observation(t, beacon_id, rssi, claimed))
         except (KeyError, ValueError, TypeError, OverflowError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc
-    return tuple(Trace(ref, tuple(obs_list)) for ref, obs_list in grouped.items())
+    return tuple(Trace(ref, tuple(observations)) for ref, observations in grouped.items())
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def _walk(rng: random.Random, length: int = 20) -> list[str]:
 
 def _trace(states, ref="dev") -> Trace:
     obs = tuple(
-        Observation(3.0 * i, ref, BeaconId(bytes.fromhex(_PATH_IDS.get(s, _UNKNOWN_ID))),
+        Observation(3.0 * i, BeaconId(bytes.fromhex(_PATH_IDS.get(s, _UNKNOWN_ID))),
                     -70.0, -59.0)
         for i, s in enumerate(states)
     )

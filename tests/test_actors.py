@@ -13,7 +13,7 @@ from conftest import AA
 
 
 def obs(rssi: float, claimed: float = -59.0) -> Observation:
-    return Observation(0.0, "phone", BeaconId(bytes.fromhex(AA)), rssi, claimed)
+    return Observation(0.0, BeaconId(bytes.fromhex(AA)), rssi, claimed)
 
 
 def device(**kw) -> UserDevice:

@@ -37,8 +37,10 @@ from beaconlab import (
 )
 from beaconlab import cli, storage
 from beaconlab.cli import _process_pool, build_parser, main
-from beaconlab.ephemeral import MAX_BLOOM_K, MAX_BLOOM_M, MAX_WINDOW_IDS, bloom_size_for
-from conftest import AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, static_beacon
+from beaconlab.ephemeral import (MAX_BLOOM_K, MAX_BLOOM_M, MAX_BLOOM_WORK, MAX_WINDOW_IDS,
+                                 bloom_size_for, filter_size)
+from conftest import (AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, receive_log,
+                      static_beacon)
 from test_acceptance import _PATH_ADJ, _trace, _walk
 from test_golden import _detect_inputs
 
@@ -80,13 +82,13 @@ def deployment_file(tmp_path):
 
 def trace_file(tmp_path, name, traces):
     path = tmp_path / name
-    write_traces_jsonl(str(path), traces)
+    write_traces_jsonl(str(path), *receive_log(traces))
     return str(path)
 
 
 def walk_trace(device_ref, ids, t0=0.0):
     return Trace(device_ref, tuple(
-        Observation(t0 + i, device_ref, BeaconId(bytes.fromhex(h)), -70.0, -59.0)
+        Observation(t0 + i, BeaconId(bytes.fromhex(h)), -70.0, -59.0)
         for i, h in enumerate(ids)
     ))
 
@@ -402,15 +404,15 @@ def _generated_inputs(tmp_path) -> list[str]:
     test walks of random lengths, three of them with a jump, at --alpha 0.02."""
     deployment = _detect_inputs(tmp_path)[2]
     rng = random.Random(12)
-    calibration = tmp_path / "generated-calibration.jsonl"
-    write_traces_jsonl(str(calibration), [_trace(_walk(rng), f"cal{k}") for k in range(60)])
+    calibration = trace_file(tmp_path, "generated-calibration.jsonl",
+                             [_trace(_walk(rng), f"cal{k}") for k in range(60)])
     walks = [_walk(rng, rng.randrange(2, 40)) for _ in range(30)]
     for walk in walks[:3]:
         walk[len(walk) // 2:] = ["b4", "b1"]
-    traces = tmp_path / "generated-traces.jsonl"
-    write_traces_jsonl(str(traces), [_trace(w, f"walk{k}") for k, w in enumerate(walks)])
-    return ["detect", "--deployment", deployment, "--traces", str(traces),
-            "--calibration", str(calibration), "--alpha", "0.02"]
+    traces = trace_file(tmp_path, "generated-traces.jsonl",
+                        [_trace(w, f"walk{k}") for k, w in enumerate(walks)])
+    return ["detect", "--deployment", deployment, "--traces", traces,
+            "--calibration", calibration, "--alpha", "0.02"]
 
 
 def _rotating_inputs(tmp_path) -> list[str]:
@@ -434,19 +436,17 @@ def _rotating_inputs(tmp_path) -> list[str]:
         for i, state in enumerate(states):
             slot = eph.slot_of(10.0 * i) - (3 if i == stale_at else 0)
             bid = ephemeral_id(bytes.fromhex(keys[state]), slot)
-            sightings.append(Observation(10.0 * i, ref, bid, -70.0, -59.0))
+            sightings.append(Observation(10.0 * i, bid, -70.0, -59.0))
         return Trace(ref, tuple(sightings))
 
-    calibration = tmp_path / "rotating-calibration.jsonl"
-    write_traces_jsonl(str(calibration),
-                       [rotating_trace(_walk(rng), f"cal{k}") for k in range(30)])
+    calibration = trace_file(tmp_path, "rotating-calibration.jsonl",
+                             [rotating_trace(_walk(rng), f"cal{k}") for k in range(30)])
     walks = [rotating_trace(_walk(rng), f"clean{k}") for k in range(10)]
     walks += [rotating_trace(_walk(rng)[:10] + ["b4", "b1"], f"jump{k}") for k in range(2)]
     walks += [rotating_trace(_walk(rng), f"stale{k}", stale_at=15) for k in range(2)]
-    traces = tmp_path / "rotating-traces.jsonl"
-    write_traces_jsonl(str(traces), walks)
-    return ["detect", "--deployment", str(deployment), "--traces", str(traces),
-            "--calibration", str(calibration), "--alpha", "0.1"]
+    traces = trace_file(tmp_path, "rotating-traces.jsonl", walks)
+    return ["detect", "--deployment", str(deployment), "--traces", traces,
+            "--calibration", calibration, "--alpha", "0.1"]
 
 
 class TestCalibrationProcess:
@@ -676,7 +676,7 @@ def test_a_slot_outside_signed_64_bit_is_an_input_error(tmp_path, capsys, case):
     filter_path = str(tmp_path / "slot0.blf")
     assert main(["ephemeral", "build", "--keys", str(keys), "--slot", "0",
                  "--out", filter_path]) == 0
-    sighting = Observation(1e300, "phone", ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
+    sighting = Observation(1e300, ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
     argv = {
         "simulate": ["simulate", str(scenario), "--out", str(tmp_path / "out")],
         "generate": ["ephemeral", "generate", "--key-hex", KEY1, "--slot", str(2**63)],
@@ -707,7 +707,7 @@ def test_a_window_of_too_many_ids_is_refused_before_any_is_derived(tmp_path, cap
     document.write_text(yaml.safe_dump(doc))
     keys = tmp_path / "keys.yaml"
     keys.write_text(yaml.safe_dump({"b1": KEY1}))
-    sighting = Observation(1.0, "phone", BeaconId.from_hex(AA), -70.0, -59.0)
+    sighting = Observation(1.0, BeaconId.from_hex(AA), -70.0, -59.0)
     argv = {
         "simulate": ["simulate", str(document), "--out", str(tmp_path / "out")],
         "build": ["ephemeral", "build", "--keys", str(keys), "--slot", "0",
@@ -860,7 +860,7 @@ class TestEphemeral:
                            defences=["TV"], ephemeral={"bloom_m": 100_000_000_000, "bloom_k": 1})
         document = tmp_path / "scenario.yaml"
         document.write_text(yaml.safe_dump(doc))
-        sighting = Observation(1.0, "phone", ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
+        sighting = Observation(1.0, ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
         argv = {
             "simulate": ["simulate", str(document), "--out", str(tmp_path / "out")],
             "detect": ["detect", "--deployment", str(document), "--threshold", "5", "--traces",
@@ -871,6 +871,51 @@ class TestEphemeral:
             "error: ephemeral: bloom filter m and k must be at most 154,945,448 and 1,074, "
             "got m=100,000,000,000 and k=1\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--fp", "5e-324"], ["--m", "4400000", "--k", "1074"]],
+                             ids=["fp", "m-k"])
+    def test_build_refuses_a_filter_past_the_work_limit(self, tmp_path, capsys, no_filter, flags):
+        # 560 keys over a window of 5 slots: 2,800 IDs, each setting 1,074 bits
+        keys_path = tmp_path / "keys.yaml"
+        keys_path.write_text(yaml.safe_dump({f"b{i}": f"{i:032x}" for i in range(560)}))
+        out = tmp_path / "f.blf"
+        assert main(["ephemeral", "build", "--keys", str(keys_path), "--slot", "0",
+                     "--window", "2", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: a bloom filter of 2,800 IDs at k=1,074 sets 3,007,200 bits; "
+            "the limit is 3,000,000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizing", [{"bloom_fp_target": 5e-324},
+                                        {"bloom_m": 4_400_000, "bloom_k": 1_074}],
+                             ids=["fp", "m-k"])
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_a_document_s_bloom_work_past_the_limit_is_refused(self, tmp_path, capsys,
+                                                               no_filter, command, sizing):
+        # one key over a window of 2,801 slots
+        doc = manifest_doc(beacons=[ephemeral_beacon("b1", 0, KEY1)],
+                           content=[{"ref": "b1", "locator": "app://one"}],
+                           defences=["TV"], ephemeral={"window_slots": 1_400, **sizing})
+        document = tmp_path / "scenario.yaml"
+        document.write_text(yaml.safe_dump(doc))
+        sighting = Observation(1.0, ephemeral_id(bytes.fromhex(KEY1), 0), -70.0, -59.0)
+        argv = {
+            "simulate": ["simulate", str(document), "--out", str(tmp_path / "out")],
+            "detect": ["detect", "--deployment", str(document), "--threshold", "5", "--traces",
+                       trace_file(tmp_path, "t.jsonl", [Trace("phone", (sighting,))])],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ephemeral: a bloom filter of 2,801 IDs at k=1,074 sets 3,008,274 bits; "
+            "the limit is 3,000,000\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_work_limit_is_k_times_the_ids(self):
+        assert MAX_BLOOM_WORK == 3_000_000
+        assert filter_size(2_793, 4_400_000, MAX_BLOOM_K) == (4_400_000, MAX_BLOOM_K)
+        assert filter_size(MAX_WINDOW_IDS, None, None, 1e-9)[1] == 30
+        with pytest.raises(beaconlab.InvalidInput, match="2,794 IDs at k=1,074 sets 3,000,756"):
+            filter_size(2_794, 4_400_000, MAX_BLOOM_K)
 
     @pytest.mark.parametrize("m, k", [(2**40, 1), (8, 2**32 - 1)])
     def test_verify_refuses_a_filter_file_whose_size_is_past_the_limits(self, tmp_path, capsys,

@@ -11,7 +11,8 @@ from beaconlab import (
     load_scenario,
     run,
 )
-from conftest import AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, static_beacon
+from conftest import (AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, logged_traces,
+                      static_beacon)
 from test_acceptance import _STALE_AFTER_S, _replay_doc
 
 KEY3 = "33" * 16
@@ -169,7 +170,8 @@ class TestOutlierVsTampering:
         model = build_markov(scenario.reference)
         resolver = detector_resolver(scenario.reference, scenario.ephemeral)
         params = DetectorParams(threshold=10.0)
-        return detect(model, result.traces[0], params, resolver)
+        trace, = logged_traces(result.events, ["phone"])
+        return detect(model, trace, params, resolver)
 
     def test_clean_walk_raises_no_flags(self, rotating):
         verdict = self.detect_trace(self.walk_doc(rotating))

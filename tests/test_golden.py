@@ -1,10 +1,10 @@
 """Golden digests: equal seeds give byte-identical output files.
 
-Each scenario runs through `run` and the `storage` writers, and the sha256 of
-`events.jsonl`, `traces.jsonl` and `metrics.csv` is pinned. AC-7 only checks
-that two runs in one process agree; these digests also catch a change that
-moves a noise draw, a sequence number or the last digit of a float, even when
-every functional test still passes. Replace a digest only for a change that is
+Each scenario is written to a manifest and run by `beaconlab simulate`, and the
+sha256 of the `events.jsonl`, `traces.jsonl` and `metrics.csv` it writes is
+pinned. AC-7 only checks that two runs in one process agree; these digests
+also catch a change that moves a noise draw, a sequence number or the last
+digit of a float, even when every functional test still passes. Replace a digest only for a change that is
 meant to alter the output, and say why in CHANGES.md. A fixed `detect` case
 pins `verdicts.csv` the same way, through the trace reader, the state resolver
 and the scorer.
@@ -16,13 +16,11 @@ import random
 import pytest
 import yaml
 
-from beaconlab import attack_metrics, delivery_correctness, load_scenario, run
-from beaconlab.cli import main
-from beaconlab.storage import (
-    metric_rows, read_events_jsonl, read_traces_jsonl, write_events_jsonl, write_metrics_csv,
-    write_traces_jsonl,
-)
-from conftest import AA, BB, CC, DD, KEY1, KEY2
+from beaconlab import load_scenario, run
+from beaconlab.cli import SEED_ENV, main
+from beaconlab.storage import (read_events_jsonl, read_traces_jsonl, write_events_jsonl,
+                               write_traces_jsonl)
+from conftest import AA, BB, CC, DD, KEY1, KEY2, logged_traces, receive_log
 from test_acceptance import (
     _PATH_ADJ,
     _PATH_IDS,
@@ -190,30 +188,30 @@ GOLDEN = {
 }
 
 
-def _digests(doc: dict, out_dir) -> dict[str, str]:
-    result = run(load_scenario(doc))
-    write_events_jsonl(str(out_dir / "events.jsonl"), result.events)
-    write_traces_jsonl(str(out_dir / "traces.jsonl"), result.traces)
-    metrics = [attack_metrics(result, i) for i in range(len(result.scenario.attacks))]
-    rate, n_deliveries = delivery_correctness(result)
-    write_metrics_csv(str(out_dir / "metrics.csv"), metric_rows(metrics, rate, n_deliveries))
+def _digests(doc: dict, tmp_path, monkeypatch) -> dict[str, str]:
+    """The digests of what `beaconlab simulate` writes for doc."""
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    manifest, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"
+    manifest.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(manifest), "--out", str(out_dir)]) == 0
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_outputs_match_pinned_digests(name, tmp_path):
-    assert _digests(SCENARIOS[name](), tmp_path) == GOLDEN[name]
+def test_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
+    assert _digests(SCENARIOS[name](), tmp_path, monkeypatch) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_the_readers_take_back_what_a_run_writes(name, tmp_path):
     # the readers check each value's type; every value a run writes must pass
     result = run(load_scenario(SCENARIOS[name]()))
+    devices = [device.ref for device in result.scenario.devices]
     write_events_jsonl(str(tmp_path / "events.jsonl"), result.events)
-    write_traces_jsonl(str(tmp_path / "traces.jsonl"), result.traces)
+    write_traces_jsonl(str(tmp_path / "traces.jsonl"), result.events, devices)
     assert read_events_jsonl(str(tmp_path / "events.jsonl")) == list(result.events)
-    heard = [trace for trace in result.traces if len(trace)]
-    assert list(read_traces_jsonl(str(tmp_path / "traces.jsonl"))) == heard
+    assert read_traces_jsonl(str(tmp_path / "traces.jsonl")) == logged_traces(result.events,
+                                                                              devices)
 
 
 def _detect_inputs(tmp_path) -> list[str]:
@@ -233,7 +231,7 @@ def _detect_inputs(tmp_path) -> list[str]:
     }))
     calibration = tmp_path / "calibration.jsonl"
     write_traces_jsonl(str(calibration),
-                       [_trace(_walk(rng), f"cal{k}") for k in range(30)])
+                       *receive_log([_trace(_walk(rng), f"cal{k}") for k in range(30)]))
 
     def jump(walk):
         i = rng.randrange(1, len(walk) - 1)
@@ -252,7 +250,7 @@ def _detect_inputs(tmp_path) -> list[str]:
         walks += [(f"{kind}-{k}", mutate(_walk(rng))) for k in range(4)]
     walks.append(("short", ["b1", "b2"]))
     traces = tmp_path / "traces.jsonl"
-    write_traces_jsonl(str(traces), [_trace(states, ref) for ref, states in walks])
+    write_traces_jsonl(str(traces), *receive_log([_trace(states, ref) for ref, states in walks]))
     return ["detect", "--deployment", str(deployment), "--traces", str(traces),
             "--calibration", str(calibration), "--alpha", "0.1"]
 

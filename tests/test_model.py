@@ -24,7 +24,7 @@ from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 
 def obs(t, id_hex=AA, rssi=-60.0):
-    return Observation(t, "dev", BeaconId.from_hex(id_hex), rssi, -59.0)
+    return Observation(t, BeaconId.from_hex(id_hex), rssi, -59.0)
 
 
 class TestBeaconId:

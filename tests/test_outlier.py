@@ -57,7 +57,7 @@ def trace_of(states, device_ref="phone"):
     by_state = {ref: bytes.fromhex(IDS[ref]) for ref in IDS}
     by_state[UNKNOWN] = b"\xff" * 20
     observations = tuple(
-        Observation(float(i), device_ref, BeaconId(by_state[s]), -70.0, -59.0)
+        Observation(float(i), BeaconId(by_state[s]), -70.0, -59.0)
         for i, s in enumerate(states)
     )
     return Trace(device_ref, observations)

@@ -232,6 +232,19 @@ def test_a_bloom_size_given_by_half_is_refused_at_load(sizing):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("target", [0.0, 1.0, 2.5, -0.01])
+def test_a_bloom_target_outside_0_1_is_refused_at_load_with_owner_keys(target):
+    # `filter_size` sizes a filter of the window's IDs from the target; before,
+    # the target loaded and a run under TV failed at its first filter build
+    doc = {**_rich_doc(), "ephemeral": {"bloom_fp_target": target}}
+    with pytest.raises(ValidationError, match=r"^ephemeral: fp_target must be in \(0, 1\)$"):
+        load_scenario(doc)
+    static = {"beacons": [static_beacon("b1", 0, AA)],
+              "content": [{"id_hex": AA, "locator": "app://one"}],
+              "ephemeral": {"bloom_fp_target": target}}
+    assert load_scenario(static).bloom_fp_target == target  # no owner keys: no filter
+
+
 def test_matrix_doc_loads():
     assert set(load_matrix(_MATRIX_DOC).attacks) == {"X1"}
 

@@ -24,7 +24,7 @@ from beaconlab.cli import main
 from beaconlab import radio
 from beaconlab.radio import BROADCAST, CONTENT_DELIVERED, RECEIVE, Event, EventLog, event_line
 from beaconlab import sim
-from beaconlab.storage import read_events_jsonl
+from beaconlab.storage import read_events_jsonl, read_traces_jsonl, write_traces_jsonl
 from beaconlab.sim import (
     MAX_EVENTS,
     OUTCOME_BUDGET,
@@ -35,7 +35,7 @@ from beaconlab.sim import (
     OUTCOME_FLAGGED,
     WindowRecord,
 )
-from conftest import AA, BB, CC, DD, ephemeral_beacon, static_beacon
+from conftest import AA, BB, CC, DD, ephemeral_beacon, logged_traces, static_beacon
 from test_acceptance import _replay_doc, _silencing_doc
 from test_golden import SCENARIOS, _walking_doc
 
@@ -256,41 +256,14 @@ class TestTagsAndReplay:
         assert fake_ids
         assert fake_ids <= sent["b1"]
 
-    def test_trace_round_trip_fields(self):
+    def test_trace_round_trip_fields(self, tmp_path):
         result = run(load_scenario(doc()))
-        trace = result.traces[0]
+        path = str(tmp_path / "traces.jsonl")
+        write_traces_jsonl(path, result.events, ["phone"])
+        trace, = read_traces_jsonl(path)
         assert trace.device_ref == "phone"
         assert len(trace) > 0
         assert json.dumps(result.summary())  # summary is JSON-shaped
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_reading_the_traces_leaves_the_cyclic_collector_as_it_was(self, enabled,
-                                                                      monkeypatch):
-        result = run(load_scenario(_walking_doc()))
-        reference = result.traces
-        collecting = []  # the collector's state as each observation is made
-
-        def new_tuple(cls, values):
-            collecting.append(gc.isenabled())
-            return tuple.__new__(cls, values)
-
-        monkeypatch.setattr(sim, "_new_tuple", new_tuple)
-        before = gc.isenabled()
-        try:
-            if enabled:
-                gc.enable()
-            else:
-                gc.disable()
-            traces = result.traces
-            assert gc.isenabled() == enabled
-        finally:
-            if before:
-                gc.enable()
-            else:
-                gc.disable()
-        assert traces == reference
-        assert len(collecting) == sum(map(len, traces)) > 0
-        assert not any(collecting)
 
 
 def test_a_walking_phone_s_position_is_worked_out_once_per_broadcast_time(monkeypatch):
@@ -609,6 +582,15 @@ class TestLoopRows:
         for record in result.window_records:
             assert type(record) is WindowRecord and len(record) == 9
             assert record.outcome in _OUTCOMES
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_docs())
+    def test_the_trace_file_holds_each_phone_s_receive_rows(self, tmp_path_factory, doc):
+        result = run(load_scenario(doc))
+        devices = [device.ref for device in result.scenario.devices]
+        path = str(tmp_path_factory.mktemp("traces") / "traces.jsonl")
+        write_traces_jsonl(path, result.events, devices)
+        assert read_traces_jsonl(path) == logged_traces(result.events, devices)
 
     def test_a_row_of_the_wrong_arity_is_refused_after_the_loop(self, monkeypatch):
         monkeypatch.setitem(radio.EVENT_FIELDS, RECEIVE, ("claimed_tx", "emitter", "id", "rssi"))

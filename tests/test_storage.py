@@ -34,7 +34,7 @@ from beaconlab.radio import (
     EventLog, event_line,
 )
 from beaconlab.storage import metric_rows
-from conftest import AA, BB
+from conftest import AA, BB, receive_log
 
 TRACES_HEADER = '{"format": "beaconlab.traces", "version": 1}'
 
@@ -50,11 +50,11 @@ def sample_log():
 def sample_traces():
     return (
         Trace("phone", (
-            Observation(0.0, "phone", BeaconId(bytes.fromhex(AA)), -60.5, -59.0),
-            Observation(1.0, "phone", BeaconId(bytes.fromhex(BB)), -75.25, -59.0),
+            Observation(0.0, BeaconId(bytes.fromhex(AA)), -60.5, -59.0),
+            Observation(1.0, BeaconId(bytes.fromhex(BB)), -75.25, -59.0),
         )),
         Trace("tablet", (
-            Observation(0.5, "tablet", BeaconId(bytes.fromhex(AA)), -62.0, -59.0),
+            Observation(0.5, BeaconId(bytes.fromhex(AA)), -62.0, -59.0),
         )),
     )
 
@@ -148,14 +148,14 @@ class TestEventsJsonl:
 class TestTracesJsonl:
     def test_round_trip_groups_by_device(self, tmp_path):
         path = str(tmp_path / "traces.jsonl")
-        write_traces_jsonl(path, sample_traces())
+        write_traces_jsonl(path, *receive_log(sample_traces()))
         loaded = read_traces_jsonl(path)
         assert [t.device_ref for t in loaded] == ["phone", "tablet"]
         assert loaded[0].observations == sample_traces()[0].observations
 
     def test_line_fields_are_exactly_the_contract(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        write_traces_jsonl(str(path), sample_traces())
+        write_traces_jsonl(str(path), *receive_log(sample_traces()))
         line = json.loads(path.read_text().splitlines()[1])
         assert set(line) == {"t", "device", "id_hex", "rssi", "claimed_tx"}
 
@@ -246,22 +246,21 @@ def _reference_read(path: str, split_lines=lambda text: text.split("\n")):
                 return n
             obs = Observation(
                 time=t,
-                receiver_ref=raw["device"],
                 id=BeaconId.from_hex(raw["id_hex"]),
                 rssi=rssi,
                 claimed_tx_power=claimed,
             )
         except (KeyError, ValueError, TypeError, OverflowError, InvalidInput):
             return n
-        grouped.setdefault(obs.receiver_ref, []).append(obs)
+        grouped.setdefault(raw["device"], []).append(obs)
     return tuple(Trace(ref, tuple(obs_list)) for ref, obs_list in grouped.items())
 
 
 def _comparable(traces):
     # repr, because NaN never equals NaN
     return [
-        (t.device_ref, [(repr(o.time), o.receiver_ref, o.id.data, repr(o.rssi),
-                         repr(o.claimed_tx_power)) for o in t.observations])
+        (t.device_ref, [(repr(o.time), o.id.data, repr(o.rssi), repr(o.claimed_tx_power))
+                        for o in t.observations])
         for t in traces
     ]
 
@@ -351,8 +350,6 @@ class TestLineByLine:
             tracemalloc.stop()
         assert sum(map(len, traces)) == 20_000
         assert peak - held < 1 << 20
-        for trace in traces:
-            assert all(obs.receiver_ref is trace.device_ref for obs in trace.observations)
 
 
 _ID_HEX = st.sampled_from([AA, BB, AA.upper(), "aa bb", "", "zz", "a"])
@@ -511,17 +508,12 @@ class TestSharedEncoder:
 
     def test_trace_lines_equal_json_dumps(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        observations = (
-            Observation(0.0, "t\u00e9l\u00e9phone", BeaconId.from_hex(AA), -0.0, -59.0),
-            Observation(10**40, "t\u00e9l\u00e9phone", BeaconId.from_hex(BB), -61.5, -59),
-        )
-        write_traces_jsonl(str(path), [Trace("t\u00e9l\u00e9phone", observations)])
+        log = EventLog()
+        log.append(0.0, RECEIVE, -59.0, "b1", AA, "t\u00e9l\u00e9phone", -0.0)
+        log.append(10**40, RECEIVE, -59, "b2", BB, "t\u00e9l\u00e9phone", -61.5)
+        write_traces_jsonl(str(path), log, ["t\u00e9l\u00e9phone"])
         expected = [json.dumps({"format": "beaconlab.traces", "version": 1}, sort_keys=True)]
-        expected += [
-            json.dumps({"t": o.time, "device": o.receiver_ref, "id_hex": o.id.hex(),
-                        "rssi": o.rssi, "claimed_tx": o.claimed_tx_power}, sort_keys=True)
-            for o in observations
-        ]
+        expected += map(_trace_line, log.times, log.values)
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     # the values this test wrote as lines before the writer checked them
@@ -533,36 +525,77 @@ class TestSharedEncoder:
     def test_a_value_the_reader_refuses_is_not_written(self, tmp_path, time, rssi, claimed,
                                                        error):
         path = tmp_path / "traces.jsonl"
-        good = Observation(0.0, "t\u00e9l\u00e9phone", BeaconId.from_hex(AA), -60.0, -59.0)
-        bad = Observation(time, "t\u00e9l\u00e9phone", BeaconId.from_hex(BB), rssi, claimed)
+        log = EventLog()
+        log.append(0.0, RECEIVE, -59.0, "b1", AA, "t\u00e9l\u00e9phone", -60.0)
+        log.append(time, RECEIVE, claimed, "b2", BB, "t\u00e9l\u00e9phone", rssi)
         with pytest.raises(InvalidInput, match=re.escape(
                 f"trace of device 't\u00e9l\u00e9phone': {error}")):
-            write_traces_jsonl(str(path), [Trace("t\u00e9l\u00e9phone", (good, bad))])
+            write_traces_jsonl(str(path), log, ["t\u00e9l\u00e9phone"])
         assert not path.exists()
 
     @settings(max_examples=300, deadline=None)
-    @given(values=st.tuples(_NUMBER | _JSON, _TEXT | _JSON, _NUMBER | _JSON, _NUMBER | _JSON))
-    def test_the_trace_writer_refuses_what_the_reader_refuses(self, tmp_path_factory, values):
-        t, device, rssi, claimed = values
+    @given(first=_NUMBER, values=st.tuples(_NUMBER | _JSON, _TEXT | _JSON, _ID_HEX | _JSON,
+                                           _NUMBER | _JSON, _NUMBER | _JSON),
+           twice=st.booleans())
+    def test_the_trace_writer_refuses_what_the_reader_refuses(self, tmp_path_factory, first,
+                                                              values, twice):
+        # two rows of one device: the first a good one at t first, the second
+        # drawn, so it may be out of time order as well as hold a bad value;
+        # and the device may be given twice
+        t, device, id_hex, rssi, claimed = values
+        log = EventLog()
+        log.append(first, RECEIVE, -59.0, "b1", AA, device, -60.0)
+        log.append(t, RECEIVE, claimed, "b2", id_hex, device, rssi)
         work = tmp_path_factory.mktemp("traces")
         by_hand = work / "by-hand.jsonl"
-        line = json.dumps({"t": t, "device": device, "id_hex": AA, "rssi": rssi,
-                           "claimed_tx": claimed}, sort_keys=True)
-        by_hand.write_text(f"{TRACES_HEADER}\n{line}\n", encoding="utf-8")
+        lines = [TRACES_HEADER, *map(_trace_line, log.times, log.values)]
+        by_hand.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             read_traces_jsonl(str(by_hand))
             readable = True
-        except SchemaError:
+        except (SchemaError, InvalidInput):  # InvalidInput: a trace out of time order
             readable = False
         written = work / "written.jsonl"
-        trace = Trace("dev", (Observation(t, device, BeaconId.from_hex(AA), rssi, claimed),))
-        if readable:
-            write_traces_jsonl(str(written), [trace])
+        devices = [device, device] if twice else [device]
+        if readable and not twice:
+            write_traces_jsonl(str(written), log, devices)
             assert written.read_text(encoding="utf-8") == by_hand.read_text(encoding="utf-8")
         else:
-            with pytest.raises(InvalidInput, match="^trace of device 'dev': "):
-                write_traces_jsonl(str(written), [trace])
+            with pytest.raises(InvalidInput,
+                               match="^" + re.escape(f"trace of device {device!r}: ")):
+                write_traces_jsonl(str(written), log, devices)
             assert not written.exists()
+
+    @pytest.mark.parametrize("devices, message", [
+        (["phone", "phone"], "trace of device 'phone': the device is given twice"),
+        (["phone", 7], "trace of device 7: device must be a str, got 7"),
+    ])
+    def test_the_devices_are_strs_given_once(self, tmp_path, devices, message):
+        path = tmp_path / "traces.jsonl"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            write_traces_jsonl(str(path), sample_log(), devices)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("id_hex, message", [
+        ("zz", "bad beacon id hex: 'zz'"),
+        ("", "beacon id must be non-empty bytes"),
+        (None, "bad beacon id hex: None"),
+    ])
+    def test_an_id_that_is_not_hex_is_refused(self, tmp_path, id_hex, message):
+        path = tmp_path / "traces.jsonl"
+        log = EventLog()
+        log.append(0.0, RECEIVE, -59.0, "b1", AA, "phone", -60.0)
+        log.append(1.0, RECEIVE, -59.0, "b2", id_hex, "phone", -60.0)
+        with pytest.raises(InvalidInput, match=re.escape(f"trace of device 'phone': {message}")):
+            write_traces_jsonl(str(path), log, ["phone"])
+        assert not path.exists()
+
+
+def _trace_line(time, values) -> str:
+    """json.dumps of the trace line of a Receive row."""
+    row = dict(zip(EVENT_FIELDS[RECEIVE], values))
+    return json.dumps({"t": time, "device": row["receiver"], "id_hex": row["id"],
+                       "rssi": row["rssi"], "claimed_tx": row["claimed_tx"]}, sort_keys=True)
 
 
 EVENTS_HEADER = '{"format": "beaconlab.events", "version": 1}'
@@ -614,23 +647,36 @@ class TestBlockWriters:
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.sampled_from([0, 1, B, B + 1, 2 * B + 3]), min_size=1, max_size=3),
            numbers=st.lists(_ODD_NUMBER, min_size=1, max_size=8),
-           devices=st.lists(_ODD_TEXT, min_size=3, max_size=3), seed=st.integers(0, 2**32))
-    def test_the_trace_writer_writes_json_dumps_of_each_observation(
-            self, tmp_path_factory, lengths, numbers, devices, seed):
+           devices=st.lists(_ODD_TEXT, min_size=3, max_size=3, unique=True),
+           seed=st.integers(0, 2**32))
+    def test_the_trace_writer_writes_json_dumps_of_each_row(self, tmp_path_factory, lengths,
+                                                            numbers, devices, seed):
         rnd = random.Random(seed)
-        ids = [BeaconId.from_hex(AA), BeaconId.from_hex(BB), BeaconId(b"\x00\xff")]
-        traces = []
-        for device, n in zip(devices, lengths + [B + 1]):  # one trace is longer than a block
+        ids = [AA, BB, "00ff"]
+        # each device's rows in time order, one device's longer than a block,
+        # then other events and a sniffer's rows
+        sources = []
+        for device, n in zip(devices, lengths + [B + 1]):
             times = sorted(rnd.choice(numbers) for _ in range(n))
-            traces.append(Trace(device, tuple(
-                Observation(t, device, rnd.choice(ids), rnd.choice(numbers), rnd.choice(numbers))
-                for t in times)))
+            sources.append([(t, RECEIVE, (rnd.choice(numbers), "b1", rnd.choice(ids), device,
+                                          rnd.choice(numbers))) for t in times])
+        sources.append(_FIXED_EVENTS * 50 + [(1.0, RECEIVE, (-59.0, "b1", AA, "atk0.rx0", -70.0))])
+        # the sources' rows shuffled into one log, each source's in its order
+        turns = [k for k, rows in enumerate(sources) for _ in rows]
+        rnd.shuffle(turns)
+        rows = list(map(iter, sources))
+        log = EventLog()
+        for k in turns:
+            _append(log, next(rows[k]))
+        # in an order of their own, with a device that has no rows
+        order = [*devices, "no rows here"]
+        rnd.shuffle(order)
         path = tmp_path_factory.mktemp("traces") / "traces.jsonl"
-        write_traces_jsonl(str(path), traces)
+        write_traces_jsonl(str(path), log, order)
         expected = "".join(
-            json.dumps({"t": o.time, "device": o.receiver_ref, "id_hex": o.id.hex(),
-                        "rssi": o.rssi, "claimed_tx": o.claimed_tx_power}, sort_keys=True) + "\n"
-            for trace in traces for o in trace.observations)
+            _trace_line(t, values) + "\n" for device in order
+            for t, kind, values in zip(log.times, log.kinds, log.values)
+            if kind == RECEIVE and dict(zip(EVENT_FIELDS[RECEIVE], values))["receiver"] == device)
         assert path.read_text(encoding="utf-8") == f"{TRACES_HEADER}\n{expected}"
 
     # one value of each FIELD_TYPES type that the reader refuses, and a t
@@ -682,16 +728,12 @@ class TestBlockWriters:
     def test_the_writers_hold_one_block_not_the_file(self, tmp_path):
         path = str(tmp_path / "out.jsonl")
         events = [EventLog(), EventLog()]
-        observations = [[], []]
-        for log, obs, n in zip(events, observations, (2 * B, 16 * B)):
+        for log, n in zip(events, (2 * B, 16 * B)):
             for k in range(n):
                 _append(log, _FIXED_EVENTS[k % 4])
-                obs.append(Observation(float(k), "phone", BeaconId.from_hex(AA), -60.0 - k % 7,
-                                       -59.0))
         short, long = (self._peak(write_events_jsonl, path, log) for log in events)
         assert abs(long - short) < 1 << 18
-        short, long = (self._peak(write_traces_jsonl, path, [Trace("phone", tuple(obs))])
-                       for obs in observations)
+        short, long = (self._peak(_write_traces, path, _traces([n])) for n in (2 * B, 16 * B))
         assert abs(long - short) < 1 << 18
 
     def test_the_in_process_writers_hold_one_block_not_the_file(self, tmp_path, monkeypatch):
@@ -713,18 +755,27 @@ def _log(n: int, bad: tuple = ()) -> EventLog:
     return log
 
 
-def _traces(lengths, bad_device=None) -> list:
-    """One trace per length, of devices d0, d1, ...; the trace of bad_device
-    ends in a NaN rssi."""
-    traces = []
+def _traces(lengths, bad_device=None, bad="rssi", at=-1) -> tuple[EventLog, list[str]]:
+    """A log of one device's Receive rows per length, of devices d0, d1, ...,
+    and the devices. Row at (by default the last) of bad_device has a NaN
+    rssi, or with bad "order" a t below the one before it."""
+    log = EventLog()
     for d, n in enumerate(lengths):
         device = f"d{d}"
-        obs = [Observation(float(k), device, BeaconId.from_hex(AA), -60.0 - k % 7, -59.0)
-               for k in range(n)]
-        if device == bad_device:
-            obs[-1] = obs[-1]._replace(rssi=math.nan)
-        traces.append(Trace(device, tuple(obs)))
-    return traces
+        for k in range(n):
+            t, rssi = float(k), -60.0 - k % 7
+            if device == bad_device and k == at % n:
+                if bad == "order":
+                    t = -1.0
+                else:
+                    rssi = math.nan
+            log.append(t, RECEIVE, -59.0, "b1", AA, device, rssi)
+    return log, [f"d{d}" for d in range(len(lengths))]
+
+
+def _write_traces(path: str, data: tuple) -> None:
+    """`write_traces_jsonl` of a `_traces` log and its devices."""
+    write_traces_jsonl(path, *data)
 
 
 def _refusal(write, path, data) -> str:
@@ -772,7 +823,7 @@ class TestSplitWriters:
 
     @pytest.mark.parametrize("write, data", [
         (write_events_jsonl, _log(4 * B + 7)),
-        (write_traces_jsonl, _traces([B + 1, 5, 3 * B, 0, 3])),
+        (_write_traces, _traces([B + 1, 5, 3 * B, 0, 3])),
     ], ids=["events", "traces"])
     def test_the_split_writes_the_serial_bytes(self, monkeypatch, out, forks, write, data):
         write(str(out / "split.jsonl"), data)
@@ -782,8 +833,10 @@ class TestSplitWriters:
 
     @pytest.mark.parametrize("write, data", [
         (write_events_jsonl, _log(4 * B, bad=(3 * B + 5,))),
-        (write_traces_jsonl, _traces([B, B, B, B], bad_device="d3")),
-    ], ids=["events", "traces"])
+        (_write_traces, _traces([B, B, B, B], bad_device="d3")),
+        (_write_traces, _traces([B, B, B, B], bad_device="d3", bad="order")),
+        (_write_traces, _traces([4 * B], bad_device="d0", bad="order", at=2 * B)),
+    ], ids=["events", "traces", "traces-order", "traces-order-at-the-child-s-first-row"])
     def test_a_refusal_in_the_child_s_half_is_the_serial_writer_s(self, monkeypatch, out, forks,
                                                                   write, data):
         split = _refusal(write, out / "split.jsonl", data)
@@ -859,9 +912,9 @@ class TestSplitWriters:
                 super().__init__(body, directory)
 
         monkeypatch.setattr(storage, "_Child", Recorded)
-        write_traces_jsonl(str(out / "split.jsonl"), data)
+        _write_traces(str(out / "split.jsonl"), data)
         assert taken == [5 * B + 50]
-        self._serial(monkeypatch, write_traces_jsonl, out / "serial.jsonl", data)
+        self._serial(monkeypatch, _write_traces, out / "serial.jsonl", data)
         assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
 
     @pytest.mark.parametrize("rows", [4 * B, 2 * B], ids=["split", "one process"])
@@ -890,7 +943,7 @@ class TestSplitWriters:
     @pytest.mark.parametrize("case", ["no fork", "one CPU", "pool worker", "second thread"])
     @pytest.mark.parametrize("write, data", [
         (write_events_jsonl, _log(4 * B + 7)),
-        (write_traces_jsonl, _traces([B + 1, 5, 3 * B, 0, 3])),
+        (_write_traces, _traces([B + 1, 5, 3 * B, 0, 3])),
     ], ids=["events", "traces"])
     def test_the_writer_stays_in_one_process_unless_a_fork_can_pay(self, monkeypatch, out,
                                                                    case, write, data):
@@ -918,7 +971,7 @@ class TestSplitWriters:
 
     @pytest.mark.parametrize("write, data", [
         (write_events_jsonl, _log(storage._FORK_ROWS - 1)),
-        (write_traces_jsonl, _traces([B, B, B, storage._FORK_ROWS - 3 * B - 1])),
+        (_write_traces, _traces([B, B, B, storage._FORK_ROWS - 3 * B - 1])),
     ], ids=["events", "traces"])
     def test_a_file_below_the_floor_stays_in_one_process(self, monkeypatch, out, write, data):
         monkeypatch.setattr(os, "fork", self._no_fork)
