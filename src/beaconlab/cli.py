@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NoReturn, Optional
 
 from .attacks import attack_metrics
 from .ephemeral import (
@@ -51,8 +51,6 @@ from .storage import (
     DETECT_FIELDS,
     DETECT_TAG,
     REPORT_TAG,
-    _Child,
-    _may_fork,
     metric_rows,
     read_metrics_csv,
     read_traces_jsonl,
@@ -94,6 +92,76 @@ def _load_keys_file(path: str) -> dict[str, bytes]:
     return {str(ref): _hex(key_hex, f"{path}: key for {ref!r}") for ref, key_hex in raw.items()}
 
 
+def _may_fork() -> bool:
+    """Whether a forked child may take work over from this process: the
+    platform forks, this process may run on two CPUs or more (on one, the
+    two processes take turns and the fork is a loss), it is not itself a
+    multiprocessing worker (whose siblings already keep the other CPUs busy),
+    and it runs one thread (a fork copies only the calling thread)."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return False
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return False
+    import threading
+    return threading.active_count() == 1
+
+
+class _Child:
+    """A forked process that runs body, sends the bytes it returns (if any)
+    down a pipe and exits 0, or exits 1 if body raises. Imports here, not
+    with the module, keep the package's import as it was."""
+
+    def __init__(self, body: Callable[[], Optional[bytes]]):
+        self.pid = None
+        self.pipe, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                os.close(self.pipe)
+                _run_and_exit(body, write_end)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(write_end)
+
+    def wait(self) -> Optional[bytes]:
+        """Wait for the child: the bytes it sent, if it exited 0; None if it
+        did not, whether it raised or was killed, so its work falls to the caller."""
+        with open(self.pipe, "rb", closefd=False) as pipe:
+            sent = pipe.read()
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        return sent if os.waitstatus_to_exitcode(status) == 0 else None
+
+    def close(self) -> None:
+        """Kill the child if it has not been reaped, reap it, and close the pipe."""
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.pipe)
+
+
+def _run_and_exit(body: Callable[[], Optional[bytes]], write_end: int) -> NoReturn:
+    """The child's whole life: run body, write what it returns to write_end
+    and exit 0, or exit 1 if that raises, without running any of the
+    parent's exit handlers or flushing any of its other buffers."""
+    code = 1
+    try:
+        sent = body()
+        with open(write_end, "wb") as pipe:
+            pipe.write(sent or b"")
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _process_pool(workers: int):
     """The pool of `simulate --jobs`, whose workers are forked where the
     platform can fork, whatever its default start method: a spawned worker
@@ -130,9 +198,7 @@ def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_events_jsonl(str(out / "events.jsonl"), result.events)
-    write_traces_jsonl(str(out / "traces.jsonl"), result.events,
-                       [device.ref for device in result.scenario.devices])
+    _write_logs(out, result.events, [device.ref for device in result.scenario.devices])
     metrics = [attack_metrics(result, i) for i in range(len(result.scenario.attacks))]
     summary = result.summary()
     rows = metric_rows(metrics, summary["correct_delivery_rate"], summary["n_deliveries"])
@@ -141,6 +207,36 @@ def _simulate_one(manifest: str, out_dir: str, seed: Optional[int]) -> dict:
     summary["out_dir"] = str(out)
     summary["seed"] = result.scenario.radio.seed
     return summary
+
+
+def _write_logs(out: Path, log, devices: list) -> None:
+    """events.jsonl and traces.jsonl of a run's log in out. Where
+    `_may_fork()`, a `_Child` writes the traces while this process writes the
+    events; anywhere else, and where the fork fails, this process writes both,
+    events first. A child that does not exit 0, because it raised or was
+    killed, leaves the traces to this process, so an error is the one a
+    single process raises. The child has been reaped when this returns or
+    raises, and a write that raises, whatever it raises, leaves neither log."""
+    events, traces = out / "events.jsonl", out / "traces.jsonl"
+    write_traces = partial(write_traces_jsonl, str(traces), log, devices)
+    child = None
+    if _may_fork():
+        try:
+            child = _Child(write_traces)
+        except OSError:  # no fork to be had: write both here
+            pass
+    try:
+        try:
+            write_events_jsonl(str(events), log)
+            if child is None or child.wait() is None:
+                write_traces()
+        finally:
+            if child is not None:
+                child.close()
+    except BaseException:
+        for path in (events, traces):
+            path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_simulate(args) -> int:
@@ -192,35 +288,38 @@ def cmd_assess(args) -> int:
 # detect
 
 
-def _detector(deployment, eph: EphemeralParams, p_stay: float, weighting: str):
+def _detector(deployment, eph: EphemeralParams, sizing: dict, p_stay: float, weighting: str):
     """The Markov model `detect` scores with, and the resolver `sim.run` builds
-    under TV: static IDs first, then rotating IDs inside the acceptance window.
+    under TV: static IDs first, then rotating IDs inside the acceptance window,
+    through Bloom filters of the sizing an `ephemeral:` block gives.
     `_calibrate` builds its own through this as well."""
-    resolver = RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph))
+    resolver = RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph),
+                                m_bits=sizing.get("bloom_m"), k_hashes=sizing.get("bloom_k"),
+                                fp_target=sizing.get("bloom_fp_target", DEFAULT_FP_TARGET))
     return build_markov(deployment, p_stay=p_stay, weighting=weighting), resolver
 
 
-def _calibrate(path: str, deployment, eph: EphemeralParams, p_stay: float, weighting: str,
-               alpha: float, debounce: bool, min_transitions: int) -> float:
+def _calibrate(path: str, deployment, eph: EphemeralParams, sizing: dict, p_stay: float,
+               weighting: str, alpha: float, debounce: bool, min_transitions: int) -> float:
     """The threshold calibrated on the known-clean traces at path."""
-    model, resolver = _detector(deployment, eph, p_stay, weighting)
+    model, resolver = _detector(deployment, eph, sizing, p_stay, weighting)
     return calibrate_threshold(model, read_traces_jsonl(path), resolver, alpha=alpha,
                                debounce=debounce, min_transitions=min_transitions)
 
 
-def _calibrate_while_reading(args, deployment, eph):
+def _calibrate_while_reading(args, deployment, eph, sizing):
     """(threshold, test traces), the calibration file read and scored by a
-    `storage._Child`, where `_may_fork()`, while this process reads the test
+    `_Child`, where `_may_fork()`, while this process reads the test
     file. Without a child, or if it does not exit 0, this process calibrates
     after its read. So a calibration error is raised here, and an error of the
     test read comes back in place of the traces, as when the two ran in turn.
     """
-    calibrate = partial(_calibrate, args.calibration, deployment, eph, args.p_stay,
+    calibrate = partial(_calibrate, args.calibration, deployment, eph, sizing, args.p_stay,
                         args.weighting, args.alpha, not args.no_debounce, args.min_transitions)
     child = None
     if _may_fork():
         try:
-            child = _Child(lambda file: file.write(struct.pack("<d", calibrate())))
+            child = _Child(lambda: struct.pack("<d", calibrate()))
         except OSError:  # no fork to be had: calibrate here
             pass
     try:
@@ -229,7 +328,7 @@ def _calibrate_while_reading(args, deployment, eph):
         except (OSError, ValueError, BeaconLabError) as exc:  # the errors `main` reports
             traces = exc
         calibrated = None if child is None else child.wait()
-        threshold = calibrate() if calibrated is None else struct.unpack("<d", calibrated.read())[0]
+        threshold = calibrate() if calibrated is None else struct.unpack("<d", calibrated)[0]
     finally:
         if child is not None:
             child.close()
@@ -243,12 +342,12 @@ def cmd_detect(args) -> int:
         raise _UsageError(f"detect: --threshold must be finite, got {args.threshold!r}")
     doc = _parse_document(_read_text(args.deployment))
     deployment = load_deployment(doc)
-    eph = ephemeral_block(doc, deployment)[0]
-    model, resolver = _detector(deployment, eph, args.p_stay, args.weighting)
+    eph, sizing = ephemeral_block(doc, deployment)
+    model, resolver = _detector(deployment, eph, sizing, args.p_stay, args.weighting)
 
     threshold, traces = args.threshold, None
     if threshold is None:
-        threshold, traces = _calibrate_while_reading(args, deployment, eph)
+        threshold, traces = _calibrate_while_reading(args, deployment, eph, sizing)
 
     params = DetectorParams(
         threshold=threshold, alpha=args.alpha,

@@ -33,35 +33,19 @@ or `claimed_tx` that is not an int or a finite float, an `id` that is not a
 non-empty hex string, and a `t` below that of the device's row before it,
 which `Trace` refuses. Only a column that fails is walked value by value.
 
-A file of `_FORK_ROWS` rows or more is rendered by two processes, where
-`_may_fork()`: the platform forks, this process may run on two CPUs or
-more, it is not a multiprocessing worker and it runs one thread. A forked
-`_Child` renders the blocks from the one that begins nearest the middle row
-into an unlinked temporary file beside the output, while this process
-renders the blocks before it into the output itself; this process then
-copies the child's bytes after its own, `_CHUNK` bytes at a time, so the
-bytes are those of one process rendering every block. A child that does
-not exit 0, because it raised or was killed, leaves its blocks to this
-process, which renders them after its own and so raises what one process
-would raise, in the same order. Anywhere else, and where the fork itself
-fails, one process renders every block. The child has ended and been
-reaped when a writer returns or raises, and a writer that raises, whatever
-it raises, leaves no file. `detect`'s calibration child is the same
-`_Child`, under the same gate without the row floor and the same rule.
-
-Each process renders one block at a time, but the child's memory is not
-one block: reading an object writes its reference count, so every page
-holding a row of the child's half is copied. The child's private pages grow
-with the log: 6.7 MB while rendering the second half of the seed-1 campus
-event log (16,148 events), and 17.5 MB on a log four times as long.
-Rendering makes no reference cycles, so the garbage collector is off while a
-writer runs, in either process.
+Each writer runs in the process that calls it, and one that raises, whatever
+it raises, leaves no file. `simulate` runs its two at once, in two processes
+(see `cli._write_logs`). Rendering makes no reference cycles, so the garbage
+collector is off while a writer runs: a collection would find nothing to
+free, and while both processes live it would write to, and so copy, every
+page holding a tracked object they share.
 
 Readers take a file one line at a time through `_body_lines`, so no reader
 holds the file's text. A line ends only at a newline: text mode has already
 turned CRLF and a lone CR into one, and a raw U+2028, U+2029 or U+0085 inside
 a JSON string stays in its line, as JSON Lines has it. Blank lines are
-skipped, but line numbers count them.
+skipped, but line numbers count them. Text that is not UTF-8 raises
+SchemaError naming the file.
 
 Readers decode each line through `radio._decode_line`, with the semantics of
 `json.loads(line)`: surrounding whitespace is allowed, NaN and Infinity are
@@ -80,13 +64,11 @@ import gc
 import json
 import math
 import os
-import sys
 from array import array
-from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, le
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .attacks import KINDS
 from .errors import InvalidInput, SchemaError
@@ -124,145 +106,27 @@ def _check_header(line: str, fmt: str, path: str) -> None:
 # logs the two writers peak at 0.67 MB under tracemalloc with 1,024-row
 # blocks, and at 5.2 MB with 8,192.
 _BLOCK = 1024
-# Bytes of the child's rendered blocks copied into the output at a time.
-_CHUNK = 1 << 16
-# Rows a file needs before a child renders half of them. Below it the fork,
-# the temporary file and a first write's `import tempfile` cost about what the
-# second process saves: on a 2-vCPU Xeon VM, in a fresh process, the first
-# 3,072 events of the seed-1 campus log wrote in a median 6.3-6.5 ms split
-# against 5.9-6.1 ms in one process, and the first 3,584 in 5.4-5.7 ms
-# against 6.8-7.0 ms. One-shot `simulate` runs of a 10 s campus (4,158 events
-# and 2,694 observations) took about the same time split or not.
-_FORK_ROWS = 3584
 
 
-def _write_jsonl(path: str, fmt: str, render: Callable[[int], list[str]],
-                 rows: Sequence[int]) -> None:
-    """The header line, then the lines render(j) gives for each block j, of
-    rows[j] lines. Where `sum(rows) >= _FORK_ROWS` and `_may_fork()`, a child
-    renders the blocks from `_halfway(rows)` on while this process renders the
-    ones before. A writer that raises, for whatever reason, leaves no file."""
-    blocks = len(rows)
-    split = _halfway(rows) if blocks > 1 and sum(rows) >= _FORK_ROWS and _may_fork() else blocks
-    child = None
+def _write_jsonl(path: str, fmt: str, blocks: Iterable[list[str]]) -> None:
+    """The header line, then the lines of each block blocks yields, each
+    rendered as it is written. A writer that raises, for whatever reason,
+    leaves no file."""
     collecting = gc.isenabled()
     fh = open(path, "w", encoding="utf-8")
-    # Rendering makes no reference cycles, so a collection finds nothing to
-    # free; and while a child lives, it would write to, and so copy, every
-    # page holding a tracked object.
     gc.disable()
     try:
         with fh:
-            if split < blocks:
-                try:
-                    child = _Child(partial(_render_into, render, range(split, blocks)),
-                                   os.path.dirname(path) or ".")
-                except OSError:  # no fork to be had: render every block here
-                    split = blocks
             fh.write(_header_line(fmt) + "\n")
-            _write_blocks(fh, render, range(split))
-            if child is not None:
-                rendered = child.wait()
-                if rendered is None:  # its blocks, rendered here, raise what one process would
-                    _write_blocks(fh, render, range(split, blocks))
-                else:
-                    import shutil
-                    fh.flush()
-                    shutil.copyfileobj(rendered, fh.buffer, _CHUNK)
+            for lines in blocks:
+                fh.write("\n".join(lines))
+                fh.write("\n")
     except BaseException:
         os.remove(path)
         raise
     finally:
-        if child is not None:
-            child.close()
         if collecting:
             gc.enable()
-
-
-def _write_blocks(fh, render: Callable[[int], list[str]], blocks: range) -> None:
-    for j in blocks:
-        fh.write("\n".join(render(j)))
-        fh.write("\n")
-
-
-def _render_into(render: Callable[[int], list[str]], blocks: range, file: BinaryIO) -> None:
-    with open(file.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-        _write_blocks(fh, render, blocks)
-
-
-def _halfway(rows: Sequence[int]) -> int:
-    """The block, from 1 to len(rows) - 1, that begins nearest the middle row."""
-    starts = [0, *accumulate(rows)]
-    return min(range(1, len(rows)), key=lambda j: abs(starts[-1] - 2 * starts[j]))
-
-
-def _may_fork() -> bool:
-    """Whether a forked child may take work over from this process: the
-    platform forks, this process may run on two CPUs or more (on one, the
-    two processes take turns and the fork is a loss), it is not itself a
-    multiprocessing worker (whose siblings already keep the other CPUs busy),
-    and it runs one thread (a fork copies only the calling thread)."""
-    if not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        return False
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.parent_process() is not None:
-        return False
-    import threading
-    return threading.active_count() == 1
-
-
-class _Child:
-    """A forked process that runs body on an unlinked temporary file in
-    directory (by default the system's temporary directory) and exits 0, or
-    exits 1 if body raises. Imports here, not with the module, keep the
-    package's import as it was."""
-
-    def __init__(self, body: Callable[[BinaryIO], object], directory: Optional[str] = None):
-        import tempfile
-        self.pid = None
-        self.file = tempfile.TemporaryFile(dir=directory)
-        try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                _run_and_exit(body, self.file)
-        except BaseException:
-            self.close()
-            raise
-
-    def wait(self) -> Optional[BinaryIO]:
-        """Wait for the child: its file, rewound, if it exited 0; None if it
-        did not, whether it raised or was killed, so its work falls to the caller."""
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        if os.waitstatus_to_exitcode(status) != 0:
-            return None
-        self.file.seek(0)
-        return self.file
-
-    def close(self) -> None:
-        """Kill the child if it has not been reaped, reap it, and close its file."""
-        if self.pid is not None:
-            import signal
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.file.close()
-
-
-def _run_and_exit(body: Callable[[BinaryIO], object], file: BinaryIO) -> NoReturn:
-    """The child's whole life: run body on file, flush it and exit 0, or exit
-    1 if that raises, without running any of the parent's exit handlers or
-    flushing any of its other buffers."""
-    code = 1
-    try:
-        body(file)
-        file.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def write_events_jsonl(path: str, events: EventLog) -> None:
@@ -270,13 +134,9 @@ def write_events_jsonl(path: str, events: EventLog) -> None:
     would refuse raises InvalidInput naming the event's seq, kind and field,
     and leaves no file."""
     times, kinds, values = events.times, events.kinds, events.values
-
-    def render(j: int) -> list[str]:
-        i = j * _BLOCK
-        return _event_block(times[i:i + _BLOCK], kinds[i:i + _BLOCK], values[i:i + _BLOCK], i)
-
-    n = len(times)
-    _write_jsonl(path, EVENTS_FORMAT, render, [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)])
+    _write_jsonl(path, EVENTS_FORMAT, (
+        _event_block(times[i:i + _BLOCK], kinds[i:i + _BLOCK], values[i:i + _BLOCK], i)
+        for i in range(0, len(times), _BLOCK)))
 
 
 def _event_block(times: list, kinds: list, values: list, start: int) -> list[str]:
@@ -356,14 +216,17 @@ def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
     lone CR. A line's number counts every line, blank ones too.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise SchemaError(f"{path}: empty file")
-        _check_header(header.rstrip("\n"), fmt, path)
-        for n, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield n, line
+        try:
+            header = fh.readline()
+            if not header:
+                raise SchemaError(f"{path}: empty file")
+            _check_header(header.rstrip("\n"), fmt, path)
+            for n, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if line:
+                    yield n, line
+        except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no line number
+            raise SchemaError(f"{path}: the file is not UTF-8 text ({exc.reason})") from exc
 
 
 def read_events_jsonl(path: str) -> list[Event]:
@@ -410,15 +273,9 @@ def write_traces_jsonl(path: str, log: EventLog, devices: Iterable[str]) -> None
             continue
         if mine is not None:
             mine.append(i)
-    blocks = [(device, mine, i) for device, mine in rows.items()
-              for i in range(0, len(mine), _BLOCK)]
-
-    def render(j: int) -> list[str]:
-        device, mine, i = blocks[j]
-        return _trace_block(device, times, values, mine, i)
-
-    _write_jsonl(path, TRACES_FORMAT, render,
-                 [min(_BLOCK, len(mine) - i) for _, mine, i in blocks])
+    _write_jsonl(path, TRACES_FORMAT, (
+        _trace_block(device, times, values, mine, i)
+        for device, mine in rows.items() for i in range(0, len(mine), _BLOCK)))
 
 
 _NUMBER_TYPES = frozenset((int, float))
@@ -472,7 +329,8 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
     A line that is not one JSON object with the five trace fields, whose `t`,
     `rssi` or `claimed_tx` is not an int or a finite float (a bool or a str is
     neither), whose `device` is not a str, or whose `id_hex` is not a
-    non-empty hex string, raises SchemaError naming the file and line.
+    non-empty hex string, raises SchemaError naming the file and line; a
+    device whose rows go back in time raises it naming the file and device.
     """
     ids: dict[str, BeaconId] = {}
     grouped: dict[str, list[Observation]] = {}
@@ -498,7 +356,10 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
             observations.append(Observation(t, beacon_id, rssi, claimed))
         except (KeyError, ValueError, TypeError, OverflowError, InvalidInput) as exc:
             raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc
-    return tuple(Trace(ref, tuple(observations)) for ref, observations in grouped.items())
+    try:
+        return tuple(Trace(ref, tuple(observations)) for ref, observations in grouped.items())
+    except InvalidInput as exc:  # a device's rows out of time order
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import gc
 import inspect
 import io
 import json
@@ -25,6 +26,7 @@ from beaconlab import (
     BeaconId,
     DetectorParams,
     EphemeralParams,
+    InvalidInput,
     Observation,
     Trace,
     build_markov,
@@ -35,14 +37,15 @@ from beaconlab import (
     score_trace,
     write_traces_jsonl,
 )
-from beaconlab import cli, storage
+from beaconlab import cli, ephemeral, storage
 from beaconlab.cli import _process_pool, build_parser, main
-from beaconlab.ephemeral import (MAX_BLOOM_K, MAX_BLOOM_M, MAX_BLOOM_WORK, MAX_WINDOW_IDS,
-                                 bloom_size_for, filter_size)
+from beaconlab.ephemeral import (DEFAULT_FP_TARGET, MAX_BLOOM_K, MAX_BLOOM_M, MAX_BLOOM_WORK,
+                                 MAX_WINDOW_IDS, bloom_size_for, filter_size)
 from conftest import (AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, receive_log,
                       static_beacon)
 from test_acceptance import _PATH_ADJ, _trace, _walk
 from test_golden import _detect_inputs
+from test_storage import B, _log, _traces
 
 
 def manifest_doc(**overrides):
@@ -257,8 +260,235 @@ class TestSimulate:
         assert not (tmp_path / "east").exists()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of this process to `os.fork`, each recorded as a 1."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 def _no_fork():
-    raise AssertionError("detect forked")
+    raise AssertionError("the command forked")
+
+
+def _one_process(case: str, monkeypatch, stack: contextlib.ExitStack) -> None:
+    """Make `cli._may_fork()` false, for the rest of stack, the way case
+    names; each way but "no fork" leaves an `os.fork` that fails the test."""
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+        return
+    monkeypatch.setattr(os, "fork", _no_fork)
+    if case == "one CPU":
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        stack.callback(os.sched_setaffinity, 0, cpus)
+    elif case == "pool worker":
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    elif case == "second thread":
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        stack.callback(thread.join)
+        stack.callback(done.set)
+
+
+def _logs(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _written(out: Path, name: str, data: tuple) -> dict[str, bytes]:
+    """The logs `cli._write_logs` writes of data, a log and its devices, in out/name."""
+    (out / name).mkdir()
+    cli._write_logs(out / name, *data)
+    return _logs(out / name)
+
+
+def _serial(monkeypatch, out: Path, data: tuple) -> dict[str, bytes]:
+    """`_written` in one process, in out/serial."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return _written(out, "serial", data)
+
+
+def _failure(out: Path, name: str, data: tuple) -> str:
+    """The message of the InvalidInput `_written` raises, once the write is
+    seen to have left neither log."""
+    with pytest.raises(InvalidInput) as info:
+        _written(out, name, data)
+    assert _logs(out / name) == {}
+    return str(info.value)
+
+
+# a log of Receive rows only, of five devices, one with none, and one of
+# every kind of event
+_LOGS = [_traces([B + 1, 5, 3 * B, 0, 3]), (_log(4 * B + 7), ["phone"])]
+
+
+@pytest.mark.skipif(not cli._may_fork(), reason="simulate forks only where the platform forks "
+                    "and this process may run on two CPUs")
+class TestLogProcesses:
+    """`simulate` writes traces.jsonl in a forked child while it writes
+    events.jsonl. Its bytes and its errors are those of the two writes run
+    one after the other in one process, and a write that raises leaves
+    neither log."""
+
+    @pytest.fixture(autouse=True)
+    def out(self, tmp_path):
+        yield tmp_path
+        # every child was reaped and the garbage collector is back on
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.isenabled()
+
+    def test_a_simulate_run_forks_once_and_writes_the_serial_bytes(self, monkeypatch, capsys,
+                                                                    out, forks):
+        # 2,000 s: enough events and phone rows that the writers that split
+        # each file between two processes forked twice
+        manifest = write_manifest(out / "scenario.yaml", duration_s=2000.0)
+        assert main(["simulate", manifest, "--out", str(out / "forked")]) == 0
+        assert forks == [1]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert main(["simulate", manifest, "--out", str(out / "serial")]) == 0
+        forked, serial = _logs(out / "forked"), _logs(out / "serial")
+        assert list(forked) == ["events.jsonl", "metrics.csv", "traces.jsonl"]
+        assert forked == serial
+        assert len(forked["traces.jsonl"].splitlines()) > 3584
+
+    @pytest.mark.parametrize("data", _LOGS, ids=["traces", "events"])
+    def test_the_logs_are_the_serial_bytes(self, monkeypatch, out, forks, data):
+        forked = _written(out, "forked", data)
+        assert forks == [1]
+        assert forked == _serial(monkeypatch, out, data)
+        assert list(forked) == ["events.jsonl", "traces.jsonl"]
+
+    # a row out of time order only the trace writer refuses, so the child
+    # does; a NaN rssi both writers do, so the events write does first
+    @pytest.mark.parametrize("data, refusal", [
+        (_traces([B, B, B, B], bad_device="d3", bad="order"), "trace of device 'd3': "),
+        (_traces([4 * B], bad_device="d0", bad="order", at=2 * B), "trace of device 'd0': "),
+        (_traces([B, B, B, B], bad_device="d3"), f"event {4 * B - 1}: "),
+    ], ids=["traces-order", "traces-order-mid-device", "events-and-traces"])
+    def test_a_refusal_is_the_serial_one_and_leaves_neither_log(self, monkeypatch, out, forks,
+                                                               data, refusal):
+        forked = _failure(out, "forked", data)
+        assert forks == [1]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert _failure(out, "serial", data) == forked
+        assert forked.startswith(refusal)
+
+    def test_the_first_refused_event_wins(self, monkeypatch, out, forks):
+        # two refused events blocks apart: the earlier one's error, as in one process
+        data = (_log(4 * B, bad=(5, 3 * B + 5)), ["phone"])
+        forked = _failure(out, "forked", data)
+        assert forks == [1]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert _failure(out, "serial", data) == forked
+        assert forked == "event 5: Receive rssi must be a number, got True"
+
+    @pytest.mark.parametrize("where", ["events", "traces", "serial"])
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["ENOSPC", "interrupt"])
+    def test_a_write_that_raises_leaves_neither_log(self, monkeypatch, out, forks, where, error):
+        # in the events write (the parent's), or in the traces write, where
+        # the child and then the parent raise, or after the events in one process
+        name, render = ("_event_block", storage._event_block) if where == "events" else \
+            ("_trace_block", storage._trace_block)
+
+        def failing(*args):
+            if args[-1] == B:  # a second block
+                raise error
+            return render(*args)
+
+        monkeypatch.setattr(storage, name, failing)
+        if where == "serial":
+            monkeypatch.delattr(os, "fork")
+        with pytest.raises(type(error)) as info:
+            _written(out, "logs", _traces([2 * B, 2 * B]))
+        assert _logs(out / "logs") == {}
+        assert forks == ([] if where == "serial" else [1])
+        if isinstance(error, OSError):
+            assert info.value.errno == errno.ENOSPC
+
+    def test_an_events_error_kills_and_reaps_the_traces_child(self, monkeypatch, out, forks):
+        parent, render = os.getpid(), storage._trace_block
+
+        def stalled(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return render(*args)
+
+        def refused(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(storage, "_trace_block", stalled)
+        monkeypatch.setattr(storage, "_event_block", refused)
+        started = time.monotonic()
+        with pytest.raises(OSError):
+            _written(out, "logs", _traces([2 * B]))
+        assert time.monotonic() - started < 30
+        assert _logs(out / "logs") == {}
+        assert forks == [1]
+
+    @pytest.mark.parametrize("death", [
+        lambda: os._exit(3),
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
+    ], ids=["exit", "killed"])
+    def test_the_traces_of_a_child_that_dies_are_written_here(self, monkeypatch, out, forks,
+                                                              death):
+        # the child dies with its first blocks written: the parent writes the file anew
+        data = _traces([3 * B, 2 * B])
+        serial = _serial(monkeypatch, out, data)
+        parent, render = os.getpid(), storage._trace_block
+
+        def dying(device, times, values, rows, start):
+            if os.getpid() != parent and device == "d1":
+                death()
+            return render(device, times, values, rows, start)
+
+        monkeypatch.setattr(storage, "_trace_block", dying)
+        assert _written(out, "forked", data) == serial
+        assert forks == [1]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "one process"])
+    def test_the_write_leaves_a_stopped_collector_stopped(self, monkeypatch, out, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        gc.disable()
+        try:
+            _written(out, "logs", _LOGS[0])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_fork_that_fails_leaves_both_writes_in_one_process(self, monkeypatch, out):
+        forked = _written(out, "forked", _LOGS[1])
+        refused = []
+
+        def no_fork():
+            refused.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _written(out, "serial", _LOGS[1]) == forked
+        assert refused == [1]
+
+    @pytest.mark.parametrize("case", ["no fork", "one CPU", "pool worker", "second thread"])
+    @pytest.mark.parametrize("data", _LOGS, ids=["traces", "events"])
+    def test_the_write_stays_in_one_process_unless_a_fork_can_pay(self, monkeypatch, out, data,
+                                                                  case):
+        forked = _written(out, "forked", data)
+        with contextlib.ExitStack() as stack:
+            _one_process(case, monkeypatch, stack)
+            assert _written(out, "serial", data) == forked
 
 
 class TestDetect:
@@ -384,6 +614,50 @@ class TestDetect:
         assert verdicts[0] == (0, ["0", "normal"])
         assert verdicts[1][0] == 3 and verdicts[1][1][1] == "anomalous"
 
+    @pytest.mark.parametrize("sizing", [{"bloom_m": 4096, "bloom_k": 3},
+                                        {"bloom_fp_target": 1e-9}], ids=["m-k", "fp-target"])
+    def test_detect_builds_the_filters_the_document_sizes(self, tmp_path, capsys, monkeypatch,
+                                                          sizing):
+        # every Bloom hit is checked exactly, so the verdicts stay; the
+        # filters built, in calibration and in scoring, are recorded
+        argv = _rotating_inputs(tmp_path)
+        code = main(argv)
+        reference = capsys.readouterr()
+        deployment = Path(argv[argv.index("--deployment") + 1])
+        doc = yaml.safe_load(deployment.read_text())
+        doc["ephemeral"].update(sizing)
+        deployment.write_text(yaml.safe_dump(doc))
+        built, build = [], ephemeral.build_filter
+
+        def recorded(*args):
+            filt = build(*args)
+            built.append((filt.m_bits, filt.k_hashes))
+            return filt
+
+        monkeypatch.setattr(ephemeral, "build_filter", recorded)
+        monkeypatch.delattr(os, "fork")  # calibration's filters are built here too
+        assert main(argv) == code
+        assert capsys.readouterr() == reference
+        n_ids = len(doc["beacons"]) * len(EphemeralParams(slot_duration_s=30.0).window(0))
+        assert set(built) == {filter_size(n_ids, sizing.get("bloom_m"), sizing.get("bloom_k"),
+                                          sizing.get("bloom_fp_target", DEFAULT_FP_TARGET))}
+
+    @pytest.mark.parametrize("flag", ["--traces", "--calibration"])
+    @pytest.mark.parametrize("damage", ["not UTF-8", "time order"])
+    def test_a_file_error_names_the_file(self, tmp_path, capsys, flag, damage):
+        argv = _generated_inputs(tmp_path)
+        path = Path(argv[argv.index(flag) + 1])
+        lines = path.read_bytes().splitlines(keepends=True)
+        if damage == "not UTF-8":
+            lines[3] = lines[3].replace(b'"device": "', b'"device": "\xff', 1)
+            expected = f"{path}: the file is not UTF-8 text (invalid start byte)"
+        else:  # the first device's first two rows swapped
+            lines[1], lines[2] = lines[2], lines[1]
+            expected = f"{path}: trace for {json.loads(lines[1])['device']!r} is not time-ordered"
+        path.write_bytes(b"".join(lines))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     def test_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["detect", "--deployment", "d", "--traces", "t"])
         library = DetectorParams()
@@ -453,17 +727,6 @@ class TestCalibrationProcess:
     """`--calibration` is read and scored in a forked child while the test
     file is read: the output, the exit code and which error wins must be those
     of the two steps run one after the other in one process."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls, fork = [], os.fork
-
-        def counted():
-            calls.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return calls
 
     @pytest.mark.parametrize("inputs", [_detect_inputs, _generated_inputs, _rotating_inputs],
                              ids=["pinned", "generated", "rotating"])
@@ -564,7 +827,7 @@ class TestCalibrationProcess:
         assert main(["detect", "--deployment", dep, "--traces", traces,
                      "--calibration", calibration] + extra) == code
         # the child runs on every path, so each one shows it reaped
-        assert forks == ([1] if storage._may_fork() else [])
+        assert forks == ([1] if cli._may_fork() else [])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -584,7 +847,7 @@ class TestCalibrationProcess:
         with pytest.raises(KeyboardInterrupt):
             main(["detect", "--deployment", dep, "--traces", cal, "--calibration", cal])
         assert time.monotonic() - started < 30
-        assert forks == ([1] if storage._may_fork() else [])
+        assert forks == ([1] if cli._may_fork() else [])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -615,12 +878,12 @@ class TestCalibrationProcess:
         monkeypatch.setattr(cli, "_calibrate", dying)
         assert main(argv) == code
         assert capsys.readouterr() == reference
-        assert forks == ([1] if storage._may_fork() else [])
+        assert forks == ([1] if cli._may_fork() else [])
         if calibration == "bad":
             assert code == 1 and reference.err.startswith(f"error: {cal}:41: bad trace line: ")
             assert reference.err.count("\n") == 1 and "Traceback" not in reference.err
 
-    @pytest.mark.skipif(not storage._may_fork(), reason="detect forks only where the platform "
+    @pytest.mark.skipif(not cli._may_fork(), reason="detect forks only where the platform "
                         "forks and this process may run on two CPUs")
     @pytest.mark.parametrize("case", ["no fork", "one CPU", "pool worker", "second thread",
                                       "fork fails"])
@@ -632,27 +895,13 @@ class TestCalibrationProcess:
         assert forks == [1]
         refused = []
         with contextlib.ExitStack() as stack:
-            if case == "no fork":
-                monkeypatch.delattr(os, "fork")
-            elif case == "fork fails":
+            if case == "fork fails":
                 def no_fork():
                     refused.append(1)
                     raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
                 monkeypatch.setattr(os, "fork", no_fork)
             else:
-                monkeypatch.setattr(os, "fork", _no_fork)
-            if case == "one CPU":
-                cpus = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, {min(cpus)})
-                stack.callback(os.sched_setaffinity, 0, cpus)
-            elif case == "pool worker":
-                monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-            elif case == "second thread":
-                done = threading.Event()
-                thread = threading.Thread(target=done.wait)
-                thread.start()
-                stack.callback(thread.join)
-                stack.callback(done.set)
+                _one_process(case, monkeypatch, stack)
             assert main(argv) == code
         assert capsys.readouterr() == reference
         assert refused == ([1] if case == "fork fails" else [])
@@ -746,7 +995,7 @@ def test_a_calibrated_detect_run_leaves_multiprocessing_unloaded(tmp_path):
 
 
 def test_importing_the_package_loads_none_of_the_writer_s_fork_modules():
-    # the JSONL writers import these only when they fork
+    # simulate and detect import these only when they fork
     out = _probe("import sys; before = set(sys.modules); import beaconlab, beaconlab.cli; "
                  "print(sorted(set(sys.modules) - before & "
                  "{'tempfile', 'shutil', 'signal', 'threading'}))")

@@ -149,4 +149,4 @@ def test_an_error_that_names_a_device_stays_on_one_line(tmp_path_factory, capsys
         json.dumps({**sighting, "t": 1.0}), json.dumps({**sighting, "t": 0.0})]) + "\n")
     argv[argv.index("--traces") + 1] = str(traces)
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: trace for 'a\\nb' is not time-ordered\n"
+    assert capsys.readouterr().err == f"error: {traces}: trace for 'a\\nb' is not time-ordered\n"

@@ -7,6 +7,7 @@ and not only when the benchmark's traced run is next made.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import beaconlab
@@ -90,9 +91,12 @@ def test_each_slot_a_window_resolves_in_builds_one_traced_filter():
     assert tracer.totals([0])["ephemeral.filter_build"][0] == len(slots)
 
 
-def test_simulate_writes_its_logs_under_the_traced_storage_spans(tmp_path):
+def test_simulate_writes_its_logs_under_the_traced_storage_spans(tmp_path, monkeypatch):
     # the benchmark's storage.us_per_event_written reads these two spans: a
-    # refactor that writes the logs from under other names would read 0 there
+    # refactor that writes the logs from under other names would read 0 there.
+    # Run in one process: where simulate forks, traces.jsonl is written, and
+    # its span recorded, in a child this tracer does not see.
+    monkeypatch.delattr(os, "fork")
     doc = {
         "beacons": [static_beacon("b1", 0, AA)],
         "content": [{"id_hex": AA, "locator": "app://one"}],

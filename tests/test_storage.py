@@ -1,14 +1,8 @@
-import contextlib
-import errno
-import gc
 import json
 import math
 import os
 import random
 import re
-import signal
-import tempfile
-import threading
 import tracemalloc
 
 import pytest
@@ -28,7 +22,7 @@ from beaconlab import (
     write_metrics_csv,
     write_traces_jsonl,
 )
-from beaconlab import storage
+from beaconlab import cli, storage
 from beaconlab.radio import (
     BROADCAST, CONTENT_DELIVERED, EVENT_FIELDS, JAMMED, NO_ACTION, OPTIONAL_FIELDS, RECEIVE,
     EventLog, event_line,
@@ -392,8 +386,8 @@ def test_reader_matches_a_json_loads_reference(tmp_path_factory, lines):
         fh.write("\n".join([TRACES_HEADER] + lines) + "\n")
     try:
         expected = _reference_read(path)
-    except InvalidInput as exc:  # a trace out of time order
-        with pytest.raises(InvalidInput, match=str(exc)):
+    except InvalidInput as exc:  # a trace out of time order, named with its file
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {exc}')}$"):
             read_traces_jsonl(path)
         return
     if isinstance(expected, int):
@@ -737,10 +731,12 @@ class TestBlockWriters:
         assert abs(long - short) < 1 << 18
 
     def test_the_in_process_writers_hold_one_block_not_the_file(self, tmp_path, monkeypatch):
-        # tracemalloc sees only this process, so the bound is checked without
-        # a child too
+        # `simulate`'s write step without its child, which tracemalloc would
+        # not see: both writers run here, one after the other
         monkeypatch.delattr(os, "fork")
-        self.test_the_writers_hold_one_block_not_the_file(tmp_path)
+        short, long = (self._peak(lambda out, data: cli._write_logs(out, *data), tmp_path,
+                                  _traces([n])) for n in (2 * B, 16 * B))
+        assert abs(long - short) < 1 << 18
 
 
 def _log(n: int, bad: tuple = ()) -> EventLog:
@@ -776,206 +772,6 @@ def _traces(lengths, bad_device=None, bad="rssi", at=-1) -> tuple[EventLog, list
 def _write_traces(path: str, data: tuple) -> None:
     """`write_traces_jsonl` of a `_traces` log and its devices."""
     write_traces_jsonl(path, *data)
-
-
-def _refusal(write, path, data) -> str:
-    with pytest.raises(InvalidInput) as info:
-        write(str(path), data)
-    assert not path.exists()
-    return str(info.value)
-
-
-@pytest.mark.skipif(not storage._may_fork(), reason="the writers fork only "
-                    "where the platform forks and this process may run on two CPUs")
-class TestSplitWriters:
-    """A writer of `_FORK_ROWS` rows or more renders the blocks from about
-    the middle row on in a forked child. Its bytes, its errors and its partial
-    files are those of the writer that renders every block in one process."""
-
-    @pytest.fixture(autouse=True)
-    def out(self, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        yield out
-        # every child was reaped, none left a file behind, and the garbage
-        # collector is back on
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert {p.name for p in out.iterdir()} <= {"split.jsonl", "serial.jsonl"}
-        assert gc.isenabled()
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls, fork = [], os.fork
-
-        def counted():
-            calls.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return calls
-
-    @staticmethod
-    def _serial(monkeypatch, write, path, data):
-        with monkeypatch.context() as m:
-            m.delattr(os, "fork")
-            write(str(path), data)
-
-    @pytest.mark.parametrize("write, data", [
-        (write_events_jsonl, _log(4 * B + 7)),
-        (_write_traces, _traces([B + 1, 5, 3 * B, 0, 3])),
-    ], ids=["events", "traces"])
-    def test_the_split_writes_the_serial_bytes(self, monkeypatch, out, forks, write, data):
-        write(str(out / "split.jsonl"), data)
-        assert forks == [1]
-        self._serial(monkeypatch, write, out / "serial.jsonl", data)
-        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
-
-    @pytest.mark.parametrize("write, data", [
-        (write_events_jsonl, _log(4 * B, bad=(3 * B + 5,))),
-        (_write_traces, _traces([B, B, B, B], bad_device="d3")),
-        (_write_traces, _traces([B, B, B, B], bad_device="d3", bad="order")),
-        (_write_traces, _traces([4 * B], bad_device="d0", bad="order", at=2 * B)),
-    ], ids=["events", "traces", "traces-order", "traces-order-at-the-child-s-first-row"])
-    def test_a_refusal_in_the_child_s_half_is_the_serial_writer_s(self, monkeypatch, out, forks,
-                                                                  write, data):
-        split = _refusal(write, out / "split.jsonl", data)
-        assert forks == [1]
-        with monkeypatch.context() as m:
-            m.delattr(os, "fork")
-            assert _refusal(write, out / "serial.jsonl", data) == split
-
-    def test_with_refusals_in_both_halves_the_parent_s_wins(self, out, forks):
-        # as in one process, where the lower block is rendered first
-        message = _refusal(write_events_jsonl, out / "split.jsonl",
-                           _log(4 * B, bad=(5, 3 * B + 5)))
-        assert message == "event 5: Receive rssi must be a number, got True"
-        assert forks == [1]
-
-    @pytest.mark.parametrize("where", ["parent", "child", "serial"])
-    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
-                                       KeyboardInterrupt()], ids=["ENOSPC", "interrupt"])
-    def test_a_writer_that_raises_leaves_no_file(self, monkeypatch, out, forks, where, error):
-        # the parent renders blocks 0 and 1 and the child 2 and 3, or one
-        # process all four
-        fail_at = {"parent": B, "child": 3 * B, "serial": 2 * B}[where]
-        render = storage._event_block
-
-        def failing(times, kinds, values, start):
-            if start == fail_at:
-                raise error
-            return render(times, kinds, values, start)
-
-        monkeypatch.setattr(storage, "_event_block", failing)
-        if where == "serial":
-            monkeypatch.delattr(os, "fork")
-        path = out / "split.jsonl"
-        with pytest.raises(type(error)) as info:
-            write_events_jsonl(str(path), _log(4 * B))
-        assert not path.exists()
-        assert forks == ([] if where == "serial" else [1])
-        if isinstance(error, OSError):
-            assert info.value.errno == errno.ENOSPC
-
-    @pytest.mark.parametrize("death", [
-        lambda: os._exit(3),
-        lambda: os.kill(os.getpid(), signal.SIGKILL),
-    ], ids=["exit", "killed"])
-    def test_the_blocks_of_a_child_that_dies_are_rendered_here(self, monkeypatch, out, forks,
-                                                               death):
-        data = _log(4 * B)
-        self._serial(monkeypatch, write_events_jsonl, out / "serial.jsonl", data)
-        parent, render = os.getpid(), storage._event_block
-
-        def dying(*args):
-            if os.getpid() != parent:
-                death()
-            return render(*args)
-
-        monkeypatch.setattr(storage, "_event_block", dying)
-        write_events_jsonl(str(out / "split.jsonl"), data)
-        assert forks == [1]
-        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
-
-    def test_the_child_takes_about_half_the_rows_of_uneven_blocks(self, monkeypatch, out):
-        # ten full blocks of one trace, then ten traces of 5: half the blocks
-        # would leave the child 50 of 10,290 rows
-        data = _traces([10 * B] + [5] * 10)
-        taken = []
-
-        class Recorded(storage._Child):
-            def __init__(self, body, directory=None):
-                with tempfile.TemporaryFile() as rendered:
-                    body(rendered)
-                    rendered.seek(0)
-                    taken.append(rendered.read().count(b"\n"))
-                super().__init__(body, directory)
-
-        monkeypatch.setattr(storage, "_Child", Recorded)
-        _write_traces(str(out / "split.jsonl"), data)
-        assert taken == [5 * B + 50]
-        self._serial(monkeypatch, _write_traces, out / "serial.jsonl", data)
-        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
-
-    @pytest.mark.parametrize("rows", [4 * B, 2 * B], ids=["split", "one process"])
-    def test_a_writer_leaves_a_stopped_collector_stopped(self, out, rows):
-        gc.disable()
-        try:
-            write_events_jsonl(str(out / "split.jsonl"), _log(rows))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-    def test_a_fork_that_fails_leaves_the_writer_in_one_process(self, monkeypatch, out):
-        data = _log(4 * B + 7)
-        write_events_jsonl(str(out / "split.jsonl"), data)
-
-        def refused():
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", refused)
-        write_events_jsonl(str(out / "serial.jsonl"), data)
-        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
-
-    def _no_fork(self):
-        raise AssertionError("the writer forked")
-
-    @pytest.mark.parametrize("case", ["no fork", "one CPU", "pool worker", "second thread"])
-    @pytest.mark.parametrize("write, data", [
-        (write_events_jsonl, _log(4 * B + 7)),
-        (_write_traces, _traces([B + 1, 5, 3 * B, 0, 3])),
-    ], ids=["events", "traces"])
-    def test_the_writer_stays_in_one_process_unless_a_fork_can_pay(self, monkeypatch, out,
-                                                                   case, write, data):
-        write(str(out / "split.jsonl"), data)
-        with contextlib.ExitStack() as stack:
-            if case == "no fork":
-                monkeypatch.delattr(os, "fork")
-            else:
-                monkeypatch.setattr(os, "fork", self._no_fork)
-            if case == "one CPU":
-                cpus = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, {min(cpus)})
-                stack.callback(os.sched_setaffinity, 0, cpus)
-            elif case == "pool worker":
-                import multiprocessing
-                monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-            elif case == "second thread":
-                done = threading.Event()
-                thread = threading.Thread(target=done.wait)
-                thread.start()
-                stack.callback(thread.join)
-                stack.callback(done.set)
-            write(str(out / "serial.jsonl"), data)
-        assert (out / "split.jsonl").read_bytes() == (out / "serial.jsonl").read_bytes()
-
-    @pytest.mark.parametrize("write, data", [
-        (write_events_jsonl, _log(storage._FORK_ROWS - 1)),
-        (_write_traces, _traces([B, B, B, storage._FORK_ROWS - 3 * B - 1])),
-    ], ids=["events", "traces"])
-    def test_a_file_below_the_floor_stays_in_one_process(self, monkeypatch, out, write, data):
-        monkeypatch.setattr(os, "fork", self._no_fork)
-        write(str(out / "serial.jsonl"), data)
 
 
 class TestMetricsCsv:
