@@ -51,6 +51,7 @@ from .storage import (
     DETECT_FIELDS,
     DETECT_TAG,
     REPORT_TAG,
+    _named_decode_errors,
     metric_rows,
     read_metrics_csv,
     read_traces_jsonl,
@@ -80,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _named_decode_errors(path):
         return fh.read()
 
 
@@ -288,33 +289,31 @@ def cmd_assess(args) -> int:
 # detect
 
 
-def _detector(deployment, eph: EphemeralParams, sizing: dict, p_stay: float, weighting: str):
+def _detector(deployment, eph: EphemeralParams, p_stay: float, weighting: str):
     """The Markov model `detect` scores with, and the resolver `sim.run` builds
     under TV: static IDs first, then rotating IDs inside the acceptance window,
-    through Bloom filters of the sizing an `ephemeral:` block gives.
+    through Bloom filters sized by eph, the params an `ephemeral:` block gives.
     `_calibrate` builds its own through this as well."""
-    resolver = RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph),
-                                m_bits=sizing.get("bloom_m"), k_hashes=sizing.get("bloom_k"),
-                                fp_target=sizing.get("bloom_fp_target", DEFAULT_FP_TARGET))
+    resolver = RotatingResolver(deployment.static_ids(), IdSchedule(deployment.owner_keys, eph))
     return build_markov(deployment, p_stay=p_stay, weighting=weighting), resolver
 
 
-def _calibrate(path: str, deployment, eph: EphemeralParams, sizing: dict, p_stay: float,
-               weighting: str, alpha: float, debounce: bool, min_transitions: int) -> float:
+def _calibrate(path: str, deployment, eph: EphemeralParams, p_stay: float, weighting: str,
+               alpha: float, debounce: bool, min_transitions: int) -> float:
     """The threshold calibrated on the known-clean traces at path."""
-    model, resolver = _detector(deployment, eph, sizing, p_stay, weighting)
+    model, resolver = _detector(deployment, eph, p_stay, weighting)
     return calibrate_threshold(model, read_traces_jsonl(path), resolver, alpha=alpha,
                                debounce=debounce, min_transitions=min_transitions)
 
 
-def _calibrate_while_reading(args, deployment, eph, sizing):
+def _calibrate_while_reading(args, deployment, eph):
     """(threshold, test traces), the calibration file read and scored by a
     `_Child`, where `_may_fork()`, while this process reads the test
     file. Without a child, or if it does not exit 0, this process calibrates
     after its read. So a calibration error is raised here, and an error of the
     test read comes back in place of the traces, as when the two ran in turn.
     """
-    calibrate = partial(_calibrate, args.calibration, deployment, eph, sizing, args.p_stay,
+    calibrate = partial(_calibrate, args.calibration, deployment, eph, args.p_stay,
                         args.weighting, args.alpha, not args.no_debounce, args.min_transitions)
     child = None
     if _may_fork():
@@ -342,12 +341,12 @@ def cmd_detect(args) -> int:
         raise _UsageError(f"detect: --threshold must be finite, got {args.threshold!r}")
     doc = _parse_document(_read_text(args.deployment))
     deployment = load_deployment(doc)
-    eph, sizing = ephemeral_block(doc, deployment)
-    model, resolver = _detector(deployment, eph, sizing, args.p_stay, args.weighting)
+    eph = ephemeral_block(doc, deployment)
+    model, resolver = _detector(deployment, eph, args.p_stay, args.weighting)
 
     threshold, traces = args.threshold, None
     if threshold is None:
-        threshold, traces = _calibrate_while_reading(args, deployment, eph, sizing)
+        threshold, traces = _calibrate_while_reading(args, deployment, eph)
 
     params = DetectorParams(
         threshold=threshold, alpha=args.alpha,
@@ -398,8 +397,9 @@ def cmd_ephemeral_build(args) -> int:
     keys = _load_keys_file(args.keys)
     params = EphemeralParams(
         slot_duration_s=args.slot_duration, window_slots=args.window, id_width=args.width,
+        bloom_m=args.m, bloom_k=args.k, bloom_fp_target=args.fp,
     )
-    filt = build_filter(IdSchedule(keys, params), args.slot, args.m, args.k, args.fp)
+    filt = build_filter(IdSchedule(keys, params), args.slot)
     write_filter_file(args.out, filt, args.slot, params)
     print(json.dumps({
         "out": args.out, "m_bits": filt.m_bits, "k_hashes": filt.k_hashes,
@@ -518,8 +518,9 @@ def build_parser() -> _Parser:
     b.add_argument("--m", type=int, default=None,
                    help="filter bits; --m and --k both or neither (default: sized from --fp)")
     b.add_argument("--k", type=int, default=None, help="hash count; --m and --k both or neither")
-    b.add_argument("--fp", type=float, default=DEFAULT_FP_TARGET,
-                   help="target false-positive rate")
+    b.add_argument("--fp", type=float, default=None,
+                   help=f"target false-positive rate, refused beside --m and --k "
+                        f"(default: {DEFAULT_FP_TARGET})")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_ephemeral_build)
 

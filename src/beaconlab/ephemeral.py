@@ -46,9 +46,15 @@ _UNSEEN = object()  # verdict cache miss; None is a cached rejection
 
 @dataclass(frozen=True)
 class EphemeralParams:
+    """How a run's IDs rotate, and the sizing of each window's Bloom filter:
+    bloom_m and bloom_k, or bloom_fp_target (None means DEFAULT_FP_TARGET),
+    which `filter_size` checks where a filter is sized."""
     slot_duration_s: float = 60.0
     window_slots: int = 2  # accept slots in [current - w, current + w]
     id_width: int = DEFAULT_ID_WIDTH
+    bloom_m: Optional[int] = None
+    bloom_k: Optional[int] = None
+    bloom_fp_target: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.slot_duration_s < math.inf:  # NaN fails both tests
@@ -128,18 +134,23 @@ class IdSchedule:
 
 
 def filter_size(n_items: int, m_bits: int | None = None, k_hashes: int | None = None,
-                fp_target: float = DEFAULT_FP_TARGET) -> Optional[tuple[int, int]]:
+                fp_target: float | None = None) -> Optional[tuple[int, int]]:
     """The bits m and hash count k of a filter of n_items IDs: both as given,
-    or both sized for fp_target; None when neither is given and there are no
-    IDs. Refuses m or k given alone, one `_check_geometry` refuses, and a
-    build that would set more than MAX_BLOOM_WORK bits (k x n_items)."""
+    or both sized for fp_target (None means DEFAULT_FP_TARGET); None when
+    neither is given and there are no IDs. Refuses m or k given alone, an
+    fp_target given beside them, one `_check_geometry` refuses, and a build
+    that would set more than MAX_BLOOM_WORK bits (k x n_items)."""
     if (m_bits is None) != (k_hashes is None):
         raise InvalidInput(f"Bloom m and k are given both or neither, "
                            f"got m={m_bits!r} and k={k_hashes!r}")
     if m_bits is None:
         if not n_items:
             return None
-        m_bits, k_hashes = bloom_size_for(n_items, fp_target)
+        m_bits, k_hashes = bloom_size_for(
+            n_items, DEFAULT_FP_TARGET if fp_target is None else fp_target)
+    elif fp_target is not None:
+        raise InvalidInput(f"Bloom sizing is m and k, or a false-positive target, not both; "
+                           f"got m={m_bits!r}, k={k_hashes!r} and target {fp_target!r}")
     _check_geometry(m_bits, k_hashes)
     if k_hashes * n_items > MAX_BLOOM_WORK:
         raise InvalidInput(f"a bloom filter of {n_items:,} IDs at k={k_hashes:,} sets "
@@ -213,24 +224,19 @@ def bloom_size_for(n_items: int, fp_target: float) -> tuple[int, int]:
     return m, k
 
 
-def build_filter(
-    schedule: IdSchedule,
-    current_slot: int,
-    m_bits: int | None = None,
-    k_hashes: int | None = None,
-    fp_target: float = DEFAULT_FP_TARGET,
-) -> BloomFilter:
+def build_filter(schedule: IdSchedule, current_slot: int) -> BloomFilter:
     """Insert every owned key's IDs for the acceptance window around current_slot.
 
-    Sizing defaults to the fp_target; m and k are given both or neither (see
-    `filter_size`), and an (m, k) whose expected false positive rate exceeds
-    10% at this population is a configuration error.
+    The schedule's params size the filter (see `filter_size`), and an (m, k)
+    whose expected false positive rate exceeds 10% at this population is a
+    configuration error.
     """
     if not schedule.owner_keys:
         raise InvalidInput("no keys to build a filter from")
-    slots = schedule.params.window(current_slot)
+    params = schedule.params
+    slots = params.window(current_slot)
     n_items = len(schedule.owner_keys) * len(slots)
-    m_bits, k_hashes = filter_size(n_items, m_bits, k_hashes, fp_target)
+    m_bits, k_hashes = filter_size(n_items, params.bloom_m, params.bloom_k, params.bloom_fp_target)
     if expected_fp_rate(m_bits, k_hashes, n_items) > MAX_BUILD_FP:
         raise InvalidInput(
             f"bloom sizing m={m_bits} k={k_hashes} gives expected false-positive "
@@ -301,30 +307,20 @@ class RotatingResolver:
     """Owner-side lookup for the event loop and `detect`: static IDs first, then the schedule.
 
     With tv (the TV defence), an owner ID resolves only inside the acceptance
-    window of the current slot, through that slot's Bloom filter and the
-    schedule's exact lookup; verdicts are memoized per (id, slot). Without, an
-    owner ID resolves once the schedule has derived it, which in a run means
-    once it was broadcast: replayed IDs never expire and no filter is built.
-    Those verdicts are not memoized, since a later broadcast can change them.
+    window of the current slot, through that slot's Bloom filter, sized by
+    the schedule's params, and the schedule's exact lookup; verdicts are
+    memoized per (id, slot). Without, an owner ID resolves once the schedule
+    has derived it, which in a run means once it was broadcast: replayed IDs
+    never expire and no filter is built. Those verdicts are not memoized,
+    since a later broadcast can change them.
     """
 
-    def __init__(
-        self,
-        static_ids: Mapping[BeaconId, str],
-        schedule: IdSchedule,
-        tv: bool = True,
-        m_bits: int | None = None,
-        k_hashes: int | None = None,
-        fp_target: float = DEFAULT_FP_TARGET,
-    ):
+    def __init__(self, static_ids: Mapping[BeaconId, str], schedule: IdSchedule, tv: bool = True):
         # keyed on the raw bytes: hashing them skips BeaconId's generated __hash__
         self._static = {beacon_id.data: ref for beacon_id, ref in static_ids.items()}
         self._schedule = schedule
         self._params = schedule.params
         self._tv = tv
-        self._m = m_bits
-        self._k = k_hashes
-        self._fp = fp_target
         self._filters: dict[int, BloomFilter] = {}
         self._verdicts: dict[tuple[bytes, int], Optional[str]] = {}
         self.filters_built = 0
@@ -332,7 +328,7 @@ class RotatingResolver:
     def filter_for(self, slot: int) -> BloomFilter:
         filt = self._filters.get(slot)
         if filt is None:
-            filt = build_filter(self._schedule, slot, self._m, self._k, self._fp)
+            filt = build_filter(self._schedule, slot)
             self._filters[slot] = filt
             self.filters_built += 1
         return filt

@@ -15,7 +15,7 @@ from typing import Optional
 from .actors import AppSpec, PersonalTag, UserDevice
 from .attacks import AttackerReceiver, AttackProfile, InjectedEmitter
 from .attacks import normalize_kind, normalize_sniff_mode
-from .ephemeral import DEFAULT_FP_TARGET, MAX_WINDOW_IDS, EphemeralParams, filter_size
+from .ephemeral import MAX_WINDOW_IDS, EphemeralParams, filter_size
 from .errors import InvalidInput, SchemaError, ValidationError
 from .guardian import DEFAULT_GUARDIAN_REF, GuardianConfig, apply_guardian
 from .model import DEPLOYMENT_KEYS, DeploymentMap, load_deployment
@@ -40,9 +40,6 @@ class Scenario:
     guardian: Optional[GuardianConfig] = None
     radio: RadioParams = field(default_factory=RadioParams)
     ephemeral: EphemeralParams = field(default_factory=EphemeralParams)
-    bloom_fp_target: float = DEFAULT_FP_TARGET
-    bloom_m: Optional[int] = None
-    bloom_k: Optional[int] = None
     defences: frozenset[str] = frozenset()
     attacker_caps: frozenset[str] = DEFAULT_ATTACKER_CAPS
     duration_s: float = 60.0
@@ -165,21 +162,19 @@ _SCENARIO_KEYS = DEPLOYMENT_KEYS + (
 )
 
 
-def ephemeral_block(doc: dict, deployment: DeploymentMap) -> tuple[EphemeralParams, dict]:
-    """The slot length and window a document's `ephemeral:` block gives, the
-    defaults without one, and the block's Bloom sizing keys, checked by
-    `filter_size` for a filter of the deployment's IDs in one window (a window
-    of more than MAX_WINDOW_IDS is refused where its IDs are derived).
+def ephemeral_block(doc: dict, deployment: DeploymentMap) -> EphemeralParams:
+    """The params a document's `ephemeral:` block gives, the defaults without
+    one: the slot length, the window and the Bloom sizing, which `filter_size`
+    checks for a filter of the deployment's IDs in one window (a window of
+    more than MAX_WINDOW_IDS is refused where its IDs are derived).
     `load_scenario` and `detect` both read the block here, so a run and
     `detect` resolve rotating IDs alike."""
     eph = _fields(doc.get("ephemeral"), "ephemeral", _EPHEMERAL_READERS)
-    sizing = {k: eph.pop(k) for k in ("bloom_fp_target", "bloom_m", "bloom_k") if k in eph}
     params = _build(EphemeralParams, "ephemeral", id_width=deployment.id_width, **eph)
     n_ids = len(deployment.owner_keys) * len(params.window(0))
     _build(filter_size, "ephemeral", n_items=n_ids if n_ids <= MAX_WINDOW_IDS else 0,
-           m_bits=sizing.get("bloom_m"), k_hashes=sizing.get("bloom_k"),
-           fp_target=sizing.get("bloom_fp_target", DEFAULT_FP_TARGET))
-    return params, sizing
+           m_bits=params.bloom_m, k_hashes=params.bloom_k, fp_target=params.bloom_fp_target)
+    return params
 
 
 def load_scenario(document) -> Scenario:
@@ -215,8 +210,8 @@ def load_scenario(document) -> Scenario:
     if "max_range_m" in radio:
         radio["max_range"] = radio.pop("max_range_m")
 
-    eph, given = ephemeral_block(doc, deployment)
-    # the Bloom sizing keys of the ephemeral block are Scenario fields, as is duration_s
+    eph = ephemeral_block(doc, deployment)
+    given = {}
     if doc.get("duration_s") is not None:
         given["duration_s"] = _number(doc["duration_s"], "duration_s")
 

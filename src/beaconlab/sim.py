@@ -258,14 +258,7 @@ def run(scenario: Scenario) -> RunResult:
     duration = scenario.duration_s
     id_width = reference.id_width
     schedule = IdSchedule(reference.owner_keys, eph)
-    resolver = RotatingResolver(
-        reference.static_ids(),
-        schedule,
-        tv="TV" in scenario.defences,
-        m_bits=scenario.bloom_m,
-        k_hashes=scenario.bloom_k,
-        fp_target=scenario.bloom_fp_target,
-    )
+    resolver = RotatingResolver(reference.static_ids(), schedule, tv="TV" in scenario.defences)
 
     devices = scenario.devices
     device_by_ref = {d.ref: d for d in devices}

@@ -65,6 +65,7 @@ import json
 import math
 import os
 from array import array
+from contextlib import contextmanager
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, le
@@ -208,6 +209,17 @@ def _first_refusal(kind: str, name: str, seqs: tuple, column: tuple) -> Optional
     return None
 
 
+@contextmanager
+def _named_decode_errors(path: str) -> Iterator[None]:
+    """Raise a UnicodeDecodeError from reading the text file at path as a
+    SchemaError naming the file. Text is decoded a chunk at a time, so the
+    error has no line number."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: the file is not UTF-8 text ({exc.reason})") from exc
+
+
 def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
     """Check the header line, then yield (line number, line) for each
     non-empty line after it, reading one line at a time.
@@ -215,18 +227,15 @@ def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
     A line ends only at a newline, which text mode also makes of CRLF and a
     lone CR. A line's number counts every line, blank ones too.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = fh.readline()
-            if not header:
-                raise SchemaError(f"{path}: empty file")
-            _check_header(header.rstrip("\n"), fmt, path)
-            for n, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if line:
-                    yield n, line
-        except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no line number
-            raise SchemaError(f"{path}: the file is not UTF-8 text ({exc.reason})") from exc
+    with open(path, "r", encoding="utf-8") as fh, _named_decode_errors(path):
+        header = fh.readline()
+        if not header:
+            raise SchemaError(f"{path}: empty file")
+        _check_header(header.rstrip("\n"), fmt, path)
+        for n, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield n, line
 
 
 def read_events_jsonl(path: str) -> list[Event]:
@@ -430,11 +439,15 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
 
 
 def read_metrics_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _named_decode_errors(path):
         first = fh.readline().strip()
         if first != f"# {METRICS_TAG}":
             raise SchemaError(f"{path}: expected a {METRICS_TAG} file")
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != _METRIC_FIELDS:
+            raise SchemaError(f"{path}: expected the columns {','.join(_METRIC_FIELDS)}, "
+                              f"got {','.join(reader.fieldnames or ())}")
+        return list(reader)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from beaconlab import (
 )
 from beaconlab import cli, ephemeral, storage
 from beaconlab.cli import _process_pool, build_parser, main
-from beaconlab.ephemeral import (DEFAULT_FP_TARGET, MAX_BLOOM_K, MAX_BLOOM_M, MAX_BLOOM_WORK,
-                                 MAX_WINDOW_IDS, bloom_size_for, filter_size)
+from beaconlab.ephemeral import (MAX_BLOOM_K, MAX_BLOOM_M, MAX_BLOOM_WORK, MAX_WINDOW_IDS,
+                                 bloom_size_for, filter_size)
 from conftest import (AA, BB, CC, KEY1, KEY2, detector_resolver, ephemeral_beacon, receive_log,
                       static_beacon)
 from test_acceptance import _PATH_ADJ, _trace, _walk
@@ -250,6 +250,33 @@ class TestSimulate:
         assert main(["simulate", *manifests, "--out", str(tmp_path), "--jobs", jobs]) == 0
         assert workers == asked
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize("sizing, size", [
+        ({"bloom_m": 4096, "bloom_k": 3}, (4096, 3)),
+        ({"bloom_fp_target": 1e-9}, bloom_size_for(15, 1e-9)),
+    ], ids=["m-k", "fp-target"])
+    def test_simulate_builds_the_filters_the_document_sizes(self, tmp_path, capsys, monkeypatch,
+                                                            sizing, size):
+        # every Bloom hit is checked exactly, so the files stay; the filters
+        # built, for three keys' IDs in windows of 5 slots, are recorded
+        doc = rotating_walk_doc(defences=["TV"])
+        manifest = tmp_path / "rotating.yaml"
+        manifest.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "default")]) == 0
+        manifest.write_text(yaml.safe_dump({**doc, "ephemeral": sizing}))
+        built, build = [], ephemeral.build_filter
+
+        def recorded(*args):
+            filt = build(*args)
+            built.append((filt.m_bits, filt.k_hashes))
+            return filt
+
+        monkeypatch.setattr(ephemeral, "build_filter", recorded)
+        monkeypatch.delattr(os, "fork")
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "sized")]) == 0
+        capsys.readouterr()
+        assert _logs(tmp_path / "sized") == _logs(tmp_path / "default")
+        assert len(built) == 3 and set(built) == {size}
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
@@ -640,7 +667,7 @@ class TestDetect:
         assert capsys.readouterr() == reference
         n_ids = len(doc["beacons"]) * len(EphemeralParams(slot_duration_s=30.0).window(0))
         assert set(built) == {filter_size(n_ids, sizing.get("bloom_m"), sizing.get("bloom_k"),
-                                          sizing.get("bloom_fp_target", DEFAULT_FP_TARGET))}
+                                          sizing.get("bloom_fp_target"))}
 
     @pytest.mark.parametrize("flag", ["--traces", "--calibration"])
     @pytest.mark.parametrize("damage", ["not UTF-8", "time order"])
@@ -970,6 +997,25 @@ def test_a_window_of_too_many_ids_is_refused_before_any_is_derived(tmp_path, cap
     assert not (tmp_path / "out").exists() and not (tmp_path / "f.blf").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "assess", "ephemeral build", "detect", "report"])
+def test_a_text_input_that_is_not_utf_8_is_named(tmp_path, capsys, command):
+    # before, the error quoted the codec and named no file
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfe")
+    argv = {
+        "simulate": ["simulate", str(bad), "--out", str(tmp_path / "out")],
+        "assess": ["assess", "--motives", "M2", "--capabilities", "C1", "--matrix", str(bad)],
+        "ephemeral build": ["ephemeral", "build", "--keys", str(bad), "--slot", "0",
+                            "--out", str(tmp_path / "f.blf")],
+        "detect": ["detect", "--deployment", str(bad), "--threshold", "5",
+                   "--traces", trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA])])],
+        "report": ["report", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: the file is not UTF-8 text (invalid start byte)\n")
+
+
 def _probe(code: str) -> str:
     """The stdout of a fresh interpreter running code with this package importable."""
     src = str(Path(beaconlab.__file__).resolve().parents[1])
@@ -1073,6 +1119,26 @@ class TestEphemeral:
                      "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_a_target_beside_m_and_k_is_refused_by_flag_and_document(self, tmp_path, capsys):
+        # before, --fp and bloom_fp_target went unused: m and k sized the filter
+        keys_path = tmp_path / "keys.yaml"
+        keys_path.write_text(yaml.safe_dump({"b1": KEY1}))
+        out = tmp_path / "f.blf"
+        assert main(["ephemeral", "build", "--keys", str(keys_path), "--slot", "1", "--m", "64",
+                     "--k", "3", "--fp", "2", "--out", str(out)]) == 1
+        message = ("Bloom sizing is m and k, or a false-positive target, not both; "
+                   "got m=64, k=3 and target 2.0")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        document = write_manifest(tmp_path / "s.yaml", ephemeral={"bloom_m": 64, "bloom_k": 3,
+                                                                   "bloom_fp_target": 2.0})
+        for argv in (["simulate", document, "--out", str(tmp_path / "out")],
+                     ["detect", "--deployment", document, "--threshold", "5", "--traces",
+                      trace_file(tmp_path, "t.jsonl", [walk_trace("phone", [AA, BB])])]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: ephemeral: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.fixture
     def no_filter(self, monkeypatch):
@@ -1230,6 +1296,15 @@ class TestReport:
         assert rows[0] == ["metric", "run,1", "metric:1"]
         assert all(len(row) == 3 for row in rows)
         assert [row[0] for row in rows[1:]] == ["delivery_correctness"]
+
+    def test_a_header_row_of_other_columns_is_refused(self, tmp_path, capsys):
+        # before, the report ended in a KeyError traceback
+        path = tmp_path / "m.csv"
+        path.write_text("# beaconlab.metrics.v1\nprofile,metric,value\n0,x,1.0\n")
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {path}: expected the columns profile,kind,sniff_mode,metric,value,detail, "
+            f"got profile,metric,value\n"))
 
 
 class TestTopLevel:

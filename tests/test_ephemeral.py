@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -104,7 +105,7 @@ class TestBuildFilter:
 
     def test_rejects_hopeless_sizing(self):
         with pytest.raises(InvalidInput, match="false-positive"):
-            build_filter(IdSchedule(KEYS, PARAMS), 0, m_bits=8, k_hashes=2)
+            build_filter(IdSchedule(KEYS, replace(PARAMS, bloom_m=8, bloom_k=2)), 0)
 
     def test_needs_keys(self):
         with pytest.raises(InvalidInput):
@@ -128,9 +129,10 @@ class TestVerifyAndResolve:
     def test_zero_end_to_end_false_accepts(self):
         # generous filter abuse: tiny m forces many gate hits, the exact
         # stage must still reject every forged identity
-        params = EphemeralParams(slot_duration_s=60.0, window_slots=1, id_width=20)
+        params = EphemeralParams(slot_duration_s=60.0, window_slots=1, id_width=20,
+                                 bloom_m=64, bloom_k=1)
         schedule = IdSchedule(KEYS, params)
-        filt = build_filter(schedule, 0, m_bits=64, k_hashes=1)
+        filt = build_filter(schedule, 0)
         rng = Random(5)
         gate_hits = 0
         for _ in range(20000):

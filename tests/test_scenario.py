@@ -25,7 +25,6 @@ from beaconlab import (
 )
 from beaconlab.attacks import KINDS
 from beaconlab.cli import main
-from beaconlab.ephemeral import DEFAULT_FP_TARGET
 from beaconlab.scenario import DEFAULT_ATTACKER_CAPS
 from beaconlab.threatmatrix import default_matrix
 from conftest import AA, BB, CC, KEY1, KEY2, ephemeral_beacon, static_beacon
@@ -106,8 +105,7 @@ def _rich_doc() -> dict:
         ],
         "radio": {"path_loss_exponent": 2.0, "noise_sigma": 1.0, "max_range_m": 50.0,
                   "seed": 3},
-        "ephemeral": {"slot_duration_s": 60.0, "window_slots": 2, "bloom_fp_target": 0.01,
-                      "bloom_m": 512, "bloom_k": 4},
+        "ephemeral": {"slot_duration_s": 60.0, "window_slots": 2, "bloom_m": 512, "bloom_k": 4},
         "attacker": {"capabilities": ["C1", "C2", "C3", "C6", "C7"],
                      "physical_access": True, "firmware_access": True},
         "defences": ["TV", "SJ"],
@@ -187,7 +185,7 @@ class TestAnyOneFieldReplaced:
     def test_rich_doc_loads(self):
         scenario = load_scenario(_rich_doc())
         assert scenario.attacker_caps == frozenset({"C1", "C2", "C3", "C4", "C5", "C6", "C7"})
-        assert scenario.guardian is not None and scenario.bloom_m == 512
+        assert scenario.guardian is not None and scenario.ephemeral.bloom_m == 512
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(_paths(_rich_doc()))), _ANY_VALUE)
@@ -232,6 +230,14 @@ def test_a_bloom_size_given_by_half_is_refused_at_load(sizing):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("slot", [float("nan"), 0.0])
+def test_a_bad_slot_is_reported_before_half_a_bloom_size(slot):
+    # the slot and window are checked before the Bloom sizing
+    doc = {**_rich_doc(), "ephemeral": {"slot_duration_s": slot, "bloom_m": 8}}
+    with pytest.raises(ValidationError, match=r"^ephemeral: slot_duration_s must be "):
+        load_scenario(doc)
+
+
 @pytest.mark.parametrize("target", [0.0, 1.0, 2.5, -0.01])
 def test_a_bloom_target_outside_0_1_is_refused_at_load_with_owner_keys(target):
     # `filter_size` sizes a filter of the window's IDs from the target; before,
@@ -242,7 +248,7 @@ def test_a_bloom_target_outside_0_1_is_refused_at_load_with_owner_keys(target):
     static = {"beacons": [static_beacon("b1", 0, AA)],
               "content": [{"id_hex": AA, "locator": "app://one"}],
               "ephemeral": {"bloom_fp_target": target}}
-    assert load_scenario(static).bloom_fp_target == target  # no owner keys: no filter
+    assert load_scenario(static).ephemeral.bloom_fp_target == target  # no owner keys: no filter
 
 
 def test_matrix_doc_loads():
@@ -362,7 +368,7 @@ def test_only_given_keys_reach_the_dataclasses():
     assert scenario.radio == RadioParams()
     assert scenario.ephemeral == EphemeralParams()
     assert scenario.duration_s == Scenario.duration_s
-    assert scenario.bloom_fp_target == DEFAULT_FP_TARGET
+    assert scenario.ephemeral.bloom_fp_target is None
     assert scenario.tags[0].adv_interval_ms == PersonalTag.adv_interval_ms
     assert scenario.guardian.jam_radius_m == GuardianConfig.jam_radius_m
     assert scenario.attacker_caps == DEFAULT_ATTACKER_CAPS | {"C4"}
