@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter, le
 from typing import Mapping, NamedTuple, Union
 
 import yaml
@@ -128,9 +129,9 @@ class Trace:
     observations: tuple[Observation, ...]
 
     def __post_init__(self) -> None:
-        times = [o.time for o in self.observations]
-        # `not a <= b` also holds when either time is NaN
-        if any(not a <= b for a, b in zip(times, times[1:])):
+        times = list(map(itemgetter(0), self.observations))
+        # `a <= b` is false when either time is NaN
+        if not all(map(le, times, times[1:])):
             raise InvalidInput(f"trace for {self.device_ref!r} is not time-ordered")
 
     def __len__(self) -> int:

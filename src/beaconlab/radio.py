@@ -170,21 +170,24 @@ OUTCOME_EMPTY = "empty"
 # one has exactly its options, so it renders the same bytes.
 _dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
-_raw_decode = json.JSONDecoder().raw_decode
+# the C scanner under `raw_decode`: (value, end) for the JSON value that
+# starts at index idx; StopIteration where no value starts there
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _decode_line(line: str):
     """`json.loads(line)`, without its per-call wrappers on the common path.
 
-    A line that `raw_decode` rejects or does not consume whole (surrounding
-    whitespace, a byte-order mark, extra data) goes through `json.loads`, so
-    it parses or fails exactly as it would there; but a value nested too
-    deeply fails as a JSONDecodeError, not json.loads' RecursionError.
+    The common line is decoded by `_scan_once` itself. A line the scanner
+    rejects or does not consume whole (surrounding whitespace, a byte-order
+    mark, extra data) goes through `json.loads`, so it parses or fails
+    exactly as it would there; but a value nested too deeply fails as a
+    JSONDecodeError, not json.loads' RecursionError.
     """
     try:
         try:
-            value, end = _raw_decode(line)
-        except ValueError:
+            value, end = _scan_once(line, 0)
+        except (ValueError, StopIteration):
             return json.loads(line)
         return value if end == len(line) else json.loads(line)
     except RecursionError:

@@ -40,21 +40,40 @@ collector is off while a writer runs: a collection would find nothing to
 free, and while both processes live it would write to, and so copy, every
 page holding a tracked object they share.
 
-Readers take a file one line at a time through `_body_lines`, so no reader
-holds the file's text. A line ends only at a newline: text mode has already
-turned CRLF and a lone CR into one, and a raw U+2028, U+2029 or U+0085 inside
-a JSON string stays in its line, as JSON Lines has it. Blank lines are
-skipped, but line numbers count them. Text that is not UTF-8 raises
-SchemaError naming the file.
+Readers take a file a block of up to `_BLOCK` lines at a time through
+`_body_blocks`, so no reader holds the file's text. A line ends only at a
+newline: text mode has already turned CRLF and a lone CR into one, and a raw
+U+2028, U+2029 or U+0085 inside a JSON string stays in its line, as JSON
+Lines has it. Blank lines are skipped, but line numbers count them. Text that
+is not UTF-8 raises SchemaError naming the file.
 
-Readers decode each line through `radio._decode_line`, with the semantics of
-`json.loads(line)`: surrounding whitespace is allowed, NaN and Infinity are
-accepted, and a line holding anything beyond one JSON value (or a byte-order
-mark) fails with the error `json.loads` gives. The common line is decoded by
-one `raw_decode` call; only a line that call rejects or does not consume whole
-takes the `json.loads` path. The trace reader interns beacon IDs per file, so
-every observation of one `id_hex` shares one `BeaconId`: a file names a few
-dozen across tens of thousands of lines.
+A line read by itself is decoded through `radio._decode_line`, with the
+semantics of `json.loads(line)`: surrounding whitespace is allowed, NaN and
+Infinity are accepted, and a line holding anything beyond one JSON value (or
+a byte-order mark) fails with the error `json.loads` gives. The common line
+is decoded by one call of the C scanner, `radio._scan_once`; only a line it
+rejects or does not consume whole takes the `json.loads` path. The event
+reader takes each line so.
+
+The trace reader first tries each block as columns (`_read_trace_block`):
+every line goes through `_scan_once`, then the block's five fields are taken
+out as columns and checked a column at a time, each check one pass of C-level
+calls. A block is taken only if each line decodes whole to one object with
+the five fields, every `t`, `rssi` and `claimed_tx` is a finite float, every
+`device` a str, and every `id_hex` a str already interned or one that
+`BeaconId.from_hex` accepts; its observations are then built in one pass and
+added a run of one device's lines at a time. A block that fails any check
+adds nothing and is read line by line as above, so a file reads, and a bad
+line fails with its message and number, just as when each line is read by
+itself. Beacon IDs are interned per file, so every observation of one
+`id_hex` shares one `BeaconId`: a file names a few dozen across tens of
+thousands of lines.
+
+The trace reader pauses the cyclic collector while it reads, and puts it back
+as it was, as the writers do. With the collector on, each block's thousand
+decoded objects and the observations kept so far are walked again by its
+passes, and the block path read the benchmark's test file no faster than
+line by line.
 """
 
 from __future__ import annotations
@@ -66,8 +85,9 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from itertools import compress, repeat
+from itertools import compress, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 from operator import itemgetter, le
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -76,7 +96,8 @@ from .errors import InvalidInput, SchemaError
 from .model import BeaconId, Observation, Trace
 from .radio import (
     _EVENT_TEMPLATES, _IS_TYPE, EVENT_FIELDS, FIELD_TYPES, OPTIONAL_FIELDS, RECEIVE, Event,
-    EventLog, _decode_line, _dumps_sorted, _field_refusal, event_line, json_template, render_column,
+    EventLog, _decode_line, _dumps_sorted, _field_refusal, _scan_once, event_line, json_template,
+    render_column,
 )
 
 FORMAT_VERSION = 1
@@ -109,15 +130,25 @@ def _check_header(line: str, fmt: str, path: str) -> None:
 _BLOCK = 1024
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector, and put it back as it was, also on a raise."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _write_jsonl(path: str, fmt: str, blocks: Iterable[list[str]]) -> None:
     """The header line, then the lines of each block blocks yields, each
     rendered as it is written. A writer that raises, for whatever reason,
     leaves no file."""
-    collecting = gc.isenabled()
     fh = open(path, "w", encoding="utf-8")
-    gc.disable()
     try:
-        with fh:
+        with fh, _collector_paused():
             fh.write(_header_line(fmt) + "\n")
             for lines in blocks:
                 fh.write("\n".join(lines))
@@ -125,9 +156,6 @@ def _write_jsonl(path: str, fmt: str, blocks: Iterable[list[str]]) -> None:
     except BaseException:
         os.remove(path)
         raise
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def write_events_jsonl(path: str, events: EventLog) -> None:
@@ -220,9 +248,10 @@ def _named_decode_errors(path: str) -> Iterator[None]:
         raise SchemaError(f"{path}: the file is not UTF-8 text ({exc.reason})") from exc
 
 
-def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
-    """Check the header line, then yield (line number, line) for each
-    non-empty line after it, reading one line at a time.
+def _body_blocks(path: str, fmt: str) -> Iterator[tuple[int, list[str]]]:
+    """Check the header line, then yield (number of the first line, lines)
+    for each block of up to `_BLOCK` lines after it, each line with its
+    newline, reading one block at a time.
 
     A line ends only at a newline, which text mode also makes of CRLF and a
     lone CR. A line's number counts every line, blank ones too.
@@ -232,10 +261,19 @@ def _body_lines(path: str, fmt: str) -> Iterator[tuple[int, str]]:
         if not header:
             raise SchemaError(f"{path}: empty file")
         _check_header(header.rstrip("\n"), fmt, path)
-        for n, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield n, line
+        first = 2
+        while lines := list(islice(fh, _BLOCK)):
+            yield first, lines
+            first += len(lines)
+
+
+def _numbered(first: int, lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for each non-empty line of a
+    block whose first line is numbered first."""
+    for n, line in enumerate(lines, start=first):
+        line = line.rstrip("\n")
+        if line:
+            yield n, line
 
 
 def read_events_jsonl(path: str) -> list[Event]:
@@ -243,15 +281,16 @@ def read_events_jsonl(path: str) -> list[Event]:
     `seq` is not its 0-based position among the events, raises SchemaError
     naming the file and line."""
     events = []
-    for n, line in _body_lines(path, EVENTS_FORMAT):
-        try:
-            event = Event.from_json(line)
-            if event.seq != len(events):
-                raise InvalidInput(f"seq must be the event's position {len(events)}, "
-                                   f"got {event.seq!r}")
-        except (ValueError, InvalidInput) as exc:
-            raise SchemaError(f"{path}:{n}: bad event line: {exc}") from exc
-        events.append(event)
+    for first, lines in _body_blocks(path, EVENTS_FORMAT):
+        for n, line in _numbered(first, lines):
+            try:
+                event = Event.from_json(line)
+                if event.seq != len(events):
+                    raise InvalidInput(f"seq must be the event's position {len(events)}, "
+                                       f"got {event.seq!r}")
+            except (ValueError, InvalidInput) as exc:
+                raise SchemaError(f"{path}:{n}: bad event line: {exc}") from exc
+            events.append(event)
     return events
 
 
@@ -343,32 +382,83 @@ def read_traces_jsonl(path: str) -> tuple[Trace, ...]:
     """
     ids: dict[str, BeaconId] = {}
     grouped: dict[str, list[Observation]] = {}
-    for n, line in _body_lines(path, TRACES_FORMAT):
+    with _collector_paused():
+        for first, lines in _body_blocks(path, TRACES_FORMAT):
+            if _read_trace_block(lines, ids, grouped):
+                continue
+            for n, line in _numbered(first, lines):
+                try:
+                    raw = _decode_line(line)
+                    t, rssi, claimed = raw["t"], raw["rssi"], raw["claimed_tx"]
+                    if not (type(t) is float and type(rssi) is float and type(claimed) is float
+                            and 0.0 == t - t == rssi - rssi == claimed - claimed):
+                        t = _finite(t, "t")
+                        rssi, claimed = _finite(rssi, "rssi"), _finite(claimed, "claimed_tx")
+                    device = raw["device"]
+                    if type(device) is not str:
+                        raise ValueError(f"device must be a str, got {device!r}")
+                    id_hex = raw["id_hex"]
+                    try:
+                        beacon_id = ids[id_hex]
+                    except (KeyError, TypeError):
+                        # from_hex raises for anything that is not a hex string,
+                        # unhashable values included, before it can be stored
+                        beacon_id = ids[id_hex] = BeaconId.from_hex(id_hex)
+                    # never empty
+                    observations = grouped.get(device) or grouped.setdefault(device, [])
+                    observations.append(Observation(t, beacon_id, rssi, claimed))
+                except (KeyError, ValueError, TypeError, OverflowError, InvalidInput) as exc:
+                    raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc
         try:
-            raw = _decode_line(line)
-            t, rssi, claimed = raw["t"], raw["rssi"], raw["claimed_tx"]
-            if not (type(t) is float and type(rssi) is float and type(claimed) is float
-                    and 0.0 == t - t == rssi - rssi == claimed - claimed):
-                t = _finite(t, "t")
-                rssi, claimed = _finite(rssi, "rssi"), _finite(claimed, "claimed_tx")
-            device = raw["device"]
-            if type(device) is not str:
-                raise ValueError(f"device must be a str, got {device!r}")
-            id_hex = raw["id_hex"]
-            try:
-                beacon_id = ids[id_hex]
-            except (KeyError, TypeError):
-                # from_hex raises for anything that is not a hex string,
-                # unhashable values included, before it can be stored
-                beacon_id = ids[id_hex] = BeaconId.from_hex(id_hex)
-            observations = grouped.get(device) or grouped.setdefault(device, [])  # never empty
-            observations.append(Observation(t, beacon_id, rssi, claimed))
-        except (KeyError, ValueError, TypeError, OverflowError, InvalidInput) as exc:
-            raise SchemaError(f"{path}:{n}: bad trace line: {exc}") from exc
+            return tuple(Trace(ref, tuple(observations)) for ref, observations in grouped.items())
+        except InvalidInput as exc:  # a device's rows out of time order
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
+# what a trace line's object gives: an observation's t, rssi and claimed_tx, its device and id_hex
+_TRACE_VALUES = itemgetter("t", "rssi", "claimed_tx", "device", "id_hex")
+
+
+def _read_trace_block(lines: list[str], ids: dict[str, BeaconId],
+                      grouped: dict[str, list[Observation]]) -> bool:
+    """Add the observations of a block of trace lines (each with its newline)
+    to grouped, a run of one device's lines at a time, and return True; or
+    return False, having added none, unless every check, each a pass of
+    C-level calls over the block, holds: each line is one JSON object that
+    `_scan_once` decodes whole, `t`, `rssi` and `claimed_tx` are all finite
+    floats, each `device` is a str, and each `id_hex` is interned in ids or a
+    str that `BeaconId.from_hex` accepts, which interns it."""
+    lines = list(map(str.rstrip, lines, repeat("\n")))
     try:
-        return tuple(Trace(ref, tuple(observations)) for ref, observations in grouped.items())
-    except InvalidInput as exc:  # a device's rows out of time order
-        raise SchemaError(f"{path}: {exc}") from exc
+        decoded = list(map(_scan_once, lines, repeat(0)))
+    except (ValueError, RecursionError):
+        return False
+    # a line where no value starts (blank, padded, a byte-order mark) raises
+    # StopIteration, which ends the map early without an error
+    if len(decoded) != len(lines):
+        return False
+    values, ends = zip(*decoded)
+    if ends != tuple(map(len, lines)):
+        return False
+    try:  # a value that is not an object, or lacks a field, raises
+        ts, rssis, claimed, devices, id_hexes = zip(*map(_TRACE_VALUES, values))
+    except (KeyError, TypeError):
+        return False
+    numbers = ts + rssis + claimed
+    if (set(map(type, numbers)) != {float} or not all(map(isfinite, numbers))
+            or set(map(type, devices)) != {str} or set(map(type, id_hexes)) != {str}):
+        return False
+    for id_hex in set(id_hexes).difference(ids):
+        try:
+            ids[id_hex] = BeaconId.from_hex(id_hex)
+        except InvalidInput:
+            return False
+    observations = map(tuple.__new__, repeat(Observation),
+                       zip(ts, map(ids.__getitem__, id_hexes), rssis, claimed))
+    for device, run in groupby(devices):
+        mine = grouped.get(device) or grouped.setdefault(device, [])
+        mine.extend(islice(observations, len(list(run))))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +529,29 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
 
 
 def read_metrics_csv(path: str) -> list[dict]:
+    """The rows of a metrics file, each a dict keyed by the six columns;
+    blank lines are skipped. A file without the tag line or the header row
+    raises SchemaError naming the file, and a row of more or fewer cells
+    than columns raises it naming the file and the line the row ends on."""
     with open(path, "r", encoding="utf-8", newline="") as fh, _named_decode_errors(path):
         first = fh.readline().strip()
         if first != f"# {METRICS_TAG}":
             raise SchemaError(f"{path}: expected a {METRICS_TAG} file")
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != _METRIC_FIELDS:
+        reader = csv.reader(fh)
+        fields = next(reader, [])
+        if tuple(fields) != _METRIC_FIELDS:
             raise SchemaError(f"{path}: expected the columns {','.join(_METRIC_FIELDS)}, "
-                              f"got {','.join(reader.fieldnames or ())}")
-        return list(reader)
+                              f"got {','.join(fields)}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(_METRIC_FIELDS):
+                # line_num counts the lines after the tag line
+                raise SchemaError(f"{path}:{reader.line_num + 1}: expected "
+                                  f"{len(_METRIC_FIELDS)} cells, one per column, got {len(row)}")
+            rows.append(dict(zip(_METRIC_FIELDS, row)))
+        return rows
 
 
 # ---------------------------------------------------------------------------

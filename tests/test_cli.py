@@ -1306,6 +1306,19 @@ class TestReport:
             f"error: {path}: expected the columns profile,kind,sniff_mode,metric,value,detail, "
             f"got profile,metric,value\n"))
 
+    @pytest.mark.parametrize("row, cells", [("0", 1), ("0,A1,,x,1.0,{},extra", 7)],
+                             ids=["short", "long"])
+    def test_a_row_of_other_than_six_cells_is_refused_with_its_line(self, tmp_path, capsys,
+                                                                     row, cells):
+        # before, a short row printed `None[0].None,` and a long one lost its
+        # last cell, both with exit 0
+        path = tmp_path / "m.csv"
+        path.write_text("# beaconlab.metrics.v1\nprofile,kind,sniff_mode,metric,value,detail\n"
+                        f",summary,,delivery_correctness,1.0,{{}}\n\n{row}\n")
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}:5: expected 6 cells, one per column, got {cells}\n")
+
 
 class TestTopLevel:
     def test_unknown_subcommand(self):

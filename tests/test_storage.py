@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -641,7 +642,9 @@ class TestBlockWriters:
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.sampled_from([0, 1, B, B + 1, 2 * B + 3]), min_size=1, max_size=3),
            numbers=st.lists(_ODD_NUMBER, min_size=1, max_size=8),
-           devices=st.lists(_ODD_TEXT, min_size=3, max_size=3, unique=True),
+           # not "phone", whose rows among _FIXED_EVENTS would break its time order
+           devices=st.lists(_ODD_TEXT.filter("phone".__ne__), min_size=3, max_size=3,
+                            unique=True),
            seed=st.integers(0, 2**32))
     def test_the_trace_writer_writes_json_dumps_of_each_row(self, tmp_path_factory, lengths,
                                                             numbers, devices, seed):
@@ -772,6 +775,123 @@ def _traces(lengths, bad_device=None, bad="rssi", at=-1) -> tuple[EventLog, list
 def _write_traces(path: str, data: tuple) -> None:
     """`write_traces_jsonl` of a `_traces` log and its devices."""
     write_traces_jsonl(path, *data)
+
+
+def _plain_lines(n: int) -> list[str]:
+    """n trace lines the block path takes: devices' runs of 50 lines cross
+    block boundaries, and each device comes back after the other six."""
+    return [_line(t=float(k), device=f"dev{k // 50 % 7}", id_hex=(AA, BB)[k % 2],
+                  rssi=-60.0 - k % 7) for k in range(n)]
+
+
+def _write_body(path, body: list[str]) -> str:
+    path.write_text("\n".join([TRACES_HEADER, *body]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestBlockReader:
+    """`read_traces_jsonl` reads a block of `_BLOCK` lines at a time, each
+    through checks in C-level passes or, failing any, line by line."""
+
+    @pytest.fixture
+    def blocks_taken(self, monkeypatch):
+        """What `_read_trace_block` returned for each block, in order."""
+        taken = []
+        read_block = storage._read_trace_block
+
+        def spy(lines, ids, grouped):
+            taken.append(read_block(lines, ids, grouped))
+            return taken[-1]
+
+        monkeypatch.setattr(storage, "_read_trace_block", spy)
+        return taken
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
+    def test_plain_files_equal_the_reference_and_take_the_block_path(self, tmp_path, n,
+                                                                      blocks_taken):
+        path = _write_body(tmp_path / "traces.jsonl", _plain_lines(n))
+        assert _comparable(read_traces_jsonl(path)) == _comparable(_reference_read(path))
+        assert blocks_taken == [True] * -(-n // B)
+
+    @pytest.mark.parametrize("bad", [
+        lambda line: line.replace('"rssi": ', '"rssi": "').replace(', "t"', '", "t"'),
+        lambda line: line.replace("-59.0", "NaN"),
+        lambda line: line.replace('"device": "dev', '"device": 7, "x": "'),
+        lambda line: line.replace(AA, "zz").replace(BB, "zz"),
+        lambda line: line + line,
+        lambda line: line + "x",
+    ], ids=["str-rssi", "nan", "int-device", "bad-hex", "two-objects", "trailing-text"])
+    @pytest.mark.parametrize("at", [B, 2 * B - 1], ids=["first", "last"])
+    def test_a_bad_line_in_the_second_block_is_named_by_its_number(self, tmp_path, at, bad,
+                                                                    blocks_taken):
+        body = _plain_lines(3 * B)
+        body[at] = bad(body[at])
+        path = _write_body(tmp_path / "traces.jsonl", body)
+        assert _reference_read(path) == at + 2
+        with pytest.raises(SchemaError, match=f"traces\\.jsonl:{at + 2}: bad trace line: "):
+            read_traces_jsonl(path)
+        assert blocks_taken == [True, False]
+
+    def test_blank_lines_across_a_block_boundary_keep_the_line_numbers(self, tmp_path):
+        lines = _plain_lines(2 * B)
+        body = [*lines[:B - 3], *[""] * 7, *lines[B - 3:]]
+        path = _write_body(tmp_path / "traces.jsonl", body)
+        assert _comparable(read_traces_jsonl(path)) == _comparable(_reference_read(path))
+        body[B + 20] = "{"
+        path = _write_body(tmp_path / "traces.jsonl", body)
+        assert _reference_read(path) == B + 22
+        with pytest.raises(SchemaError, match=f"traces\\.jsonl:{B + 22}: bad trace line"):
+            read_traces_jsonl(path)
+
+    # a padded line or an int t sends its block line by line; the block path
+    # takes a repeated key (the last wins) and any key order
+    @pytest.mark.parametrize("odd, taken", [
+        (lambda line: "  " + line + " \t", False),
+        (lambda line: line.replace('"t": 1030.0', '"t": 1030'), False),
+        (lambda line: '{"t": -5.0, ' + line[1:], True),
+        (lambda line: json.dumps(dict(reversed(json.loads(line).items()))), True),
+    ], ids=["padded", "int-t", "duplicate-key", "key-order"])
+    def test_a_valid_odd_line_reads_as_the_plain_one(self, tmp_path, blocks_taken, odd, taken):
+        plain = _plain_lines(3 * B)
+        body = [*plain[:1030], odd(plain[1030]), *plain[1031:]]
+        assert body[1030] != plain[1030]
+        path = _write_body(tmp_path / "traces.jsonl", body)
+        expected = _reference_read(path)
+        assert _comparable(read_traces_jsonl(path)) == _comparable(expected)
+        assert blocks_taken == [True, taken, True]
+        assert _comparable(expected) == _comparable(read_traces_jsonl(
+            _write_body(tmp_path / "plain.jsonl", plain)))
+
+    @pytest.mark.parametrize("bad", [None, "line", "time order"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_a_read_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, enabled,
+                                                        bad):
+        body = _plain_lines(B + 1)
+        if bad == "line":
+            body[-1] = "not json"
+        elif bad == "time order":
+            body[-1] = _line(t=0.0, device="dev0")
+        path = _write_body(tmp_path / "traces.jsonl", body)
+        during = []
+        read_block = storage._read_trace_block
+
+        def spy(lines, ids, grouped):
+            during.append(gc.isenabled())
+            return read_block(lines, ids, grouped)
+
+        monkeypatch.setattr(storage, "_read_trace_block", spy)
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if bad is None:
+                read_traces_jsonl(path)
+            else:
+                with pytest.raises(SchemaError):
+                    read_traces_jsonl(path)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert during == [False, False]
 
 
 class TestMetricsCsv:
